@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test check lint smoke obs-smoke obs-dist-smoke chaos-smoke chaos-heavy rebalance-smoke rebalance-heavy serve-smoke serve-soak bench bench-recovery bench-serve bench-obs bench-rebalance bench-report bench-check bench-paper docs docs-lint experiments experiments-quick examples clean
+.PHONY: install test check lint smoke obs-smoke obs-dist-smoke chaos-smoke chaos-heavy rebalance-smoke rebalance-heavy serve-smoke serve-soak bench bench-paper docs docs-lint experiments experiments-quick examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,8 +10,10 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# What CI runs: the static-analysis suite, the tier-1 suite, the
-# fault-injection smoke job, and the seeded worker-kill loop.
+# The core of what CI runs: the static-analysis suite, the tier-1 suite,
+# the fault-injection smoke job, and the seeded worker-kill loop. CI's
+# `bench` job also runs `pytest bench` and `bench/run.py --quick`, so
+# the yardstick itself is executed on every PR.
 check: lint
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m repro.robustness.smoke --quick
@@ -64,17 +66,11 @@ rebalance-smoke:
 rebalance-heavy:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_shard_rebalance.py -m chaos
 
-# Scalar-vs-vectorized perf suite plus the shard K-sweep; regenerates
-# both checked-in baselines.
+# The one benchmark (bench/README.md): five named workloads, oracle-
+# checked, end-to-end metrics plus a traced per-layer table. Compare two
+# runs' result files with `python3 bench/run.py compare A B`.
 bench:
-	PYTHONPATH=src $(PYTHON) -m repro.perf.bench --out BENCH_pr2.json
-	PYTHONPATH=src $(PYTHON) -m repro.shard.bench --out BENCH_pr4.json
-
-# Supervision-overhead suite: K=2 process executor with the fault-
-# tolerance layer off vs on (no faults injected); regenerates
-# BENCH_pr6.json. Acceptance: <= 5% update-phase overhead.
-bench-recovery:
-	PYTHONPATH=src $(PYTHON) -m repro.shard.bench --pr6 --out BENCH_pr6.json
+	python3 bench/run.py
 
 # Serving-layer smoke over a real TCP loopback: wire parity (serial +
 # sharded), shedding policies, drain shutdown -> verified checkpoint.
@@ -84,36 +80,6 @@ serve-smoke:
 # The 30-second seeded serving soak (excluded from tier-1 by marker).
 serve-soak:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_serve_load.py -m soak
-
-# Wire-overhead suite: in-process vs TCP at n=10k; regenerates
-# BENCH_pr7.json. Acceptance: <= 15% overhead over direct process().
-bench-serve:
-	PYTHONPATH=src $(PYTHON) -m repro.serve.bench --pr7 --out BENCH_pr7.json
-
-# Distributed-observability overhead suite: K=2 process executor with
-# obs off vs the full DESIGN §12 stack on; regenerates BENCH_pr8.json.
-# Acceptance: <= 5% update-phase overhead.
-bench-obs:
-	PYTHONPATH=src $(PYTHON) -m repro.shard.bench --pr8 --out BENCH_pr8.json
-
-# Adaptive-rebalancing suite: static vs adaptive plan under a skewed
-# hotspot (K in {2,4}) plus the protocol-overhead arm on uniform load;
-# regenerates BENCH_pr9.json. Acceptance: <= 5% uniform overhead;
-# >= 1.3x skew speedup asserted on >= 4-core hosts.
-bench-rebalance:
-	PYTHONPATH=src $(PYTHON) -m repro.shard.bench --pr9 --out BENCH_pr9.json
-
-# Render every checked-in BENCH_pr*.json into the one perf-trajectory
-# table the tuning guide links.
-bench-report:
-	$(PYTHON) tools/bench_trajectory.py --out docs/BENCH_TRAJECTORY.md
-
-# Regression gate against the checked-in BENCH_pr2.json (what CI runs),
-# plus the drift guard: every crnn_* metric a BENCH_pr*.json references
-# must still be emitted by src/ (the CRNN004 registry extract).
-bench-check:
-	PYTHONPATH=src $(PYTHON) -m pytest -x -q benchmarks/test_perf_regression.py
-	$(PYTHON) tools/bench_trajectory.py --check-metrics
 
 # The original pytest-benchmark suite over the paper's tables/figures.
 bench-paper:
@@ -141,5 +107,5 @@ examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
 
 clean:
-	rm -rf .pytest_cache .hypothesis src/repro.egg-info
+	rm -rf .pytest_cache .hypothesis .benchmarks .mypy_cache .ruff_cache bench/out src/repro.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -9,16 +9,11 @@ leaves alerts silently dead.  This rule extracts every full
 excluded — prose mentions are not emissions) and diffs it against the
 names appearing in the two documents' Markdown tables, in both
 directions.
-
-:func:`extract_emitted_metrics` is also the registry source for the
-``tools/bench_trajectory.py`` drift guard, which refuses bench JSONs
-referencing metric names outside this extract.
 """
 
 from __future__ import annotations
 
 import re
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.core import Finding, SourceFile, iter_non_docstring_strings
@@ -82,19 +77,6 @@ def parse_inventory(text: str) -> dict[str, int]:
             if METRIC_NAME_RE.fullmatch(name):
                 names.setdefault(name, lineno)
     return names
-
-
-def load_metric_registry(root: Path) -> dict[str, tuple[str, int]]:
-    """Standalone registry extract for external guards (bench tooling).
-
-    Loads the tree with the project's lint config and returns
-    :func:`extract_emitted_metrics` over it.
-    """
-    from repro.analysis.config import load_config
-    from repro.analysis.core import _discover
-
-    config = load_config(root)
-    return extract_emitted_metrics(_discover(root, config))
 
 
 class MetricRegistryChecker(Checker):

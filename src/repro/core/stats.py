@@ -10,6 +10,29 @@ so benchmarks and ablations can report both time and work.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Mapping
+
+#: The exactness contract's counter set: pure-Python deterministic for a
+#: given update stream (no dependency on NumPy being present, on the
+#: vectorized flag, on the shard count or executor, or on the machine).
+#: Every parity suite and smoke compares exactly this slice.
+LOGICAL_COUNTERS = (
+    "nn_searches",
+    "constrained_nn_searches",
+    "pie_case1",
+    "pie_case2",
+    "pie_case3",
+    "result_changes",
+    "containment_queries",
+    "circ_lazy_radius_updates",
+    "circ_nn_searches_triggered",
+    "query_recomputations",
+)
+
+
+def logical_subset(counters: Mapping[str, int]) -> dict[str, int]:
+    """The :data:`LOGICAL_COUNTERS` slice of a :meth:`StatCounters.snapshot` dict."""
+    return {name: counters[name] for name in LOGICAL_COUNTERS}
 
 
 @dataclass

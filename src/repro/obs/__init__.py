@@ -4,9 +4,8 @@ The layer threads structured telemetry through every other subsystem
 while staying strictly opt-in — a monitor built without
 ``MonitorConfig(observability=ObsConfig(...))`` keeps the shared
 :data:`~repro.obs.trace.NULL_TRACER` and pays only a few predictable
-branch checks per batch (the measured bound is documented in
-DESIGN.md §8, and CI's bench gate enforces that the disabled path stays
-logically and temporally identical to a build without the layer).
+branch checks per batch (DESIGN.md §8; CI's ``obs-smoke`` job enforces
+that logical counters are identical with the layer on or off).
 
 Modules:
 

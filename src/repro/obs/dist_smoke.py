@@ -38,6 +38,7 @@ import tempfile
 
 from repro.core.config import MonitorConfig
 from repro.core.events import ObjectUpdate
+from repro.core.stats import logical_subset
 from repro.geometry.point import Point
 from repro.obs.config import ObsConfig
 from repro.obs.flight import load_dump, render_timeline
@@ -78,8 +79,6 @@ def _stream(seed: int, n: int, ticks: int, per_tick: int):
 
 def _run_stream(monitor, inserts, queries, batches):
     """Feed the stream; returns (all drained events, logical counters)."""
-    from repro.perf.bench import logical_subset
-
     for oid, pos in inserts:
         monitor.add_object(oid, pos)
     for qid, pos in queries:

@@ -1,11 +1,11 @@
 """CI smoke for the observability layer (``make obs-smoke``).
 
-Runs the tiny bench workload twice — once with observability fully on
-(unsampled tracing into the memory ring) and once with it off — and
+Replays one small seeded stream with observability absent, explicitly
+disabled, and fully on (unsampled tracing into the memory ring), and
 checks the four promises the layer makes:
 
 1. **Isolation** — the logical counters are byte-identical between the
-   two runs: observing the monitor never changes what it computes.
+   three runs: observing the monitor never changes what it computes.
 2. **Exposition** — a live :class:`~repro.obs.export.ObsHTTPServer` is
    scraped once over real HTTP; ``/metrics`` must pass the strict
    Prometheus text parser and ``/snapshot.json`` must validate against
@@ -27,10 +27,16 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import random
 import sys
 import urllib.request
+from typing import Optional
 
+from repro.core.config import MonitorConfig
+from repro.core.events import ObjectUpdate
 from repro.core.monitor import CRNNMonitor
+from repro.core.stats import logical_subset
+from repro.geometry.point import Point
 from repro.obs.config import ObsConfig
 from repro.obs.console import ConsoleSummary
 from repro.obs.export import (
@@ -45,35 +51,10 @@ def _fail(msg: str) -> int:
     return 1
 
 
-def run(quick: bool = False) -> int:
-    """The end-to-end observability smoke checks; returns a process exit code."""
-    from repro.perf.bench import SMOKE, Workload, logical_subset
-
-    wl = (
-        Workload("obs-smoke", n=500, queries=10, ticks=3, moves_per_tick=150,
-                 grid_cells=32)
-        if quick
-        else SMOKE
-    )
-
-    # --- 1. logical-counter parity: obs on vs obs off --------------------
-    off = wl.run(vectorized=True)
-    on = wl.run(
-        vectorized=True,
-        observability=ObsConfig(trace_sink="memory", ring_capacity=2048),
-    )
-    if logical_subset(on["counters"]) != logical_subset(off["counters"]):
-        return _fail("logical counters differ between obs-on and obs-off runs")
-    print("[obs-smoke] counters: obs-on == obs-off", file=sys.stderr)
-
-    # --- build a live monitor for the HTTP / explain / console checks ----
-    import random
-
-    from repro.core.events import ObjectUpdate
-    from repro.geometry.point import Point
-
+def _replay(quick: bool, observability: Optional[ObsConfig]) -> CRNNMonitor:
+    """The seeded smoke stream through a fresh monitor, obs on or off."""
     rng = random.Random(7)
-    monitor = CRNNMonitor.with_observability(ObsConfig())
+    monitor = CRNNMonitor(MonitorConfig(observability=observability))
     n, queries, ticks = (120, 6, 4) if quick else (600, 12, 6)
     for oid in range(n):
         monitor.add_object(oid, Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000)))
@@ -87,6 +68,20 @@ def run(quick: bool = False) -> int:
             for _ in range(max(20, n // 10))
         ]
         monitor.process(batch)
+    return monitor
+
+
+def run(quick: bool = False) -> int:
+    """The end-to-end observability smoke checks; returns a process exit code."""
+    # --- 1. logical-counter parity: obs absent vs disabled vs on ---------
+    want = logical_subset(_replay(quick, None).stats.snapshot())
+    disabled = _replay(quick, ObsConfig(enabled=False))
+    if disabled.obs.enabled or logical_subset(disabled.stats.snapshot()) != want:
+        return _fail("ObsConfig(enabled=False) does not match an obs-less monitor")
+    monitor = _replay(quick, ObsConfig())
+    if logical_subset(monitor.stats.snapshot()) != want:
+        return _fail("logical counters differ between obs-on and obs-off runs")
+    print("[obs-smoke] counters: obs absent == disabled == on", file=sys.stderr)
 
     # --- 2. scrape the endpoint once over real HTTP ----------------------
     with ObsHTTPServer(monitor) as server:

@@ -1,4 +1,4 @@
-"""Performance subsystem: vectorized kernels, phase timers, bench harness.
+"""Performance subsystem: vectorized kernels and phase timers.
 
 The scalar algorithms in :mod:`repro.core` and :mod:`repro.grid` are the
 reference semantics; everything in this package is an *equivalent* fast
@@ -13,8 +13,6 @@ Modules:
   batched circ-region containment prefilter.
 * :mod:`repro.perf.timers` — lightweight per-phase wall-clock timers
   threaded through :class:`~repro.core.monitor.CRNNMonitor`.
-* :mod:`repro.perf.bench` — the perf-regression harness behind
-  ``make bench`` (writes ``BENCH_pr2.json``).
 """
 
 from repro.perf.timers import PhaseTimers

@@ -28,10 +28,11 @@ A ``batch`` frame carries its updates *columnar*: ``"kinds"`` is a
 string of ``o``/``q`` characters, ``"ids"`` an array of integers, and
 ``"xs"``/``"ys"`` aligned coordinate arrays (both entries ``null`` for
 a delete).  Columnar beats one JSON object per update by several
-microseconds per update on both ends — the difference between meeting
-and missing the ``BENCH_pr7`` wire-overhead budget at thousands of
-updates per tick.  :func:`parse_message` materialises the columns
-straight into core
+microseconds per update on both ends, which at thousands of updates
+per tick decides whether the wire path keeps up with in-process
+``process()`` (``serve.decode_ms`` and ``serve.wire_overhead_ms`` on
+``bench/run.py``'s ``serve-mixed`` workload).  :func:`parse_message`
+materialises the columns straight into core
 :class:`~repro.core.events.ObjectUpdate`/:class:`~repro.core.events.QueryUpdate`
 values (no intermediate layer); :class:`WireUpdate` remains as a
 convenience for callers that want a single-update wire view.  JSON

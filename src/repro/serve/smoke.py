@@ -18,6 +18,10 @@ the layer makes:
 
 Exit code 0 on success, 1 on the first failed check.
 
+:func:`serve_stream` — the seeded mixed update stream these checks
+replay — is also what ``tests/test_serve_parity.py`` drives, so the
+smoke and the parity suite exercise the same shapes.
+
 Usage::
 
     PYTHONPATH=src python -m repro.serve.smoke          # full checks
@@ -28,17 +32,101 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 import tempfile
 
 from repro.core.config import MonitorConfig
-from repro.core.events import ObjectUpdate
+from repro.core.events import ObjectUpdate, QueryUpdate
 from repro.core.monitor import CRNNMonitor
+from repro.core.stats import logical_subset
 from repro.geometry.point import Point
-from repro.perf.bench import logical_subset
-from repro.serve.bench import STREAM_BOUNDS, serve_stream
+from repro.geometry.rect import Rect
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, ServerThread
+
+#: Query ids live in their own range so streams read unambiguously.
+QUERY_BASE = 1_000_000
+
+#: Data space of the default :func:`serve_stream` (dense interactions).
+STREAM_BOUNDS = Rect(0.0, 0.0, 1_000.0, 1_000.0)
+
+
+def serve_stream(
+    seed: int = 7,
+    n: int = 250,
+    queries: int = 12,
+    ticks: int = 200,
+    moves_per_tick: int = 25,
+    bounds: Rect = STREAM_BOUNDS,
+) -> tuple[list, list[list]]:
+    """A deterministic mixed update stream for the wire-parity suites.
+
+    Returns ``(initial_batch, tick_batches)``.  The initial batch
+    inserts ``n`` objects and registers ``queries`` query points; each
+    of the ``ticks`` subsequent batches is mostly short random-walk
+    moves, with a sprinkling of object deletes, re-inserts of fresh
+    ids, and query moves — every update kind the wire protocol carries,
+    in one stream.  All ids referenced are alive at reference time, so
+    the stream is valid under the ``strict`` ingestion guard.
+    """
+    rng = random.Random(seed)
+
+    def rand_point() -> Point:
+        return Point(
+            rng.uniform(bounds.xmin, bounds.xmax), rng.uniform(bounds.ymin, bounds.ymax)
+        )
+
+    pos: dict[int, Point] = {}
+    initial: list = []
+    for oid in range(n):
+        p = rand_point()
+        pos[oid] = p
+        initial.append(ObjectUpdate(oid, p))
+    qpos: dict[int, Point] = {}
+    for q in range(queries):
+        qid = QUERY_BASE + q
+        p = rand_point()
+        qpos[qid] = p
+        initial.append(QueryUpdate(qid, p))
+    next_oid = n
+
+    span = min(bounds.xmax - bounds.xmin, bounds.ymax - bounds.ymin)
+    step = span * 0.02
+
+    tick_batches: list[list] = []
+    for _ in range(ticks):
+        batch: list = []
+        for _ in range(moves_per_tick):
+            roll = rng.random()
+            if roll < 0.02 and len(pos) > 10:
+                # Delete a live object.
+                oid = rng.choice(sorted(pos))
+                del pos[oid]
+                batch.append(ObjectUpdate(oid, None))
+            elif roll < 0.04:
+                # Insert a brand-new object id.
+                p = rand_point()
+                pos[next_oid] = p
+                batch.append(ObjectUpdate(next_oid, p))
+                next_oid += 1
+            elif roll < 0.07 and qpos:
+                # Move a query (forces a recomputation).
+                qid = rng.choice(sorted(qpos))
+                p = rand_point()
+                qpos[qid] = p
+                batch.append(QueryUpdate(qid, p))
+            else:
+                oid = rng.choice(sorted(pos))
+                old = pos[oid]
+                p = Point(
+                    min(max(old.x + rng.uniform(-step, step), bounds.xmin), bounds.xmax),
+                    min(max(old.y + rng.uniform(-step, step), bounds.ymin), bounds.ymax),
+                )
+                pos[oid] = p
+                batch.append(ObjectUpdate(oid, p))
+        tick_batches.append(batch)
+    return initial, tick_batches
 
 
 def _fail(msg: str) -> int:
@@ -162,9 +250,7 @@ def check_lifecycle() -> int:
             client.send_updates(batch)
             client.tick()
         wire_results = {
-            qid: client.results(qid) for qid in sorted(
-                1_000_000 + q for q in range(5)
-            )
+            qid: client.results(qid) for qid in range(QUERY_BASE, QUERY_BASE + 5)
         }
     thread.stop()  # draining shutdown -> checkpoint written
     if not os.path.exists(path):

@@ -223,7 +223,7 @@ def run_kill_loop(
 
     from repro.core.config import MonitorConfig
     from repro.core.monitor import CRNNMonitor
-    from repro.perf.bench import logical_subset
+    from repro.core.stats import logical_subset
     from repro.shard.monitor import ShardedCRNNMonitor
     from repro.shard.supervisor import SupervisionConfig
 

@@ -6,7 +6,7 @@ monitoring work across ``K`` column-stripe shards (see
 :mod:`repro.shard.plan`) under either executor
 (:mod:`repro.shard.executor`).  The parity contract is strict: for any
 update stream, the drained event sequence and every logical counter
-(:data:`repro.perf.bench.LOGICAL_COUNTERS`) are bit-identical to a
+(:data:`repro.core.stats.LOGICAL_COUNTERS`) are bit-identical to a
 single-shard monitor's — the differential and golden-workload tests
 enforce it for K ∈ {1, 2, 4, 8} in both modes.
 

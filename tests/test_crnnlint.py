@@ -10,8 +10,7 @@ Three layers:
   cross-file rules: a fixture tree that adds a fake shard op fails
   CRNN003, and one that emits a fake ``crnn_bogus_total`` fails
   CRNN004, with the right rule id anchored to the right file.
-* **Self-check** — the live repository tree lints clean, and the
-  bench-trajectory metric drift guard rejects a stale reference.
+* **Self-check** — the live repository tree lints clean.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
-
-import pytest
 
 from repro.analysis import Finding, LintConfig, run_lint
 
@@ -649,30 +646,3 @@ class TestLiveTree:
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
         assert payload[0]["rule"] == "CRNN001"
-
-
-@pytest.mark.parametrize(
-    "metric,expect_drift",
-    [("crnn_ops_total", False), ("crnn_bogus_total", True)],
-)
-def test_bench_metric_drift_guard(tmp_path, metric, expect_drift):
-    """`bench-check`'s drift guard rejects stale metric references."""
-    (tmp_path / "BENCH_pr99.json").write_text(
-        json.dumps({"workloads": [{"headline_metric": metric}]})
-    )
-    proc = subprocess.run(
-        [
-            sys.executable,
-            str(REPO_ROOT / "tools" / "bench_trajectory.py"),
-            "--root",
-            str(tmp_path),
-            "--check-metrics",
-        ],
-        capture_output=True,
-        text=True,
-    )
-    if expect_drift:
-        assert proc.returncode == 1
-        assert "crnn_bogus_total" in proc.stderr
-    else:
-        assert proc.returncode == 0, proc.stderr

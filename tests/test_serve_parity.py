@@ -13,10 +13,10 @@ import pytest
 
 from repro.core.config import MonitorConfig
 from repro.core.monitor import CRNNMonitor
-from repro.perf.bench import logical_subset
-from repro.serve.bench import QUERY_BASE, STREAM_BOUNDS, serve_stream
+from repro.core.stats import logical_subset
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, ServerThread
+from repro.serve.smoke import QUERY_BASE, STREAM_BOUNDS, serve_stream
 from repro.shard.monitor import ShardedCRNNMonitor
 
 #: The acceptance workload: 200 ticks of mixed updates.

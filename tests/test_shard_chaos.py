@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.core.monitor import CRNNMonitor
-from repro.perf.bench import LOGICAL_COUNTERS
+from repro.core.stats import LOGICAL_COUNTERS
 from repro.shard import ChaosSpec, ShardedCRNNMonitor, SupervisionConfig
 from repro.shard.chaos import KILL_POINTS, ChaosAgent
 

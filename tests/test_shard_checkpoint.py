@@ -16,8 +16,8 @@ import random
 import pytest
 
 from repro.core.monitor import CRNNMonitor
+from repro.core.stats import LOGICAL_COUNTERS
 from repro.perf import HAVE_NUMPY
-from repro.perf.bench import LOGICAL_COUNTERS
 from repro.robustness.checkpoint import (
     CheckpointError,
     from_json,

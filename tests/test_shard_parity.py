@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 from repro.core.config import MonitorConfig
 from repro.core.events import ObjectUpdate, QueryUpdate
 from repro.core.monitor import CRNNMonitor
+from repro.core.stats import LOGICAL_COUNTERS
 from repro.geometry.point import Point
 from repro.perf import HAVE_NUMPY
-from repro.perf.bench import LOGICAL_COUNTERS
 from repro.robustness.audit import AuditPolicy, InvariantAuditor
 from repro.robustness.faults import FaultInjector, FaultSpec
 from repro.shard import ShardedCRNNMonitor

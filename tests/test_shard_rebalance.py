@@ -18,8 +18,8 @@ import random
 import pytest
 
 from repro.core.monitor import CRNNMonitor
+from repro.core.stats import LOGICAL_COUNTERS
 from repro.geometry.point import Point
-from repro.perf.bench import LOGICAL_COUNTERS
 from repro.shard import ChaosSpec, ShardedCRNNMonitor, StripePlan, SupervisionConfig
 from repro.shard.executor import RebalanceAborted
 from repro.shard.journal import engine_snapshot, rehydrate_engine
