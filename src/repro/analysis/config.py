@@ -22,6 +22,7 @@ TICK_PATH_GLOBS = (
     "src/repro/core/*",
     "src/repro/grid/*",
     "src/repro/rnn/*",
+    "src/repro/perf/kernels.py",
     "src/repro/shard/engine.py",
     "src/repro/shard/monitor.py",
 )

@@ -370,7 +370,7 @@ class CRNNMonitor:
         pos = checked
         st = self.qt.add(qid, pos, frozenset(exclude))
         self._results.setdefault(qid, set())
-        init = init_crnn(self.grid, pos, st.exclude, eager=self.config.eager_nn)
+        init = init_crnn(self.grid, pos, st.exclude)
         for sector in range(NUM_SECTORS):
             st.cand[sector] = init.cand[sector]
             st.d_cand[sector] = init.d_cand[sector]

@@ -31,6 +31,7 @@ from repro.geometry.sector import sector_of
 from repro.geometry.wedge import rect_maybe_intersects_sector
 from repro.grid.cell import Cell
 from repro.grid.index import GridIndex
+from repro.perf.kernels import constrained_nn_k1_vector, nn_k1_vector
 
 DIRECTIONS = ("U", "R", "D", "L")
 
@@ -158,8 +159,6 @@ def _nn_search_dispatch(
     max_dist: float,
 ) -> list[tuple[float, int]]:
     if k == 1 and grid.csr_fresh and grid.vector_enabled:
-        from repro.perf.kernels import nn_k1_vector
-
         found = nn_k1_vector(grid, q, exclude=exclude, max_dist=max_dist)
         return [found] if found is not None else []
     return _nn_search_scalar(grid, q, k, exclude, max_dist)
@@ -271,8 +270,6 @@ def _constrained_dispatch(
     max_dist: float,
 ) -> list[tuple[float, int]]:
     if k == 1 and grid.csr_fresh and grid.vector_enabled:
-        from repro.perf.kernels import constrained_nn_k1_vector
-
         found = constrained_nn_k1_vector(
             grid, q, sector, exclude=exclude, max_dist=max_dist
         )

@@ -432,22 +432,30 @@ class GridIndex:
         lazily, so read object membership through :meth:`cell` /
         :meth:`objects_in_cell` instead.
         """
+        for cy, cx0, cx1 in self.pie_row_intervals(q, sector, radius):
+            base = cy * self.n
+            for cx in range(cx0, cx1 + 1):
+                yield self._materialize(base + cx)
+
+    def pie_row_intervals(self, q: Point, sector: int, radius: float):
+        """Row intervals ``(cy, cx0, cx1)`` of cells meeting the pie.
+
+        The pie twin of :meth:`circle_row_intervals`: what
+        :meth:`cells_intersecting_pie` walks, and what the vectorized
+        ``initCRNN`` kernel gathers CSR slices from without
+        materializing any ``Cell``.
+        """
         prep = self._prep_pie(q, sector, radius)
         if prep is None:
-            return
+            return iter(())
         radius, cy0, cy1, dirs, extremes, pad = prep
         if (
             _np is not None
             and self.vector_enabled
             and cy1 - cy0 + 1 >= _VECTOR_MIN_ROWS
         ):
-            rows = self._pie_row_intervals_vector(q, radius, cy0, cy1, dirs, extremes, pad)
-        else:
-            rows = self._pie_row_intervals_scalar(q, radius, cy0, cy1, dirs, extremes, pad)
-        for cy, cx0, cx1 in rows:
-            base = cy * self.n
-            for cx in range(cx0, cx1 + 1):
-                yield self._materialize(base + cx)
+            return self._pie_row_intervals_vector(q, radius, cy0, cy1, dirs, extremes, pad)
+        return self._pie_row_intervals_scalar(q, radius, cy0, cy1, dirs, extremes, pad)
 
     def _cells_intersecting_pie_scalar(
         self, q: Point, sector: int, radius: float

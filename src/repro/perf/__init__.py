@@ -9,8 +9,9 @@ returns, including ``(distance, oid)`` tie-breaks.
 Modules:
 
 * :mod:`repro.perf.kernels` — NumPy ring-expansion NN kernels over the
-  grid's CSR bucketing, vectorized sector classification, and the
-  batched circ-region containment prefilter.
+  grid's CSR bucketing, the one-gather ``initCRNN`` kernel, vectorized
+  sector classification, and the batched circ-region containment
+  prefilter.
 * :mod:`repro.perf.timers` — lightweight per-phase wall-clock timers
   threaded through :class:`~repro.core.monitor.CRNNMonitor`.
 """

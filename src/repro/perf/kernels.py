@@ -28,7 +28,7 @@ except ImportError:  # pragma: no cover - numpy is part of the toolchain
     np = None
 
 from repro.geometry.point import Point
-from repro.geometry.sector import _BOUNDARY_DIRS, NUM_SECTORS
+from repro.geometry.sector import _BOUNDARY_DIRS, NUM_SECTORS, sector_of
 
 #: Relative guard band for squared-distance candidate selection.  Hypot
 #: vs sqrt-of-squares rounding differs by at most a few ulp (~4e-16
@@ -40,6 +40,12 @@ _BAND = 1.0 + 1e-9
 #: instead of risking a missed neighbor just past a rounded row interval.
 _ACCEPT = 1.0 - 1e-9
 
+if np is not None:
+    _SECTOR_IDS = np.arange(NUM_SECTORS)
+    #: Components of boundary rays 0..5 as columns, for (6, n) broadcasting.
+    _RAY_X = np.array([d[0] for d in _BOUNDARY_DIRS[:NUM_SECTORS]])[:, None]
+    _RAY_Y = np.array([d[1] for d in _BOUNDARY_DIRS[:NUM_SECTORS]])[:, None]
+
 
 def sector_of_vector(q: Point, xs, ys):
     """Vector twin of :func:`repro.geometry.sector.sector_of`.
@@ -48,22 +54,18 @@ def sector_of_vector(q: Point, xs, ys):
     same first-match rule, same ``p == q -> 0`` convention), so every
     element agrees with the scalar function bit-for-bit.
     """
-    qx, qy = q
-    vx = xs - qx
-    vy = ys - qy
-    sides = [dx * vy - dy * vx for dx, dy in _BOUNDARY_DIRS]
-    out = np.full(len(vx), NUM_SECTORS - 1, dtype=np.int64)
-    assigned = np.zeros(len(vx), dtype=bool)
-    for i in range(NUM_SECTORS - 1):
-        hit = ~assigned & (sides[i] >= 0.0) & (sides[i + 1] < 0.0)
-        out[hit] = i
-        assigned |= hit
+    vx = xs - q[0]
+    vy = ys - q[1]
+    # sides[i] = cross(ray i, p - q), all rays the chain tests at once.
+    sides = _RAY_X * vy - _RAY_Y * vx
+    hit = (sides[:-1] >= 0.0) & (sides[1:] < 0.0)
+    out = np.where(hit.any(axis=0), hit.argmax(axis=0), NUM_SECTORS - 1)
     out[(vx == 0.0) & (vy == 0.0)] = 0
     return out
 
 
-def _gather_slots(grid, center: Point, radius: float):
-    """CSR slot indices of objects in cells meeting the disk.
+def _gather_rows(grid, rows):
+    """CSR slot indices of the objects in the given cell row intervals.
 
     A grid row's cells are one contiguous flat-index interval, hence one
     contiguous CSR interval — the gather is a handful of slices, no
@@ -73,7 +75,7 @@ def _gather_slots(grid, center: Point, radius: float):
     indptr = grid._csr_indptr
     n = grid.n
     pieces = []
-    for cy, cx0, cx1 in grid.circle_row_intervals(center, radius):
+    for cy, cx0, cx1 in rows:
         base = cy * n
         start = indptr[base + cx0]
         end = indptr[base + cx1 + 1]
@@ -84,6 +86,11 @@ def _gather_slots(grid, center: Point, radius: float):
     if len(pieces) == 1:
         return pieces[0]
     return np.concatenate(pieces)
+
+
+def _gather_slots(grid, center: Point, radius: float):
+    """CSR slot indices of objects in cells meeting the disk."""
+    return _gather_rows(grid, grid.circle_row_intervals(center, radius))
 
 
 #: Below this many gathered candidates the exact scalar loop beats the
@@ -111,8 +118,6 @@ def _best_candidate(
     Squared-distance selection with a guard band, then scalar
     ``math.hypot`` on the shortlist — see the module docstring.
     """
-    from repro.geometry.sector import sector_of
-
     qx, qy = q
     if len(idx) <= _SCALAR_CUTOFF:
         best: Optional[tuple[float, int]] = None
@@ -159,6 +164,25 @@ def _best_candidate(
     return None
 
 
+def _exclusion(exclude: Iterable[int]):
+    """``exclude`` as a set for scalar tests and an array for ``np.isin``."""
+    excluded = exclude if isinstance(exclude, (set, frozenset)) else set(exclude)
+    if not excluded:
+        return excluded, None
+    # Set order leaks into the array, but it only feeds np.isin, which
+    # is insensitive to element order.
+    return excluded, np.fromiter(excluded, dtype=np.int64, count=len(excluded))
+
+
+def _first_radius(grid, target: float) -> float:
+    """Radius of a disk expected to hold ``target`` objects at the live density."""
+    r0 = max(grid._cell_w, grid._cell_h)
+    if grid._size:
+        area = grid.bounds.width * grid.bounds.height
+        r0 = max(r0, math.sqrt(area * target / grid._size))
+    return r0
+
+
 def _nn_ring_expansion(
     grid,
     q: Point,
@@ -166,20 +190,14 @@ def _nn_ring_expansion(
     exclude: Iterable[int],
     max_dist: float,
 ) -> Optional[tuple[float, int]]:
-    excluded = exclude if isinstance(exclude, (set, frozenset)) else set(exclude)
-    excl_arr = (
-        np.fromiter(excluded, dtype=np.int64, count=len(excluded))
-        if excluded
-        else None
-    )
+    excluded, excl_arr = _exclusion(exclude)
     limit = max_dist * _BAND if math.isfinite(max_dist) else math.inf
     cover_r = grid.bounds.maxdist(q) * _BAND
     size = grid._size
-    r0 = max(grid._cell_w, grid._cell_h)
-    if size:
-        area = grid.bounds.width * grid.bounds.height
-        r0 = max(r0, math.sqrt(area * _TARGET_FIRST_RING / size))
-    r = min(r0, limit, cover_r)
+    r0 = _first_radius(grid, _TARGET_FIRST_RING)
+    # Even a zero bound must gather q's own cell, and the row test
+    # compares against cell edges that carry rounding: keep a hair.
+    r = min(max(min(r0, limit), r0 * 1e-9), cover_r)
     while True:
         if r >= cover_r:
             # Full cover: every live slot, no row gathering needed.
@@ -229,6 +247,130 @@ def constrained_nn_k1_vector(
     """
     grid.stats.vector_nn_kernel_calls += 1
     return _nn_ring_expansion(grid, q, sector, exclude, max_dist)
+
+
+#: Expected object count inside ``initCRNN``'s gathered disk.  A sector is
+#: served entirely from that one gather when it holds the sector's
+#: constrained NN *and* the disk of twice its distance (where the
+#: candidate's certificate lives): on a uniform layout that fails for a
+#: fraction ``exp(-n / 24)`` of sectors — 0.5 % at 128, against 51 % at
+#: the NN kernels' 16 — and a hundred more elements cost NumPy less than
+#: one fallback search.
+_TARGET_INIT_RING = 128.0
+
+
+def _argmin_rows(d2, xs, ys, oids, cx, cy):
+    """Exact ``(distance, oid)`` argmin of each row of ``d2``.
+
+    ``d2[i, j]`` is the squared distance from centre ``(cx[i], cy[i])``
+    to gathered object ``j`` (``inf`` = not eligible).  Per row, a
+    guard-banded shortlist scored with ``math.hypot`` — the
+    :func:`_best_candidate` rule, for several centres in one pass.
+    Returns ``(distance, oid, column)`` or ``None`` per row.
+    """
+    m2 = d2.min(axis=1)
+    # An all-inf row must shortlist nothing (inf <= inf would take all).
+    bound = np.where(np.isfinite(m2), m2 * _BAND, -1.0)
+    rows, cols = np.nonzero(d2 <= bound[:, None])
+    best: list[Optional[tuple[float, int, int]]] = [None] * len(d2)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        d = math.hypot(float(xs[j]) - cx[i], float(ys[j]) - cy[i])
+        key = (d, int(oids[j]), j)
+        if best[i] is None or key < best[i]:
+            best[i] = key
+    return best
+
+
+def init_crnn_vector(grid, q: Point, exclude: frozenset[int] = frozenset()):
+    """Vector twin of ``repro.core.init_crnn._init_crnn_scalar``.
+
+    One disk gather around ``q`` serves all six sectors: per sector the
+    exact ``(distance, oid)`` constrained NN among the gathered slots,
+    final once it is provably inside the gathered disk ``disk(q, r)``;
+    and, for a candidate at distance ``d`` with ``2 d`` inside ``r`` —
+    so that ``disk(cand, d)``, where any disprover lives, is gathered
+    too — its bounded NN read from the same arrays.  A sector the disk
+    leaves open is finished by ring expansion over its own pie's cells
+    only, so an empty sector facing the border of the data space never
+    scans the other five.
+
+    Returns ``(cand, d_cand, nn, d_nn, uncovered)``; ``uncovered`` lists
+    the sectors whose candidate's certificate could not be read from the
+    gather (the caller runs the bounded NN search for those).  Requires
+    ``grid.csr_fresh`` (the caller dispatches).
+    """
+    stats = grid.stats
+    stats.vector_nn_kernel_calls += 1
+    cand: list[Optional[int]] = [None] * NUM_SECTORS
+    d_cand = [math.inf] * NUM_SECTORS
+    nn: list[Optional[int]] = [None] * NUM_SECTORS
+    d_nn = [math.inf] * NUM_SECTORS
+    uncovered: list[int] = []
+    size = grid._size
+    if not size:
+        return cand, d_cand, nn, d_nn, uncovered
+    excluded, excl_arr = _exclusion(exclude)
+    qx, qy = q
+    cover_r = grid.bounds.maxdist(q) * _BAND
+    r = min(_first_radius(grid, _TARGET_INIT_RING), cover_r)
+    if r >= cover_r:
+        # Full cover: every live slot, and nothing lies beyond the gather.
+        idx = np.arange(size)
+        reach = math.inf
+    else:
+        idx = _gather_slots(grid, q, r)
+        reach = r * _ACCEPT
+    if idx is not None:
+        oids = grid._oid_arr[idx]
+        xs = grid._px[idx]
+        ys = grid._py[idx]
+        dx = xs - qx
+        dy = ys - qy
+        d2 = dx * dx + dy * dy
+        barred = None
+        if excl_arr is not None:
+            barred = np.isin(oids, excl_arr)
+            d2 = np.where(barred, np.inf, d2)
+        in_sector = sector_of_vector(q, xs, ys)[None, :] == _SECTOR_IDS[:, None]
+        found = _argmin_rows(
+            np.where(in_sector, d2[None, :], np.inf),
+            xs, ys, oids, [qx] * NUM_SECTORS, [qy] * NUM_SECTORS,
+        )
+        covered = []
+        for s, hit in enumerate(found):
+            if hit is None or hit[0] > reach:
+                continue
+            d_cand[s], cand[s], _ = hit
+            (covered if 2.0 * hit[0] <= reach else uncovered).append(s)
+        if covered:
+            cols = [found[s][2] for s in covered]
+            cx = xs[cols]
+            cy = ys[cols]
+            ex = xs[None, :] - cx[:, None]
+            ey = ys[None, :] - cy[:, None]
+            e2 = ex * ex + ey * ey
+            e2[np.arange(len(cols)), cols] = np.inf  # the candidate itself
+            if barred is not None:
+                e2[:, barred] = np.inf
+            nearest = _argmin_rows(e2, xs, ys, oids, cx.tolist(), cy.tolist())
+            for s, hit in zip(covered, nearest):
+                if hit is not None and hit[0] < d_cand[s]:
+                    d_nn[s], nn[s], _ = hit
+    for s in range(NUM_SECTORS):
+        if cand[s] is not None:
+            continue
+        best = None
+        rs = r
+        while rs < cover_r and (best is None or best[0] > rs * _ACCEPT):
+            rs = min(rs * 3.0, cover_r)
+            idx = _gather_rows(grid, grid.pie_row_intervals(q, s, rs))
+            if idx is not None:
+                best = _best_candidate(grid, idx, q, excluded, excl_arr, math.inf, s)
+        if best is not None:
+            d_cand[s], cand[s] = best
+            uncovered.append(s)
+    stats.vector_nn_kernel_fallbacks += len(uncovered)
+    return cand, d_cand, nn, d_nn, uncovered
 
 
 class EntrySnapshot:

@@ -184,6 +184,25 @@ class TestDeterminism:
         )
         assert_silent(findings, "CRNN001")
 
+    def test_perf_kernels_are_on_the_tick_path(self, tmp_path):
+        # perf/kernels.py holds the vectorized twins of core/ and grid/
+        # code and must be as deterministic; the rest of perf/ (phase
+        # timers) is not in scope.
+        clock = """\
+        import time
+
+        def stamp():
+            return time.time()
+        """
+        findings = lint_tree(
+            tmp_path,
+            {"src/repro/perf/kernels.py": clock, "src/repro/perf/timers.py": clock},
+            select=["CRNN001"],
+        )
+        assert [f.path for f in only_rule(findings, "CRNN001")] == [
+            "src/repro/perf/kernels.py"
+        ]
+
 
 # ----------------------------------------------------------------------
 # CRNN002 — async safety

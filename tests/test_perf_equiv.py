@@ -11,6 +11,10 @@ adversarial inputs:
 * the ring-expansion NN kernels vs the heap-based scalar searches,
   including distance ties, cell-boundary coordinates, excluded ids and
   tight ``max_dist`` bounds;
+* the one-gather ``initCRNN`` kernel vs the heap traversal of Fig. 7 —
+  whole ``InitResult`` equality on lattice layouts (exact ties across
+  cells), sector rays, coincident and excluded objects, border queries
+  with empty sectors, and the certificate fallback;
 * ``EntrySnapshot`` containment prefilters vs the exact FUR predicate
   (superset property + batch/per-point agreement).
 
@@ -36,6 +40,7 @@ import numpy as np
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.core.init_crnn import _init_crnn_scalar, init_crnn
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.sector import _BOUNDARY_DIRS, NUM_SECTORS, sector_of
@@ -273,6 +278,17 @@ class TestNNKernelEquivalence:
         assert got == (30.0, 0) and [got] == want
         assert nn_k1_vector(grid, q, max_dist=math.nextafter(30.0, 0.0)) is None
 
+    def test_zero_bound_on_the_border_still_reads_own_cell(self):
+        # The top border row's upper edge is a rounded sum that can land
+        # below the border coordinate; a zero-radius gather must not
+        # lose the cell of a coincident object there.
+        pts = [Point(350.0, 1000.0), Point(350.0, 1000.0), Point(100.0, 100.0)]
+        grid = _populated_grid(pts, cells=11)
+        q = Point(350.0, 1000.0)
+        want = _nn_search_scalar(grid, q, 1, {0}, 0.0)
+        got = nn_k1_vector(grid, q, exclude={0}, max_dist=0.0)
+        assert got == (0.0, 1) and [got] == want
+
     def test_large_random_grid_spot_check(self):
         rng = random.Random(7)
         pts = [
@@ -286,6 +302,115 @@ class TestNNKernelEquivalence:
             want = _constrained_knn_search_scalar(grid, q, sector, 1)
             got = constrained_nn_k1_vector(grid, q, sector)
             assert ([got] if got is not None else []) == want
+
+
+# ----------------------------------------------------------------------
+# initCRNN twins
+# ----------------------------------------------------------------------
+#: A 25-unit lattice over ``BOUNDS``, border included: distances between
+#: lattice points are exact, so equidistant objects tie bit-for-bit — in
+#: the same sector and, at these grid resolutions, in different cells —
+#: and only the ``(distance, oid)`` order separates them.
+lattice_coords = st.integers(min_value=0, max_value=40).map(lambda i: i * 25.0)
+lattice_points = st.tuples(lattice_coords, lattice_coords).map(lambda t: Point(*t))
+init_grids = st.sampled_from([2, 5, 11, 128])
+
+
+def _assert_init_twins_agree(pts, q, cells, exclude=frozenset()):
+    """Heap traversal on a scalar-only grid == kernel on a CSR-fresh one."""
+    ref = _populated_grid(pts, cells)
+    ref.vector_enabled = False
+    fast = _populated_grid(pts, cells)
+    want = _init_crnn_scalar(ref, q, exclude)
+    got = init_crnn(fast, q, exclude)
+    assert fast.stats.vector_nn_kernel_calls >= 1 and fast.stats.heap_pops == 0
+    assert got == want
+    # One bounded-NN evaluation per candidate, whichever twin ran.
+    assert fast.stats.nn_searches == ref.stats.nn_searches
+    return got, fast
+
+
+class TestInitCRNNEquivalence:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        pts=st.lists(lattice_points, min_size=0, max_size=40),
+        q=lattice_points,
+        cells=init_grids,
+        n_excl=st.integers(min_value=0, max_value=4),
+        crowd=st.sampled_from([0, 600]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_init_matches_scalar_heap_on_lattice(self, pts, q, cells, n_excl, crowd, seed):
+        # ``crowd`` seeded extra lattice points make the first gather a
+        # proper sub-disk of the data space (a small layout is gathered
+        # whole), so candidates and certificates near its rim and the
+        # per-sector pie expansion are all exercised; ``q`` itself is a
+        # lattice point, so it is regularly coincident with an object,
+        # on the border with sectors facing out of the data space, and
+        # level with objects on the two horizontal boundary rays.
+        rng = random.Random(seed)
+        pts = pts + [
+            Point(rng.randrange(41) * 25.0, rng.randrange(41) * 25.0)
+            for _ in range(crowd)
+        ]
+        _assert_init_twins_agree(pts, q, cells, frozenset(range(n_excl)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pts=object_lists,
+        q=mixed_points,
+        cells=init_grids,
+        n_excl=st.integers(min_value=0, max_value=4),
+    )
+    def test_init_matches_scalar_heap_on_raw_floats(self, pts, q, cells, n_excl):
+        _assert_init_twins_agree(pts, q, cells, frozenset(range(n_excl)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=points,
+        dists=st.lists(
+            st.floats(min_value=1e-3, max_value=400.0, allow_nan=False),
+            min_size=1,
+            max_size=12,
+        ),
+        rays=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=12),
+        cells=init_grids,
+    )
+    def test_init_on_sector_ray_objects(self, q, dists, rays, cells):
+        pts = [_ray_point(q, ray, d) for ray, d in zip(rays, dists)]
+        pts = [p for p in pts if BOUNDS.contains_point(p)] + [q]
+        _assert_init_twins_agree(pts, q, cells)
+
+    def test_empty_grid(self):
+        for cells in (2, 5, 11, 128):
+            got, _ = _assert_init_twins_agree([], Point(10.0, 10.0), cells)
+            assert got.cand == [None] * NUM_SECTORS and got.rnns() == set()
+
+    def test_border_query_with_empty_sectors(self):
+        # q in the bottom-left corner: sectors 2..5 face out of the data
+        # space (sector 5 keeps only the bottom border itself) and must
+        # come back empty without their expansion finding anything.
+        rng = random.Random(3)
+        pts = [Point(rng.uniform(0, 1000), rng.uniform(1, 1000)) for _ in range(500)]
+        got, fast = _assert_init_twins_agree(pts, Point(0.0, 0.0), 128)
+        assert got.cand[2:] == [None] * 4
+        assert got.cand[0] is not None and got.cand[1] is not None
+
+    def test_certificate_fallback_when_gather_cannot_cover(self):
+        # 400 objects make the first disk ~565 wide.  Sector 0's
+        # candidate sits 400 away — inside it, so final in one gather —
+        # but its disprover 300 further out along the same ray lies
+        # outside: disk(cand, d_cand) is not covered and the certificate
+        # must come from the bounded NN search instead.
+        rng = random.Random(5)
+        crowd = [
+            Point(rng.uniform(850, 1000), rng.uniform(850, 1000)) for _ in range(398)
+        ]
+        pts = [Point(500.0, 100.0), Point(800.0, 100.0)] + crowd
+        got, fast = _assert_init_twins_agree(pts, Point(100.0, 100.0), 128)
+        assert (got.cand[0], got.d_cand[0]) == (0, 400.0)
+        assert (got.nn[0], got.d_nn[0]) == (1, 300.0)
+        assert fast.stats.vector_nn_kernel_fallbacks >= 1
 
 
 # ----------------------------------------------------------------------
