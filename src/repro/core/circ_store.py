@@ -38,6 +38,7 @@ from repro.geometry.circle import Circle
 from repro.geometry.point import Point, dist
 from repro.grid.cpm import nearest_neighbor
 from repro.grid.index import GridIndex
+from repro.perf.kernels import EntrySnapshot
 from repro.rtree.furtree import FURTree
 from repro.rtree.node import LeafEntry
 
@@ -452,15 +453,6 @@ class FurCircStore(CircStoreBase):
         the hit set, the processing order, and therefore the emitted
         events are identical to the scalar path.
         """
-        from repro.perf import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            for i, (oid, old_pos, new_pos) in enumerate(moves):
-                self.move_seq = seq[i] if seq is not None else i
-                self.handle_update(oid, old_pos, new_pos)
-            return
-        from repro.perf.kernels import EntrySnapshot
-
         chunk = 256
         for start in range(0, len(moves), chunk):
             part = moves[start : start + chunk]

@@ -55,13 +55,6 @@ class MonitorConfig:
     #: cannot be repaired, ``"drop"`` discards offending updates.  Every
     #: violation is counted in :class:`~repro.core.stats.StatCounters`.
     guard_policy: str = GUARD_STRICT
-    #: Use the vectorized fast paths (NumPy NN kernels in batched
-    #: ``process()``, batched circ containment, pie-flag prefilter).
-    #: The vectorized kernels are bit-identical twins of the scalar
-    #: reference paths — results and events never depend on this flag;
-    #: it exists for differential testing and benchmarking, and as an
-    #: automatic fallback when NumPy is unavailable.
-    vectorized: bool = True
     #: Observability layer (:mod:`repro.obs`): structured tracing,
     #: metrics registry + exporters, per-query health diagnostics.
     #: ``None`` (the default) disables the layer entirely — the monitor
@@ -80,11 +73,6 @@ class MonitorConfig:
             raise ValueError(
                 f"guard_policy must be one of {GUARD_POLICIES}, got {self.guard_policy!r}"
             )
-
-    @property
-    def obs_enabled(self) -> bool:
-        """Whether the observability layer is switched on."""
-        return self.observability is not None and self.observability.enabled
 
     @property
     def eager_nn(self) -> bool:

@@ -38,13 +38,12 @@ from repro.core.stats import StatCounters
 from repro.core.uniform import GridCircStore
 from repro.core.update_pie import (
     _resolve_affected,
-    build_affected_map,
     build_affected_map_vector,
     handle_update_pies,
     register_pie_cells,
 )
 from repro.obs.core import Observability
-from repro.perf import HAVE_NUMPY, PhaseTimers
+from repro.perf import PhaseTimers
 from repro.robustness.guard import IngestionGuard
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
@@ -57,7 +56,6 @@ Update = Union[ObjectUpdate, QueryUpdate]
 def apply_grid_updates(
     grid: GridIndex,
     sanitized: list[Update],
-    vectorized: bool,
     moves: list[tuple[int, Optional[Point], Optional[Point]]],
     query_updates: list[QueryUpdate],
 ) -> None:
@@ -68,10 +66,12 @@ def apply_grid_updates(
     (:mod:`repro.shard`): object inserts, moves, and deletes are applied
     in batch order, real position changes are appended to ``moves`` as
     ``(oid, old_pos, new_pos)``, and query updates are deferred into
-    ``query_updates`` untouched.  With ``vectorized`` set, runs of plain
-    location updates go through :meth:`GridIndex.bulk_move_objects` and
-    the CSR bucketing is refreshed once at the end — the resulting grid
-    state and ``moves`` list are identical either way.
+    ``query_updates`` untouched.  Runs of plain location updates for
+    distinct known objects are flushed through
+    :meth:`GridIndex.bulk_move_objects`; inserts, deletes, repeated oids,
+    and query updates flush the pending run first, so the grid evolves
+    through the same states as a per-update loop.  The CSR bucketing is
+    refreshed once at the end.
 
     Parameters
     ----------
@@ -80,52 +80,10 @@ def apply_grid_updates(
     sanitized:
         A guard-sanitized update batch (see
         :meth:`~repro.robustness.guard.IngestionGuard.sanitize_batch`).
-    vectorized:
-        Whether to use the bulk-move fast path (requires NumPy).
     moves:
         Output list the applied object moves are appended to.
     query_updates:
         Output list the batch's query updates are appended to.
-    """
-    if vectorized:
-        _apply_grid_updates_bulk(grid, sanitized, moves, query_updates)
-    else:
-        for update in sanitized:
-            if isinstance(update, ObjectUpdate):
-                if update.pos is None:
-                    old_pos, _ = grid.delete_object(update.oid)
-                    moves.append((update.oid, old_pos, None))
-                elif update.oid not in grid:
-                    grid.insert_object(update.oid, update.pos)
-                    moves.append((update.oid, None, update.pos))
-                else:
-                    old_pos, _, _ = grid.move_object(update.oid, update.pos)
-                    if old_pos != update.pos:
-                        moves.append((update.oid, old_pos, update.pos))
-            elif isinstance(update, QueryUpdate):
-                query_updates.append(update)
-            else:
-                raise TypeError(f"unsupported update {update!r}")
-    if moves and vectorized:
-        # One CSR rebuild serves every NN search of the batch:
-        # pie/circ maintenance never moves grid objects, so the
-        # bucketing stays fresh until the next batch's moves.
-        grid.ensure_csr()
-
-
-def _apply_grid_updates_bulk(
-    grid: GridIndex,
-    sanitized: list[Update],
-    moves: list[tuple[int, Optional[Point], Optional[Point]]],
-    query_updates: list[QueryUpdate],
-) -> None:
-    """Sequentially-equivalent grid application with bulk moves.
-
-    Runs of plain location updates for distinct known objects are
-    flushed through :meth:`GridIndex.bulk_move_objects`; inserts,
-    deletes, repeated oids, and query updates flush the pending run
-    first, so the grid evolves through the same states as the scalar
-    per-update loop and ``moves`` ends up identical.
     """
     pending: list[tuple[int, Point]] = []
     pending_oids: set[int] = set()
@@ -160,6 +118,11 @@ def _apply_grid_updates_bulk(
         else:
             raise TypeError(f"unsupported update {update!r}")
     flush()
+    if moves:
+        # One CSR rebuild serves every NN search of the batch:
+        # pie/circ maintenance never moves grid objects, so the
+        # bucketing stays fresh until the next batch's moves.
+        grid.ensure_csr()
 
 
 class CRNNMonitor:
@@ -179,9 +142,6 @@ class CRNNMonitor:
         #: registry, per-query health.  Disabled (null tracer, no hooks)
         #: unless ``config.observability`` switches it on.
         self.obs = Observability(self.config.observability)
-        #: Effective fast-path switch: the config flag gated on NumPy
-        #: actually being importable (results never depend on it).
-        self.vectorized = self.config.vectorized and HAVE_NUMPY
         #: Whether this monitor owns its grid.  A sharded deployment
         #: (:mod:`repro.shard`) injects one shared grid into several
         #: per-shard monitors; the sharing coordinator then drives grid
@@ -196,11 +156,6 @@ class CRNNMonitor:
             #: Searches dispatched through the grid emit spans to the same
             #: tracer as the monitor's phases (null tracer when disabled).
             self.grid.tracer = self.obs.tracer
-            if not self.vectorized:
-                # Pin every grid-level dispatch (enumeration twins, NN
-                # kernels) to the scalar reference path as well, so a
-                # vectorized=False monitor is scalar end to end.
-                self.grid.vector_enabled = False
         self.qt = QueryTable()
         self._results: dict[int, set[int]] = {}
         # Per-query reference counts behind the result sets.  An object
@@ -483,20 +438,12 @@ class CRNNMonitor:
         moves: list[tuple[int, Optional[Point], Optional[Point]]] = []
         query_updates: list[QueryUpdate] = []
         with tracer.span("monitor.grid_moves"), self.timers.phase("grid_moves"):
-            apply_grid_updates(self.grid, sanitized, self.vectorized, moves, query_updates)
+            apply_grid_updates(self.grid, sanitized, moves, query_updates)
         if moves:
             with tracer.span("monitor.pies", moves=len(moves)), self.timers.phase("pies"):
-                if self.vectorized:
-                    affected = build_affected_map_vector(self, moves)
-                else:
-                    affected = build_affected_map(self, moves)
-                _resolve_affected(self, affected)
+                _resolve_affected(self, build_affected_map_vector(self, moves))
             with tracer.span("monitor.circs", moves=len(moves)), self.timers.phase("circs"):
-                if self.vectorized:
-                    self.circ.process_moves(moves)
-                else:
-                    for oid, old_pos, new_pos in moves:
-                        self.circ.handle_update(oid, old_pos, new_pos)
+                self.circ.process_moves(moves)
         with tracer.span("monitor.queries", updates=len(query_updates)), self.timers.phase("queries"):
             for update in query_updates:
                 if update.pos is None:

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-#: The exactness contract's counter set: pure-Python deterministic for a
-#: given update stream (no dependency on NumPy being present, on the
-#: vectorized flag, on the shard count or executor, or on the machine).
-#: Every parity suite and smoke compares exactly this slice.
+#: The exactness contract's counter set: deterministic for a given
+#: update stream (no dependency on which kernel twin served a search,
+#: on the shard count or executor, or on the machine).  Every parity
+#: suite and smoke compares exactly this slice.
 LOGICAL_COUNTERS = (
     "nn_searches",
     "constrained_nn_searches",
@@ -74,9 +74,9 @@ class StatCounters:
     checkpoints_saved: int = 0
     checkpoints_restored: int = 0
     # Vectorized fast-path counters (repro.perf).  The logical work
-    # counters above stay identical between the scalar and vectorized
-    # paths; these record which kernel served a request and how the
-    # batched machinery behaved, so benchmarks can attribute speedups.
+    # counters above stay identical between the scalar and vector
+    # kernel twins; these record which kernel served a request and how
+    # the batched machinery behaved, so benchmarks can attribute speedups.
     cells_materialized: int = 0
     csr_rebuilds: int = 0
     vector_nn_kernel_calls: int = 0

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from repro.geometry.point import Point, dist
 from repro.geometry.rect import Rect
 from repro.geometry.sector import NUM_SECTORS, sector_of
@@ -242,52 +244,19 @@ def handle_update_pies_for_query(
         set_candidate(monitor, st, s_new, oid, new_pos, d_new, extra_known=extra)
 
 
-def resolve_pies_batch(
-    monitor: "CRNNMonitor", moves: list[tuple[int, Optional[Point], Optional[Point]]]
-) -> None:
-    """Grouped pie maintenance for a whole update batch.
-
-    The paper's multiple-update extension of *updatePie*: per affected
-    query, the batch's relevant objects are grouped by partition and each
-    pie-region is modified at most once — either by one constrained NN
-    re-search (when its candidate moved away or was deleted) or by
-    installing the nearest updated object that ended up inside it.
-
-    Must run after *all* grid moves of the batch have been applied; every
-    decision below reads final positions from the grid.
-    """
-    _resolve_affected(monitor, build_affected_map(monitor, moves))
-
-
-def build_affected_map(
-    monitor: "CRNNMonitor", moves: list[tuple[int, Optional[Point], Optional[Point]]]
-) -> dict[int, set[int]]:
-    """query id -> batch objects whose endpoints touch its pie cells."""
-    grid = monitor.grid
-    affected: dict[int, set[int]] = {}
-    for oid, old_pos, new_pos in moves:
-        for pos in (old_pos, new_pos):
-            if pos is None:
-                continue
-            for qid in grid.cell_at(pos).pie_queries:
-                affected.setdefault(qid, set()).add(oid)
-    return affected
-
-
 def build_affected_map_vector(
     monitor: "CRNNMonitor", moves: list[tuple[int, Optional[Point], Optional[Point]]]
 ) -> dict[int, set[int]]:
-    """Vector twin of :func:`build_affected_map`.
+    """query id -> batch objects whose endpoints touch its pie cells.
 
-    Classifies every move endpoint against the grid's pie-flag bitmap in
-    one pass; only endpoints landing in a cell that carries at least one
-    pie registration consult that cell's query set.  The flag bitmap is
-    maintained by the cells themselves (flip hooks), so an unflagged cell
-    provably has an empty ``pie_queries`` — skipping it cannot change the
-    resulting map.
+    The first step of the paper's multiple-update extension of
+    *updatePie*.  Classifies every move endpoint against the grid's
+    pie-flag bitmap in one pass; only endpoints landing in a cell that
+    carries at least one pie registration consult that cell's query set.
+    The flag bitmap is maintained by the cells themselves (flip hooks),
+    so an unflagged cell provably has an empty ``pie_queries`` —
+    skipping it cannot change the resulting map.
     """
-    import numpy as np
-
     grid = monitor.grid
     flags = grid._pie_flags
     owners: list[int] = []
@@ -326,7 +295,17 @@ def build_affected_map_vector(
 def _resolve_affected(
     monitor: "CRNNMonitor", affected: dict[int, set[int]]
 ) -> None:
-    """Modify each affected pie-region at most once (see resolve_pies_batch)."""
+    """Grouped pie maintenance for a whole update batch.
+
+    Per affected query, the batch's relevant objects are grouped by
+    partition and each pie-region is modified at most once — either by
+    one constrained NN re-search (when its candidate moved away or was
+    deleted) or by installing the nearest updated object that ended up
+    inside it.
+
+    Must run after *all* grid moves of the batch have been applied; every
+    decision below reads final positions from the grid.
+    """
     grid = monitor.grid
     for qid in sorted(affected):
         if qid not in monitor.qt:

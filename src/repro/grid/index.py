@@ -14,12 +14,12 @@ Two storage layers coexist:
   algorithms walk.
 * A NumPy-backed position store (contiguous ``oid``/``x``/``y``/flat-cell
   arrays plus a CSR bucketing of object slots by cell) feeds the
-  vectorized kernels in :mod:`repro.perf.kernels`.  When NumPy is not
-  available the store is disabled and everything runs scalar.
+  vectorized kernels in :mod:`repro.perf.kernels`.
 
 Every vectorized geometric enumeration keeps its original scalar loop as
 a ``_scalar``-suffixed twin; the public methods dispatch between the two
-and differential tests assert the twins agree bit-for-bit.
+on the row count and differential tests assert the twins agree
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -27,17 +27,14 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional
 
+import numpy as _np
+
 from repro.core.stats import StatCounters
 from repro.obs.trace import NULL_TRACER
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.sector import sector_boundary_dirs
 from repro.grid.cell import Cell
-
-try:  # pragma: no cover - exercised implicitly by every test run
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
 
 #: Minimum number of grid rows for which the vectorized row-interval
 #: kernels beat the scalar loops (array setup costs a few microseconds).
@@ -83,21 +80,20 @@ class GridIndex:
         self._cells: dict[int, Cell] = {}
         self.positions: dict[int, Point] = {}
         #: Whether searches may dispatch to the vectorized kernels.
-        self.vector_enabled = _np is not None
-        if _np is not None:
-            self._slot: dict[int, int] = {}
-            self._size = 0
-            cap = 64
-            self._oid_arr = _np.empty(cap, dtype=_np.int64)
-            self._px = _np.empty(cap, dtype=_np.float64)
-            self._py = _np.empty(cap, dtype=_np.float64)
-            self._flat_arr = _np.empty(cap, dtype=_np.int64)
-            self._csr_dirty = True
-            self._csr_order: Optional[object] = None
-            self._csr_indptr: Optional[object] = None
-            self._pie_flags = _np.zeros(cells_per_axis * cells_per_axis, dtype=bool)
-        else:  # pragma: no cover - numpy is part of the toolchain
-            self._pie_flags = None
+        #: Test seam only: the differential suites clear it to pin every
+        #: dispatch to the scalar reference twins.
+        self.vector_enabled = True
+        self._slot: dict[int, int] = {}
+        self._size = 0
+        cap = 64
+        self._oid_arr = _np.empty(cap, dtype=_np.int64)
+        self._px = _np.empty(cap, dtype=_np.float64)
+        self._py = _np.empty(cap, dtype=_np.float64)
+        self._flat_arr = _np.empty(cap, dtype=_np.int64)
+        self._csr_dirty = True
+        self._csr_order: Optional[object] = None
+        self._csr_indptr: Optional[object] = None
+        self._pie_flags = _np.zeros(cells_per_axis * cells_per_axis, dtype=bool)
         #: Set by bulk_move_objects instead of touching per-cell object
         #: sets; the first reader pays one rebuild from the CSR.
         self._cell_objects_stale = False
@@ -143,8 +139,7 @@ class GridIndex:
         return cell
 
     def _on_pie_flag(self, flat: int, registered: bool) -> None:
-        if self._pie_flags is not None:
-            self._pie_flags[flat] = registered
+        self._pie_flags[flat] = registered
 
     def cell(self, cx: int, cy: int) -> Cell:
         """The cell at grid coordinates ``(cx, cy)``."""
@@ -206,17 +201,16 @@ class GridIndex:
         self.positions[oid] = p
         cell = self.cell_at(p)
         cell.objects.add(oid)
-        if _np is not None:
-            slot = self._size
-            if slot == len(self._oid_arr):
-                self._grow()
-            self._oid_arr[slot] = oid
-            self._px[slot] = p[0]
-            self._py[slot] = p[1]
-            self._flat_arr[slot] = cell.flat
-            self._slot[oid] = slot
-            self._size = slot + 1
-            self._csr_dirty = True
+        slot = self._size
+        if slot == len(self._oid_arr):
+            self._grow()
+        self._oid_arr[slot] = oid
+        self._px[slot] = p[0]
+        self._py[slot] = p[1]
+        self._flat_arr[slot] = cell.flat
+        self._slot[oid] = slot
+        self._size = slot + 1
+        self._csr_dirty = True
         return cell
 
     def _grow(self) -> None:
@@ -232,18 +226,17 @@ class GridIndex:
         p = self.positions.pop(oid)
         cell = self.cell_at(p)
         cell.objects.discard(oid)
-        if _np is not None:
-            slot = self._slot.pop(oid)
-            last = self._size - 1
-            if slot != last:
-                moved = int(self._oid_arr[last])
-                self._oid_arr[slot] = moved
-                self._px[slot] = self._px[last]
-                self._py[slot] = self._py[last]
-                self._flat_arr[slot] = self._flat_arr[last]
-                self._slot[moved] = slot
-            self._size = last
-            self._csr_dirty = True
+        slot = self._slot.pop(oid)
+        last = self._size - 1
+        if slot != last:
+            moved = int(self._oid_arr[last])
+            self._oid_arr[slot] = moved
+            self._px[slot] = self._px[last]
+            self._py[slot] = self._py[last]
+            self._flat_arr[slot] = self._flat_arr[last]
+            self._slot[moved] = slot
+        self._size = last
+        self._csr_dirty = True
         return p, cell
 
     def move_object(self, oid: int, new_pos: Point) -> tuple[Point, Cell, Cell]:
@@ -255,16 +248,15 @@ class GridIndex:
             old_cell.objects.discard(oid)
             new_cell.objects.add(oid)
         self.positions[oid] = new_pos
-        if _np is not None:
-            slot = self._slot[oid]
-            self._px[slot] = new_pos[0]
-            self._py[slot] = new_pos[1]
-            if old_cell is not new_cell:
-                # In-cell moves keep the CSR bucketing valid: kernels
-                # gather coordinates through the order array, never from
-                # a coordinate copy.
-                self._flat_arr[slot] = new_cell.flat
-                self._csr_dirty = True
+        slot = self._slot[oid]
+        self._px[slot] = new_pos[0]
+        self._py[slot] = new_pos[1]
+        if old_cell is not new_cell:
+            # In-cell moves keep the CSR bucketing valid: kernels
+            # gather coordinates through the order array, never from
+            # a coordinate copy.
+            self._flat_arr[slot] = new_cell.flat
+            self._csr_dirty = True
         return old_pos, old_cell, new_cell
 
     def bulk_move_objects(
@@ -282,7 +274,7 @@ class GridIndex:
         once (``CRNNMonitor.process`` flushes a pending run whenever an
         oid repeats within a batch).
         """
-        if _np is None or len(pairs) < 16:
+        if len(pairs) < 16:
             moves = []
             for oid, p in pairs:
                 old_pos, _, _ = self.move_object(oid, p)
@@ -364,11 +356,7 @@ class GridIndex:
     @property
     def csr_fresh(self) -> bool:
         """Whether the CSR bucketing matches the current object layout."""
-        return (
-            _np is not None
-            and not self._csr_dirty
-            and self._csr_order is not None
-        )
+        return not self._csr_dirty and self._csr_order is not None
 
     def ensure_csr(self) -> None:
         """(Re)build the cell -> object-slot CSR bucketing if stale.
@@ -377,7 +365,7 @@ class GridIndex:
         update; the single-update paths simply leave it stale and the
         searches fall back to the scalar kernels.
         """
-        if _np is None or self.csr_fresh:
+        if self.csr_fresh:
             return
         with self.tracer.span("grid.csr_rebuild", objects=self._size):
             flats = self._flat_arr[: self._size]
@@ -449,46 +437,9 @@ class GridIndex:
         if prep is None:
             return iter(())
         radius, cy0, cy1, dirs, extremes, pad = prep
-        if (
-            _np is not None
-            and self.vector_enabled
-            and cy1 - cy0 + 1 >= _VECTOR_MIN_ROWS
-        ):
+        if self.vector_enabled and cy1 - cy0 + 1 >= _VECTOR_MIN_ROWS:
             return self._pie_row_intervals_vector(q, radius, cy0, cy1, dirs, extremes, pad)
         return self._pie_row_intervals_scalar(q, radius, cy0, cy1, dirs, extremes, pad)
-
-    def _cells_intersecting_pie_scalar(
-        self, q: Point, sector: int, radius: float
-    ) -> Iterator[Cell]:
-        """Reference scalar twin of :meth:`cells_intersecting_pie`."""
-        prep = self._prep_pie(q, sector, radius)
-        if prep is None:
-            return
-        radius, cy0, cy1, dirs, extremes, pad = prep
-        for cy, cx0, cx1 in self._pie_row_intervals_scalar(
-            q, radius, cy0, cy1, dirs, extremes, pad
-        ):
-            base = cy * self.n
-            for cx in range(cx0, cx1 + 1):
-                yield self._materialize(base + cx)
-
-    def _cells_intersecting_pie_vector(
-        self, q: Point, sector: int, radius: float
-    ) -> Iterator[Cell]:
-        """Vectorized twin of :meth:`cells_intersecting_pie` (test hook)."""
-        if _np is None:  # pragma: no cover - numpy is part of the toolchain
-            yield from self._cells_intersecting_pie_scalar(q, sector, radius)
-            return
-        prep = self._prep_pie(q, sector, radius)
-        if prep is None:
-            return
-        radius, cy0, cy1, dirs, extremes, pad = prep
-        for cy, cx0, cx1 in self._pie_row_intervals_vector(
-            q, radius, cy0, cy1, dirs, extremes, pad
-        ):
-            base = cy * self.n
-            for cx in range(cx0, cx1 + 1):
-                yield self._materialize(base + cx)
 
     def _prep_pie(self, q: Point, sector: int, radius: float):
         """Shared setup of the pie enumeration (extremes, row range, pad)."""
@@ -633,44 +584,11 @@ class GridIndex:
         if prep is None:
             return
         cy0, cy1 = prep
-        if (
-            _np is not None
-            and self.vector_enabled
-            and cy1 - cy0 + 1 >= _VECTOR_MIN_ROWS
-        ):
+        if self.vector_enabled and cy1 - cy0 + 1 >= _VECTOR_MIN_ROWS:
             rows = self._circle_row_intervals_vector(center, radius, cy0, cy1)
         else:
             rows = self._circle_row_intervals_scalar(center, radius, cy0, cy1)
         for cy, cx0, cx1 in rows:
-            base = cy * self.n
-            for cx in range(cx0, cx1 + 1):
-                yield self._materialize(base + cx)
-
-    def _cells_intersecting_circle_scalar(
-        self, center: Point, radius: float
-    ) -> Iterator[Cell]:
-        """Reference scalar twin of :meth:`cells_intersecting_circle`."""
-        prep = self._prep_circle(center, radius)
-        if prep is None:
-            return
-        cy0, cy1 = prep
-        for cy, cx0, cx1 in self._circle_row_intervals_scalar(center, radius, cy0, cy1):
-            base = cy * self.n
-            for cx in range(cx0, cx1 + 1):
-                yield self._materialize(base + cx)
-
-    def _cells_intersecting_circle_vector(
-        self, center: Point, radius: float
-    ) -> Iterator[Cell]:
-        """Vectorized twin of :meth:`cells_intersecting_circle` (test hook)."""
-        if _np is None:  # pragma: no cover - numpy is part of the toolchain
-            yield from self._cells_intersecting_circle_scalar(center, radius)
-            return
-        prep = self._prep_circle(center, radius)
-        if prep is None:
-            return
-        cy0, cy1 = prep
-        for cy, cx0, cx1 in self._circle_row_intervals_vector(center, radius, cy0, cy1):
             base = cy * self.n
             for cx in range(cx0, cx1 + 1):
                 yield self._materialize(base + cx)
@@ -744,10 +662,6 @@ class GridIndex:
         if prep is None:
             return iter(())
         cy0, cy1 = prep
-        if (
-            _np is not None
-            and self.vector_enabled
-            and cy1 - cy0 + 1 >= _VECTOR_MIN_ROWS
-        ):
+        if self.vector_enabled and cy1 - cy0 + 1 >= _VECTOR_MIN_ROWS:
             return self._circle_row_intervals_vector(center, radius, cy0, cy1)
         return self._circle_row_intervals_scalar(center, radius, cy0, cy1)

@@ -22,15 +22,12 @@ TRACE_SINKS = (SINK_MEMORY, SINK_JSONL, SINK_NULL)
 class ObsConfig:
     """Tuning knobs of a monitor's observability layer.
 
-    The layer is opt-in: a monitor built without an ``ObsConfig`` (or
-    with ``enabled=False``) keeps the null tracer and skips every
-    per-event hook, so the hot paths pay only a handful of predictable
-    branch checks per batch (measured overhead is documented in
-    DESIGN.md §8).
+    The layer is opt-in: a monitor built without an ``ObsConfig`` keeps
+    the null tracer and skips every per-event hook, so the hot paths pay
+    only a handful of predictable branch checks per batch (measured
+    overhead is documented in DESIGN.md §8).
     """
 
-    #: Master switch; ``False`` behaves exactly like ``observability=None``.
-    enabled: bool = True
     #: Fraction of ``process()`` batches whose span tree is recorded.
     #: Sampling is deterministic (every ``1/sample_rate``-th trace), so
     #: two monitors fed the same stream record the same traces.

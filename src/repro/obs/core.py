@@ -7,10 +7,10 @@ instrumentation (:class:`~repro.core.stats.StatCounters`,
 collectors, so every historical counter shows up in the Prometheus
 exposition and the JSON snapshot without a second write path.
 
-A disabled facade (``ObsConfig`` absent or ``enabled=False``) still
-exists — the monitor's hot paths check one ``enabled`` attribute and the
-null tracer — but allocates no sink, registers no hooks, and records
-nothing, keeping the disabled overhead within the documented bound.
+A disabled facade (``ObsConfig`` absent) still exists — the monitor's
+hot paths check one ``enabled`` attribute and the null tracer — but
+allocates no sink, registers no hooks, and records nothing, keeping the
+disabled overhead within the documented bound.
 """
 
 from __future__ import annotations
@@ -61,11 +61,10 @@ class Observability:
 
     def __init__(self, config: Optional[ObsConfig] = None):
         self.config = config
-        self.enabled = config is not None and config.enabled
+        self.enabled = config is not None
         self.registry = MetricsRegistry()
         self._monitor: Optional["CRNNMonitor"] = None
-        if self.enabled:
-            assert config is not None
+        if config is not None:
             self.sink: Optional[SpanSink] = _build_sink(config)
             self.tracer = Tracer(self.sink, sample_rate=config.sample_rate)
             self.health: Optional[QueryHealthTracker] = (
@@ -184,7 +183,6 @@ class Observability:
         cfg: dict[str, Any] = {}
         if self.config is not None:
             cfg = {
-                "enabled": self.config.enabled,
                 "sample_rate": self.config.sample_rate,
                 "trace_sink": self.config.trace_sink,
                 "ring_capacity": self.config.ring_capacity,

@@ -3,10 +3,11 @@
 PR 3's :mod:`repro.obs` sees one process.  This module carries it across
 the two boundaries the system actually has:
 
-* **process boundary** (coordinator → shard worker): every executor op
-  can be wrapped in a tiny context envelope (:func:`wrap_request` /
-  :func:`split_request`) holding the coordinator's
-  :class:`TraceContext`; the worker *adopts* that context
+* **process boundary** (coordinator → shard worker): every executor
+  request carries a fixed header ``(plan_version, trace_ctx, op, *args)``
+  whose second slot holds the coordinator's :class:`TraceContext` in
+  wire form (``None`` when nothing is being recorded); the worker
+  *adopts* that context
   (:meth:`~repro.obs.trace.Tracer.adopt`) so its CPM/circ spans join the
   coordinator's trace instead of starting an invisible local one;
 * **wire boundary** (serve client → server): the same two-int context
@@ -42,13 +43,6 @@ __all__ = [
     "TraceContext",
     "current_context",
     "span_in_context",
-    "CTX_OP",
-    "PV_OP",
-    "wrap_request",
-    "split_request",
-    "wrap_version",
-    "split_version",
-    "real_op",
     "WORKER_SPAN_STRIDE",
     "WorkerObs",
     "span_from_dict",
@@ -60,19 +54,6 @@ __all__ = [
 #: range below the first stride.  2^40 ids per process outlasts any
 #: realistic run.
 WORKER_SPAN_STRIDE = 1 << 40
-
-#: Sentinel first element of a context-wrapped executor request:
-#: ``(CTX_OP, (trace_id, parent_id), op, *args)``.
-CTX_OP = "ctx"
-
-#: Sentinel first element of a plan-version-stamped executor request:
-#: ``(PV_OP, version, ...)``.  The outermost envelope — it wraps the
-#: trace-context envelope, not the other way round — stamped by the
-#: process executor so a worker still holding a superseded
-#: :class:`~repro.shard.plan.StripePlan` detects the mismatch and
-#: replies ``("stale", info)`` instead of computing against the wrong
-#: stripe map (PR 9 live rebalancing).
-PV_OP = "pv"
 
 
 @dataclass(frozen=True)
@@ -139,44 +120,6 @@ def span_in_context(tracer: Tracer, name: str, ctx: Optional[TraceContext], **at
     if ctx is not None and ctx.sampled and tracer.enabled:
         return tracer.adopt(name, ctx.trace_id, ctx.parent_id, **attrs)
     return tracer.span(name, **attrs)
-
-
-# ----------------------------------------------------------------------
-# Executor op envelope
-# ----------------------------------------------------------------------
-def wrap_request(request: tuple, ctx: Optional[TraceContext]) -> tuple:
-    """Prefix ``request`` with a context envelope (identity if no ctx)."""
-    if ctx is None:
-        return request
-    return (CTX_OP, (ctx.trace_id, ctx.parent_id)) + request
-
-
-def split_request(request: tuple) -> tuple[Optional[TraceContext], tuple]:
-    """Undo :func:`wrap_request`: ``(context_or_None, bare_request)``."""
-    if request and request[0] == CTX_OP:
-        return TraceContext.from_wire(request[1]), request[2:]
-    return None, request
-
-
-def wrap_version(request: tuple, version: Optional[int]) -> tuple:
-    """Prefix ``request`` with a plan-version stamp (identity if ``None``)."""
-    if version is None:
-        return request
-    return (PV_OP, version) + request
-
-
-def split_version(request: tuple) -> tuple[Optional[int], tuple]:
-    """Undo :func:`wrap_version`: ``(version_or_None, bare_request)``."""
-    if request and request[0] == PV_OP:
-        return request[1], request[2:]
-    return None, request
-
-
-def real_op(request: tuple) -> str:
-    """The operation name of a request, however many envelopes wrap it."""
-    if request and request[0] == PV_OP:
-        request = request[2:]
-    return request[2] if request and request[0] == CTX_OP else request[0]
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """CI smoke for the observability layer (``make obs-smoke``).
 
-Replays one small seeded stream with observability absent, explicitly
-disabled, and fully on (unsampled tracing into the memory ring), and
-checks the four promises the layer makes:
+Replays one small seeded stream with observability absent and fully on
+(unsampled tracing into the memory ring), and checks the four promises
+the layer makes:
 
 1. **Isolation** — the logical counters are byte-identical between the
-   three runs: observing the monitor never changes what it computes.
+   two runs: observing the monitor never changes what it computes.
 2. **Exposition** — a live :class:`~repro.obs.export.ObsHTTPServer` is
    scraped once over real HTTP; ``/metrics`` must pass the strict
    Prometheus text parser and ``/snapshot.json`` must validate against
@@ -73,15 +73,12 @@ def _replay(quick: bool, observability: Optional[ObsConfig]) -> CRNNMonitor:
 
 def run(quick: bool = False) -> int:
     """The end-to-end observability smoke checks; returns a process exit code."""
-    # --- 1. logical-counter parity: obs absent vs disabled vs on ---------
+    # --- 1. logical-counter parity: obs absent vs on ---------------------
     want = logical_subset(_replay(quick, None).stats.snapshot())
-    disabled = _replay(quick, ObsConfig(enabled=False))
-    if disabled.obs.enabled or logical_subset(disabled.stats.snapshot()) != want:
-        return _fail("ObsConfig(enabled=False) does not match an obs-less monitor")
     monitor = _replay(quick, ObsConfig())
     if logical_subset(monitor.stats.snapshot()) != want:
         return _fail("logical counters differ between obs-on and obs-off runs")
-    print("[obs-smoke] counters: obs absent == disabled == on", file=sys.stderr)
+    print("[obs-smoke] counters: obs absent == on", file=sys.stderr)
 
     # --- 2. scrape the endpoint once over real HTTP ----------------------
     with ObsHTTPServer(monitor) as server:

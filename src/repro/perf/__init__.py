@@ -18,11 +18,4 @@ Modules:
 
 from repro.perf.timers import PhaseTimers
 
-try:
-    import numpy as _np  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is part of the toolchain
-    HAVE_NUMPY = False
-
-__all__ = ["PhaseTimers", "HAVE_NUMPY"]
+__all__ = ["PhaseTimers"]

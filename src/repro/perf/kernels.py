@@ -22,10 +22,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is part of the toolchain
-    np = None
+import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.sector import _BOUNDARY_DIRS, NUM_SECTORS, sector_of
@@ -40,11 +37,10 @@ _BAND = 1.0 + 1e-9
 #: instead of risking a missed neighbor just past a rounded row interval.
 _ACCEPT = 1.0 - 1e-9
 
-if np is not None:
-    _SECTOR_IDS = np.arange(NUM_SECTORS)
-    #: Components of boundary rays 0..5 as columns, for (6, n) broadcasting.
-    _RAY_X = np.array([d[0] for d in _BOUNDARY_DIRS[:NUM_SECTORS]])[:, None]
-    _RAY_Y = np.array([d[1] for d in _BOUNDARY_DIRS[:NUM_SECTORS]])[:, None]
+_SECTOR_IDS = np.arange(NUM_SECTORS)
+#: Components of boundary rays 0..5 as columns, for (6, n) broadcasting.
+_RAY_X = np.array([d[0] for d in _BOUNDARY_DIRS[:NUM_SECTORS]])[:, None]
+_RAY_Y = np.array([d[1] for d in _BOUNDARY_DIRS[:NUM_SECTORS]])[:, None]
 
 
 def sector_of_vector(q: Point, xs, ys):

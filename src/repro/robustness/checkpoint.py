@@ -103,7 +103,6 @@ def build_snapshot_dict(
             "fur_fanout": cfg.fur_fanout,
             "partial_insert_threshold": cfg.partial_insert_threshold,
             "guard_policy": cfg.guard_policy,
-            "vectorized": cfg.vectorized,
             "bounds": [cfg.bounds.xmin, cfg.bounds.ymin, cfg.bounds.xmax, cfg.bounds.ymax],
         },
         "objects": [[oid, pos[0], pos[1]] for oid, pos in sorted(objects.items())],
@@ -141,7 +140,6 @@ def parse_config(snap: dict[str, Any]) -> MonitorConfig:
             variant=c["variant"],
             partial_insert_threshold=float(c["partial_insert_threshold"]),
             guard_policy=c.get("guard_policy", "strict"),
-            vectorized=bool(c.get("vectorized", True)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc

@@ -35,7 +35,6 @@ from repro.core.events import ResultChange
 from repro.core.monitor import CRNNMonitor, apply_grid_updates
 from repro.core.update_pie import (
     _resolve_affected,
-    build_affected_map,
     build_affected_map_vector,
     handle_update_pies_for_query,
 )
@@ -184,13 +183,9 @@ class ShardEngine:
         inner = self.inner
         moves: list[tuple[int, Optional[Point], Optional[Point]]] = []
         query_updates: list = []
-        apply_grid_updates(inner.grid, sanitized, inner.vectorized, moves, query_updates)
+        apply_grid_updates(inner.grid, sanitized, moves, query_updates)
         if moves:
-            if inner.vectorized:
-                affected = build_affected_map_vector(inner, moves)
-            else:
-                affected = build_affected_map(inner, moves)
-            self.resolve_pies(affected)
+            self.resolve_pies(build_affected_map_vector(inner, moves))
             self.run_circs(moves)
         n_circ = sum(1 for _oid, _old, new in moves if new is not None)
         halo = self.plan.halo_counts(moves) if want_halo else None
@@ -227,15 +222,9 @@ class ShardEngine:
         re-search may install a certificate anywhere) sound — see
         DESIGN §9 for why pre-routing circ moves by region is not.
         """
-        inner = self.inner
         self._phase = _PHASE_CIRCS
         try:
-            if inner.vectorized:
-                inner.circ.process_moves(moves)
-            else:
-                for i, (oid, old_pos, new_pos) in enumerate(moves):
-                    inner.circ.move_seq = i
-                    inner.circ.handle_update(oid, old_pos, new_pos)
+            self.inner.circ.process_moves(moves)
         finally:
             self._phase = 0
 

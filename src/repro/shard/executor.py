@@ -14,10 +14,10 @@ counters by construction; the differential tests lock that down.
 Every process-executor exchange flows through a
 :class:`~repro.shard.supervisor.ShardSupervisor`: worker failures
 surface as typed :class:`~repro.shard.supervisor.ShardWorkerError`\\ s,
-and — when a :class:`~repro.shard.supervisor.SupervisionConfig` is
-supplied — dead, hung, or protocol-violating workers are respawned and
+and dead, hung, or protocol-violating workers are respawned and
 rebuilt bit-identically from exact checkpoints plus the tick journal
-(DESIGN §10), invisibly to the coordinator.  Worker teardown is
+(DESIGN §10), invisibly to the coordinator, within the budget of the
+:class:`~repro.shard.supervisor.SupervisionConfig`.  Worker teardown is
 guaranteed by a ``weakref.finalize`` guard (which also runs at
 interpreter exit), so children are reaped even when ``__init__`` dies
 partway through spawning or the owner forgets to call ``close()``.
@@ -35,18 +35,11 @@ from typing import Any, Callable, Optional
 from repro.core.config import MonitorConfig
 from repro.core.monitor import apply_grid_updates
 from repro.core.stats import StatCounters
-from repro.core.update_pie import build_affected_map, build_affected_map_vector
+from repro.core.update_pie import build_affected_map_vector
 from repro.geometry.point import Point
 from repro.grid.index import GridIndex
 from repro.obs.config import SINK_MEMORY, ObsConfig
-from repro.obs.dist import (
-    WorkerObs,
-    current_context,
-    split_request,
-    split_version,
-    wrap_request,
-    wrap_version,
-)
+from repro.obs.dist import TraceContext, WorkerObs, current_context
 from repro.obs.explain import explain_query
 from repro.obs.logutil import RateLimitedLogger
 from repro.shard.engine import ShardEngine, TaggedEvent, dispatch_op
@@ -98,8 +91,8 @@ class TickReport:
 
 class _MapShim:
     """Duck-typed stand-in for the ``monitor`` argument of
-    :func:`build_affected_map` / ``_vector`` (they only read ``.grid``
-    and ``.stats``), letting the coordinator build the affected map on
+    :func:`build_affected_map_vector` (it only reads ``.grid`` and
+    ``.stats``), letting the coordinator build the affected map on
     the shared grid without owning a full monitor."""
 
     __slots__ = ("grid", "stats")
@@ -176,12 +169,9 @@ class SerialExecutor:
         self.config = config
         self.plan = plan
         self.stats = stats
-        self.vectorized = config.vectorized and _have_numpy()
         self.grid = GridIndex(config.bounds, config.grid_cells, stats)
         if tracer is not None:
             self.grid.tracer = tracer
-        if not self.vectorized:
-            self.grid.vector_enabled = False
         self.engines = [
             ShardEngine(config, plan, k, grid=self.grid) for k in range(plan.shards)
         ]
@@ -204,13 +194,10 @@ class SerialExecutor:
         report.shard_seconds = [0.0] * len(self.engines)
         moves: list[tuple[int, Optional[Point], Optional[Point]]] = []
         query_updates: list = []
-        apply_grid_updates(self.grid, sanitized, self.vectorized, moves, query_updates)
+        apply_grid_updates(self.grid, sanitized, moves, query_updates)
         report.n_moves = len(moves)
         if moves:
-            if self.vectorized:
-                affected = build_affected_map_vector(self._shim, moves)
-            else:
-                affected = build_affected_map(self._shim, moves)
+            affected = build_affected_map_vector(self._shim, moves)
             for k, engine in enumerate(self.engines):
                 t0 = perf_counter()
                 engine.resolve_pies(affected)
@@ -358,12 +345,6 @@ class SerialExecutor:
 # ----------------------------------------------------------------------
 # Process pool
 # ----------------------------------------------------------------------
-def _have_numpy() -> bool:
-    from repro.perf import HAVE_NUMPY
-
-    return HAVE_NUMPY
-
-
 def _worker_main(
     conn,
     config: MonitorConfig,
@@ -375,11 +356,12 @@ def _worker_main(
     """Worker process loop: build one private-grid engine, serve RPCs.
 
     Runs until a ``close`` request (or EOF on the pipe).  Every request
-    is a ``(op, *args)`` tuple, optionally wrapped in a trace-context
-    envelope (:func:`repro.obs.dist.wrap_request`); every reply is
-    ``("ok", payload)`` — or ``("ok", payload, obs_delta)`` when the
-    worker-side observability kit has counters/spans to piggyback — or
-    ``("err", repr)`` so coordinator-side errors carry context.  The op
+    is ``(plan_version | None, trace_ctx | None, op, *args)`` and every
+    reply ``(status, payload, obs_delta | None)``: ``("ok", payload,
+    delta)`` with the worker-side observability kit's counters/spans
+    piggybacked as ``delta``, ``("err", repr, None)`` so
+    coordinator-side errors carry context, or ``("stale", info, None)``
+    when the stamped plan version is not the worker's.  The op
     set itself lives in :func:`~repro.shard.engine.dispatch_op`; this
     loop adds the lifecycle ops — ``close``, ``restore`` (rebuild the
     engine from an exact checkpoint), ``arm`` (start chaos injection),
@@ -403,7 +385,7 @@ def _worker_main(
     engine = ShardEngine(config, plan, shard, grid=None)
     obs_cfg = config.observability
     wobs = None
-    if obs_cfg is not None and obs_cfg.enabled:
+    if obs_cfg is not None:
         wobs = WorkerObs(
             shard,
             ring_capacity=obs_cfg.ring_capacity,
@@ -416,15 +398,13 @@ def _worker_main(
             request = conn.recv()
         except (EOFError, OSError):
             break
-        want_version, request = split_version(request)
-        ctx, request = split_request(request)
-        op, args = request[0], request[1:]
+        want_version, ctx, op, args = request[0], request[1], request[2], request[3:]
         if want_version is not None and want_version != plan.version:
             # The coordinator moved to a newer plan this worker never
             # adopted (e.g. a lost rebalance op): computing against the
             # wrong stripe map would silently corrupt parity, so refuse
             # and let the supervisor respawn us under the current plan.
-            conn.send(("stale", {"have": plan.version, "want": want_version}))
+            conn.send(("stale", {"have": plan.version, "want": want_version}, None))
             continue
         action = agent.plan(op) if agent is not None else None
         if action is not None:
@@ -435,7 +415,7 @@ def _worker_main(
         try:
             delta = None
             if op == "close":
-                conn.send(("ok", None))
+                conn.send(("ok", None, None))
                 break
             if op == "restore":
                 engine = rehydrate_engine(config, plan, shard, args[0])
@@ -465,7 +445,8 @@ def _worker_main(
                     wobs.wire(engine)
                 payload = None
             elif wobs is not None:
-                with wobs.op_span(ctx, op):
+                trace_ctx = TraceContext.from_wire(ctx) if ctx is not None else None
+                with wobs.op_span(trace_ctx, op):
                     payload = dispatch_op(engine, op, args)
                     if op == "tick":
                         wobs.on_tick()
@@ -476,16 +457,14 @@ def _worker_main(
                 os.kill(os.getpid(), signal.SIGKILL)
             if action is not None and action.malform:
                 conn.send("garbled reply (chaos)")
-            elif delta is not None:
-                conn.send(("ok", payload, delta))
             else:
-                conn.send(("ok", payload))
+                conn.send(("ok", payload, delta))
             if action is not None and action.kill_point == "post_reply":
                 os.kill(os.getpid(), signal.SIGKILL)
         except BaseException as exc:  # noqa: BLE001 - relayed to coordinator
             import traceback
 
-            conn.send(("err", f"{exc!r}\n{traceback.format_exc()}"))
+            conn.send(("err", f"{exc!r}\n{traceback.format_exc()}", None))
     conn.close()
 
 
@@ -518,11 +497,11 @@ def _worker_obs_config(config: MonitorConfig) -> tuple[MonitorConfig, bool]:
     replies — a ``jsonl``/``null`` sink cannot usefully cross the
     process boundary, and asking for one earns a one-time rate-limited
     warning), and flight recording stays coordinator-side.  Returns
-    ``(worker_config, worker_obs_enabled)``.
+    ``(worker_config, worker_obs_on)``.
     """
     obs = config.observability
-    if obs is None or not obs.enabled:
-        return replace(config, observability=None), False
+    if obs is None:
+        return config, False
     if obs.trace_sink != SINK_MEMORY:
         _log.warning(
             "worker-obs-sink",
@@ -532,7 +511,6 @@ def _worker_obs_config(config: MonitorConfig) -> tuple[MonitorConfig, bool]:
             obs.trace_sink,
         )
     worker_obs = ObsConfig(
-        enabled=True,
         sample_rate=obs.sample_rate,
         trace_sink=SINK_MEMORY,
         trace_path=None,
@@ -568,13 +546,14 @@ class ProcessExecutor:
         As before (PR 4): monitor config, stripe plan, coordinator
         counters, optional tracer, multiprocessing start method.
     supervision:
-        Optional :class:`~repro.shard.supervisor.SupervisionConfig`.
-        When set, exchanges carry an op deadline, mutating requests are
-        journaled, per-shard exact checkpoints are taken on a cadence,
-        and worker crash/hang/protocol failures are recovered
-        bit-identically (DESIGN §10).  When ``None``, the PR-4 protocol
-        runs unchanged — failures surface as typed
-        :class:`~repro.shard.supervisor.ShardWorkerError`\\ s.
+        The :class:`~repro.shard.supervisor.SupervisionConfig`
+        (``None`` means its defaults).  Exchanges carry an op deadline,
+        mutating requests are journaled, per-shard exact checkpoints are
+        taken on a cadence, and worker crash/hang/protocol failures are
+        recovered bit-identically (DESIGN §10) until the respawn budget
+        is spent; ``SupervisionConfig(max_respawn_attempts=0)`` fails
+        fast with the typed
+        :class:`~repro.shard.supervisor.ShardWorkerError`.
     chaos:
         Optional :class:`~repro.shard.chaos.ChaosSpec` injected into
         every worker (testing only).
@@ -611,7 +590,6 @@ class ProcessExecutor:
 
         self.config = config
         self.tracer = tracer
-        self.vectorized = config.vectorized and _have_numpy()
         self._worker_config, self._worker_obs_on = _worker_obs_config(config)
         try:
             self._ctx = mp.get_context(mp_context)
@@ -645,7 +623,7 @@ class ProcessExecutor:
             shards=plan.shards,
             spawn=spawn,
             local_factory=local_factory,
-            config=supervision,
+            config=supervision if supervision is not None else SupervisionConfig(),
             chaos=chaos,
             hooks=hooks,
             flight=flight,
@@ -675,28 +653,33 @@ class ProcessExecutor:
         self._plan_box["plan"] = plan
         self._plan_box["plan_args"] = plan.to_args()
 
-    def _wrap(self, request: tuple) -> tuple:
-        """Stamp a request with trace context and the plan version.
+    def _request(self, op: str, args: tuple) -> tuple:
+        """``(plan_version, trace_ctx, op, *args)`` for one regular op.
 
-        The trace envelope goes on only when worker observability is on
-        (a bare worker ignores no envelope) and a span is actually
-        recording — unsampled ticks propagate no context, so workers
-        suppress their subtree.  The plan-version stamp (outermost) goes
-        on every regular request: a worker holding a superseded plan
-        replies ``stale`` instead of computing against the wrong stripe
-        map (lifecycle ops are unstamped — they are valid regardless of
-        the plan the worker holds).
+        The trace context is set only when worker observability is on
+        and a span is actually recording — unsampled ticks propagate no
+        context, so workers suppress their subtree.  The plan version
+        goes on every regular request: a worker holding a superseded
+        plan replies ``stale`` instead of computing against the wrong
+        stripe map (lifecycle ops carry ``None`` — they are valid
+        regardless of the plan the worker holds).
         """
+        ctx = None
         if self._worker_obs_on and self.tracer is not None:
-            request = wrap_request(request, current_context(self.tracer))
-        return wrap_version(request, self._plan_box["plan"].version)
+            ctx = current_context(self.tracer)
+        return (
+            self._plan_box["plan"].version,
+            ctx.to_wire() if ctx is not None else None,
+            op,
+            *args,
+        )
 
     def _call(self, shard: int, op: str, *args) -> Any:
-        return self.supervisor.request(shard, self._wrap((op, *args)))
+        return self.supervisor.request(shard, self._request(op, args))
 
     def _broadcast(self, op: str, *args) -> list[Any]:
         """Send to all workers first, then collect — workers overlap."""
-        return self.supervisor.broadcast(self._wrap((op, *args)))
+        return self.supervisor.broadcast(self._request(op, args))
 
     # -- object phases --------------------------------------------------
     def tick(self, sanitized: list) -> TickReport:
@@ -762,21 +745,21 @@ class ProcessExecutor:
             raise RebalanceAborted(
                 f"refusing to migrate with degraded shards {sorted(sup.degraded)}"
             )
-        snaps = sup.broadcast(("checkpoint",))
+        snaps = sup.broadcast((None, None, "checkpoint"))
         new_snaps, owners = splice_shard_snapshots(snaps, new_plan)
         try:
             for shard in range(old_plan.shards):
                 sup._exchange(
-                    shard, ("rebalance", new_plan.to_args(), new_snaps[shard])
+                    shard, (None, None, "rebalance", new_plan.to_args(), new_snaps[shard])
                 )
         except ShardWorkerError:
             for shard in range(old_plan.shards):
                 sup.respawn_fresh(shard)
-                sup._exchange(shard, ("restore", snaps[shard]))
+                sup._exchange(shard, (None, None, "restore", snaps[shard]))
             sup.adopt_plan_state(snaps)
             if self._chaos is not None:
                 for shard in range(old_plan.shards):
-                    sup._exchange(shard, ("arm",))
+                    sup._exchange(shard, (None, None, "arm"))
             raise RebalanceAborted(
                 "migration failed; all shards rolled back to plan "
                 f"v{old_plan.version}"

@@ -76,8 +76,9 @@ class ShardedCRNNMonitor:
         Multiprocessing start method for the process executor
         (``"fork"`` where available, else ``"spawn"``).
     supervision:
-        Optional :class:`~repro.shard.supervisor.SupervisionConfig`
-        (process executor only): op deadlines, bounded respawn with
+        :class:`~repro.shard.supervisor.SupervisionConfig` of the
+        process executor (``None`` means its defaults; rejected with the
+        serial executor): op deadlines, bounded respawn with
         bit-identical crash recovery, and the ``on_shard_failure``
         degradation policy (DESIGN §10).
     chaos:
@@ -762,13 +763,12 @@ class ShardedCRNNMonitor:
     def supervision_report(self) -> dict:
         """Restart/degradation snapshot of the supervision layer.
 
-        Serial deployments (no workers) report a disabled layer with
-        zero restarts, so callers need not branch on the executor.
+        Serial deployments (no workers) report zero restarts, so
+        callers need not branch on the executor.
         """
         if hasattr(self.executor, "supervision_report"):
             return self.executor.supervision_report()
         return {
-            "enabled": False,
             "restarts_total": 0,
             "restarts_by_shard": {},
             "degraded_shards": set(),

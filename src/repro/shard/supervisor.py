@@ -1,9 +1,9 @@
 """Worker supervision: failure detection, recovery, graceful degradation.
 
 The :class:`ShardSupervisor` sits between :class:`~repro.shard.executor.
-ProcessExecutor` and its worker processes and turns the PR-4 protocol's
-fatal assumptions — workers never crash, never hang, never lie — into
-recoverable events, without weakening the parity contract:
+ProcessExecutor` and its worker processes and turns worker crashes,
+hangs and protocol violations into recoverable events, without
+weakening the parity contract:
 
 * **Detection.**  Every exchange is classified: a dead pipe or EOF is a
   ``crash``; a reply missing past the op deadline while the process is
@@ -45,7 +45,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.obs.dist import real_op, split_request, split_version
 from repro.obs.logutil import RateLimitedLogger
 from repro.shard.engine import ShardEngine, dispatch_op
 from repro.shard.journal import LIFECYCLE_OPS, MUTATING_OPS, TickJournal
@@ -154,7 +153,7 @@ class SupervisionConfig:
     checkpoint_interval:
         Take a fresh per-shard exact checkpoint (and truncate the tick
         journal) once a shard's journal reaches this many mutating
-        requests; bounds replay time and journal memory.
+        requests (at least 1); bounds replay time and journal memory.
     on_shard_failure:
         ``"raise"`` — propagate the :class:`ShardWorkerError` when the
         respawn budget is exhausted; ``"degrade"`` — rebuild the stripe
@@ -178,6 +177,11 @@ class SupervisionConfig:
             )
         if self.max_respawn_attempts < 0:
             raise ValueError("max_respawn_attempts must be >= 0")
+        if self.checkpoint_interval < 1:
+            raise ValueError(
+                "checkpoint_interval must be >= 1 (journals are only "
+                "truncated by a checkpoint)"
+            )
 
 
 @dataclass
@@ -216,14 +220,12 @@ class _LocalShard:
     def request(self, request: tuple) -> Any:
         """Execute one request synchronously and return its payload."""
         # In-process execution always holds the coordinator's current
-        # plan, so the version stamp is peeled and trusted; no worker
-        # kit to adopt the trace context into either.
-        _version, request = split_version(request)
-        _ctx, request = split_request(request)
-        op = request[0]
+        # plan, so the version stamp is trusted; no worker kit to adopt
+        # the trace context into either.
+        op = request[2]
         if op in LIFECYCLE_OPS:
             return None  # lifecycle ops are meaningless in-process
-        return dispatch_op(self.engine, op, request[1:])
+        return dispatch_op(self.engine, op, request[3:])
 
 
 class ShardSupervisor:
@@ -240,9 +242,7 @@ class ShardSupervisor:
         ``(shard, checkpoint) -> ShardEngine`` rehydrator for degraded
         in-process execution.
     config:
-        The supervision policy, or ``None`` to run the PR-4 protocol
-        unchanged (no deadlines, no journals, no recovery — failures
-        still surface as typed :class:`ShardWorkerError`).
+        The supervision policy.
     chaos:
         Optional :class:`~repro.shard.chaos.ChaosSpec` forwarded to the
         workers; the supervisor arms each incarnation only after its
@@ -266,7 +266,7 @@ class ShardSupervisor:
         shards: int,
         spawn: Callable[[int, int], tuple],
         local_factory: Callable[[int, dict], ShardEngine],
-        config: Optional[SupervisionConfig] = None,
+        config: SupervisionConfig,
         chaos: Any = None,
         hooks: Optional[SupervisorHooks] = None,
         flight: Any = None,
@@ -282,10 +282,9 @@ class ShardSupervisor:
         self.on_obs_delta = on_obs_delta
         self._obs_muted = False
         self._stashed_delta: Optional[dict] = None
-        self.enabled = config is not None
         #: Per-shard channel: a live worker or a degraded local engine.
         self.channels: list = [None] * shards
-        #: Per-shard write-ahead journals (unused when disabled).
+        #: Per-shard write-ahead journals.
         self.journals = [TickJournal() for _ in range(shards)]
         #: Per-shard last exact checkpoint (recovery base).
         self.checkpoints: dict[int, dict] = {}
@@ -309,20 +308,21 @@ class ShardSupervisor:
     def start(self) -> None:
         """Spawn every worker; on any failure, reap what was spawned.
 
-        With supervision enabled, each worker's initial exact checkpoint
-        is taken immediately (the recovery base is never missing); chaos
-        agents are armed last so the setup traffic is exempt.
+        Each worker's initial exact checkpoint is taken immediately (the
+        recovery base is never missing); chaos agents are armed last so
+        the setup traffic is exempt.
         """
         try:
             for shard in range(self.shards):
                 proc, conn = self.spawn(shard, 0)
                 self.channels[shard] = _WorkerChannel(proc, conn, 0)
-            if self.enabled:
-                for shard in range(self.shards):
-                    self.checkpoints[shard] = self._exchange(shard, ("checkpoint",))
+            for shard in range(self.shards):
+                self.checkpoints[shard] = self._exchange(
+                    shard, (None, None, "checkpoint")
+                )
             if self.chaos is not None:
                 for shard in range(self.shards):
-                    self._exchange(shard, ("arm",))
+                    self._exchange(shard, (None, None, "arm"))
         except BaseException:
             self.close()
             raise
@@ -335,7 +335,7 @@ class ShardSupervisor:
         channels = [c for c in self.channels if isinstance(c, _WorkerChannel)]
         for chan in channels:
             try:
-                chan.conn.send(("close",))
+                chan.conn.send((None, None, "close"))
             except (BrokenPipeError, OSError):
                 pass
         for chan in channels:
@@ -356,8 +356,8 @@ class ShardSupervisor:
         chan = self.channels[shard]
         if isinstance(chan, _LocalShard):
             return chan.request(request)
-        op = real_op(request)
-        if self.enabled and op in MUTATING_OPS:
+        op = request[2]
+        if op in MUTATING_OPS:
             self.journals[shard].append(request)
         if self.flight is not None:
             self.flight.record_op(shard, op)
@@ -365,7 +365,7 @@ class ShardSupervisor:
             return self._exchange(shard, request)
         except ShardWorkerError as err:
             self._note_failure(err)
-            if err.kind not in RECOVERABLE_KINDS or not self.enabled:
+            if err.kind not in RECOVERABLE_KINDS:
                 raise
             return self._recover(shard, request, err)
 
@@ -376,13 +376,13 @@ class ShardSupervisor:
         each worker failure is recovered independently, so one crash
         does not cost the others' overlap.
         """
-        op = real_op(request)
+        op = request[2]
         send_errors: dict[int, ShardWorkerError] = {}
         for shard in range(self.shards):
             chan = self.channels[shard]
             if isinstance(chan, _LocalShard):
                 continue
-            if self.enabled and op in MUTATING_OPS:
+            if op in MUTATING_OPS:
                 self.journals[shard].append(request)
             if self.flight is not None:
                 self.flight.record_op(shard, op)
@@ -407,8 +407,6 @@ class ShardSupervisor:
                     if exc.kind not in RECOVERABLE_KINDS:
                         raise
                     err = exc
-            if not self.enabled:
-                raise err
             replies.append(self._recover(shard, request, err))
         return replies
 
@@ -429,8 +427,6 @@ class ShardSupervisor:
         exchange — including its own recovery if the worker dies while
         serving it.
         """
-        if not self.enabled or self.config.checkpoint_interval <= 0:
-            return
         for shard in range(self.shards):
             journal = self.journals[shard]
             if isinstance(self.channels[shard], _LocalShard):
@@ -438,7 +434,9 @@ class ShardSupervisor:
                     journal.clear()  # in-process state cannot be lost
                 continue
             if len(journal) >= self.config.checkpoint_interval:
-                self.checkpoints[shard] = self.request(shard, ("checkpoint",))
+                self.checkpoints[shard] = self.request(
+                    shard, (None, None, "checkpoint")
+                )
                 journal.clear()
 
     # ------------------------------------------------------------------
@@ -476,8 +474,7 @@ class ShardSupervisor:
         the now-current plan version.
         """
         for shard, snap in enumerate(snaps):
-            if self.enabled:
-                self.checkpoints[shard] = snap
+            self.checkpoints[shard] = snap
             self.journals[shard].clear()
 
     # ------------------------------------------------------------------
@@ -485,7 +482,7 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     def _exchange(self, shard: int, request: tuple) -> Any:
         chan = self.channels[shard]
-        op = real_op(request)
+        op = request[2]
         try:
             chan.conn.send(request)
         except (BrokenPipeError, ConnectionResetError, OSError) as exc:
@@ -494,7 +491,7 @@ class ShardSupervisor:
 
     def _recv(self, shard: int, op: str) -> Any:
         chan = self.channels[shard]
-        deadline = self.config.op_deadline if self.enabled else None
+        deadline = self.config.op_deadline
         if deadline is not None:
             deadline *= OP_DEADLINE_SCALE.get(op, 1.0)
         try:
@@ -514,12 +511,12 @@ class ShardSupervisor:
             ) from exc
         except (BrokenPipeError, ConnectionResetError, OSError) as exc:
             raise ShardWorkerError(shard, op, "crash", repr(exc)) from exc
-        if not (isinstance(reply, tuple) and len(reply) in (2, 3)):
+        if not (isinstance(reply, tuple) and len(reply) == 3):
             self._kill_channel(chan)
             raise ShardWorkerError(shard, op, "protocol", f"malformed reply {reply!r}")
-        status, payload = reply[0], reply[1]
+        status, payload, delta = reply
         if status == "ok":
-            self._deliver_delta(shard, reply[2] if len(reply) == 3 else None)
+            self._deliver_delta(shard, delta)
             return payload
         if status == "err":
             raise ShardWorkerError(shard, op, "fault", str(payload))
@@ -636,7 +633,7 @@ class ShardSupervisor:
         self.channels[shard] = _WorkerChannel(proc, conn, incarnation)
         if self.flight is not None:
             self.flight.record_event(shard, "respawn", f"incarnation {incarnation}")
-        self._exchange(shard, ("restore", self.checkpoints[shard]))
+        self._exchange(shard, (None, None, "restore", self.checkpoints[shard]))
         entries = self.journals[shard].entries
         last = entries[-1] if entries else None
         reply, have_reply, replay_delta = None, False, None
@@ -652,7 +649,7 @@ class ShardSupervisor:
                 # under the *current* plan box (and replay is synchronous,
                 # so no plan change can interleave).  A stale stamp here
                 # would wedge recovery in a respawn loop.
-                r = self._exchange(shard, split_version(entry)[1])
+                r = self._exchange(shard, (None,) + entry[1:])
                 if entry is last and entry is failed_request:
                     reply, have_reply, replay_delta = r, True, self._stashed_delta
         finally:
@@ -661,9 +658,9 @@ class ShardSupervisor:
         if have_reply:
             self._deliver_delta(shard, replay_delta)
         if self.chaos is not None:
-            self._exchange(shard, ("arm",))
+            self._exchange(shard, (None, None, "arm"))
         if not have_reply:
-            reply = self._exchange(shard, split_version(failed_request)[1])
+            reply = self._exchange(shard, (None,) + failed_request[1:])
         return reply
 
     def _give_up(self, shard: int, failed_request: tuple, err: ShardWorkerError) -> Any:
@@ -713,7 +710,6 @@ class ShardSupervisor:
     def report(self) -> dict:
         """Operational snapshot of the supervision layer."""
         return {
-            "enabled": self.enabled,
             "restarts_total": sum(self.restarts),
             "restarts_by_shard": {k: n for k, n in enumerate(self.restarts) if n},
             "degraded_shards": set(self.degraded),

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.core.config import MonitorConfig
+from repro.core.events import ObjectUpdate, QueryUpdate
 from repro.core.monitor import CRNNMonitor
 from repro.core.oracle import BruteForceMonitor
 from repro.geometry.point import Point
@@ -22,6 +23,17 @@ TEST_BOUNDS = Rect(0.0, 0.0, 1000.0, 1000.0)
 
 def random_point(rng: random.Random, bounds: Rect = TEST_BOUNDS) -> Point:
     return Point(rng.uniform(bounds.xmin, bounds.xmax), rng.uniform(bounds.ymin, bounds.ymax))
+
+
+def large_tick_batches(rng: random.Random, objects: int, queries: int, ticks: int, moves: int):
+    """A load batch, then ``ticks`` batches of ``moves`` location updates
+    (oids repeat): large enough for every array path's size threshold."""
+    load = [ObjectUpdate(oid, random_point(rng)) for oid in range(objects)]
+    load += [QueryUpdate(10_000 + i, random_point(rng)) for i in range(queries)]
+    return [load] + [
+        [ObjectUpdate(rng.randrange(objects), random_point(rng)) for _ in range(moves)]
+        for _ in range(ticks)
+    ]
 
 
 def make_monitor(variant: str, grid_cells: int = 12, **kwargs) -> CRNNMonitor:

@@ -1,12 +1,14 @@
-"""Golden scalar-vs-batched parity and batch-semantics tests (ISSUE 2).
+"""Golden scalar-vs-vector kernel parity and batch-semantics tests.
 
-The vectorized configuration of :class:`CRNNMonitor` routes ``process()``
-through bulk grid moves, the pie prefilter bitmap and the batched circ
-containment path; the scalar configuration runs the original per-update
-loops.  The two must be **event-for-event identical**: same
-``ResultChange`` sequence from ``drain_events()``, same ``results()``,
-same ``monitoring_region()`` — on clean streams and on the mild-fault
-streams of the resilience harness.
+The reference side of every pair is the same :class:`CRNNMonitor` with
+``grid.vector_enabled`` cleared, which pins its NN searches, ``initCRNN``
+and row-interval enumerations to the scalar twins, and with its circ
+store's ``process_moves`` bound to :meth:`CircStoreBase.process_moves`
+(the plain ``handle_update`` loop), which is the reference of the batched
+``FurCircStore.process_moves``.  The two must be
+**event-for-event identical**: same ``ResultChange`` sequence from
+``drain_events()``, same ``results()``, same ``monitoring_region()`` — on
+clean streams and on the mild-fault streams of the resilience harness.
 
 Also covered here: ``drain_events()`` ordering semantics under batched
 updates, batched-vs-unbatched ``process()`` equivalence, lazy cell
@@ -15,26 +17,23 @@ materialization, and ``bulk_move_objects`` vs sequential ``move_object``.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 
+from repro.core.circ_store import CircStoreBase
 from repro.core.config import MonitorConfig
 from repro.core.events import ObjectUpdate, QueryUpdate
-from repro.core.monitor import CRNNMonitor
+from repro.core.monitor import CRNNMonitor, apply_grid_updates
 from repro.core.stats import logical_subset
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.grid.index import GridIndex
-from repro.perf import HAVE_NUMPY
 from repro.robustness.faults import FaultInjector, FaultSpec
 
-from .conftest import TEST_BOUNDS, VARIANTS, make_monitor
+from .conftest import TEST_BOUNDS, VARIANTS, large_tick_batches, make_monitor, random_point
 from .test_robustness_fuzz import _random_batches
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="NumPy unavailable: vectorized mode inert"
-)
 
 #: Golden seeds: fixed, so every run exercises the exact same streams.
 GOLDEN_SEEDS = (11, 29, 404)
@@ -79,11 +78,15 @@ PINNED_COUNTERS = {
 }
 
 
+def _as_reference(monitor: CRNNMonitor) -> CRNNMonitor:
+    """Pin ``monitor`` to the scalar kernels and the per-move circ loop."""
+    monitor.grid.vector_enabled = False
+    monitor.circ.process_moves = functools.partial(CircStoreBase.process_moves, monitor.circ)
+    return monitor
+
+
 def _pair(variant: str, **kwargs) -> tuple[CRNNMonitor, CRNNMonitor]:
-    scalar = make_monitor(variant, vectorized=False, **kwargs)
-    fast = make_monitor(variant, vectorized=True, **kwargs)
-    assert not scalar.vectorized and fast.vectorized
-    return scalar, fast
+    return _as_reference(make_monitor(variant, **kwargs)), make_monitor(variant, **kwargs)
 
 
 def _assert_lockstep(scalar: CRNNMonitor, fast: CRNNMonitor, context: str) -> None:
@@ -143,18 +146,10 @@ class TestGoldenParity:
         spec = WorkloadSpec(num_objects=300, num_queries=25, timestamps=8, seed=23)
         network = oldenburg_like(spec.bounds, random.Random(spec.seed))
         workload = Workload(spec, network)
-        scalar = CRNNMonitor(
-            MonitorConfig(
-                variant=variant, grid_cells=24, bounds=spec.bounds,
-                guard_policy="drop", vectorized=False,
-            )
+        config = MonitorConfig(
+            variant=variant, grid_cells=24, bounds=spec.bounds, guard_policy="drop"
         )
-        fast = CRNNMonitor(
-            MonitorConfig(
-                variant=variant, grid_cells=24, bounds=spec.bounds,
-                guard_policy="drop", vectorized=True,
-            )
-        )
+        scalar, fast = _as_reference(CRNNMonitor(config)), CRNNMonitor(config)
         workload.load_into(scalar)
         workload.load_into(fast)
         _assert_lockstep(scalar, fast, f"{variant} after load")
@@ -172,25 +167,8 @@ class TestGoldenParity:
     def test_large_batch_parity(self, variant):
         # One big batch (the bulk grid-move fast path with real chunking)
         # rather than the small churn batches above.
-        rng = random.Random(5)
-        initial = [
-            ObjectUpdate(
-                oid, Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            )
-            for oid in range(600)
-        ]
-        initial += [
-            QueryUpdate(10_000 + i, Point(rng.uniform(0, 1000), rng.uniform(0, 1000)))
-            for i in range(12)
-        ]
-        moves = [
-            ObjectUpdate(
-                rng.randrange(600), Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            )
-            for _ in range(800)
-        ]
         scalar, fast = _pair(variant)
-        for t, batch in enumerate((initial, moves)):
+        for t, batch in enumerate(large_tick_batches(random.Random(5), 600, 12, 1, 800)):
             scalar.process(batch)
             fast.process(batch)
             _assert_lockstep(scalar, fast, f"{variant} large batch t={t}")
@@ -205,7 +183,7 @@ class TestDrainEventsBatched:
         # exactly, with no duplicate gains and no loss without a prior
         # gain — that is the ordering contract batched processing must
         # keep.
-        mon = make_monitor("lu+pi", vectorized=True)
+        mon = make_monitor("lu+pi")
         state: dict[int, set[int]] = {}
         for batch in _random_batches(random.Random(3), timestamps=8):
             mon.process(batch)
@@ -227,8 +205,8 @@ class TestDrainEventsBatched:
     def test_singleton_batches_keep_scalar_parity(self):
         # A batch is processed in phases (all grid moves, then pies,
         # then circs), so one batch is *not* equivalent to a sequence of
-        # singleton batches — but at every granularity the vectorized
-        # and scalar configurations must still agree event-for-event.
+        # singleton batches — but at every granularity the vector and
+        # scalar kernels must still agree event-for-event.
         # Singleton batches exercise the bulk path's small-batch scalar
         # fallback.
         batches = _random_batches(random.Random(41), timestamps=10)
@@ -273,6 +251,16 @@ class TestBulkMoveObjects:
             grid.insert_object(oid, Point(rng.uniform(0, 1000), rng.uniform(0, 1000)))
         return grid, rng
 
+    def _assert_same_state(self, bulk_grid, seq_grid):
+        assert bulk_grid.positions == seq_grid.positions
+        # Cell membership agrees everywhere (this forces the deferred
+        # cell-objects sync on the bulk grid).
+        for cy in range(12):
+            for cx in range(12):
+                assert bulk_grid.objects_in_cell(cx, cy) == seq_grid.objects_in_cell(
+                    cx, cy
+                ), f"cell ({cx},{cy})"
+
     def test_matches_sequential_move_object(self):
         bulk_grid, rng = self._populated()
         seq_grid, _ = self._populated()
@@ -291,14 +279,47 @@ class TestBulkMoveObjects:
             if old != new_pos:
                 want.append((oid, old, new_pos))
         assert got == want
-        assert bulk_grid.positions == seq_grid.positions
-        # Cell membership agrees everywhere (this forces the deferred
-        # cell-objects sync on the bulk grid).
-        for cy in range(12):
-            for cx in range(12):
-                assert bulk_grid.objects_in_cell(cx, cy) == seq_grid.objects_in_cell(
-                    cx, cy
-                ), f"cell ({cx},{cy})"
+        self._assert_same_state(bulk_grid, seq_grid)
+
+    def test_apply_grid_updates_matches_per_update_loop(self):
+        # The run-flush logic against the loop it replaced: inserts,
+        # deletes, repeated oids, no-op moves and query updates cut the
+        # bulk runs anywhere, leaving runs on both sides of the array
+        # path's size threshold.
+        bulk_grid, rng = self._populated()
+        seq_grid, _ = self._populated()
+        batch, live = [], list(range(200))
+        for i in range(400):
+            r, pos = rng.random(), random_point(rng)
+            if r < 0.03:
+                live.append(200 + i)
+                batch.append(ObjectUpdate(200 + i, pos))
+            elif r < 0.06:
+                batch.append(ObjectUpdate(live.pop(rng.randrange(len(live))), None))
+            elif r < 0.08:
+                batch.append(QueryUpdate(10_000, pos))
+            else:
+                oid = rng.choice(live)
+                stay = seq_grid.positions.get(oid, pos)
+                batch.append(ObjectUpdate(oid, stay if r < 0.12 else pos))
+        got, want, queries = [], [], []
+        apply_grid_updates(bulk_grid, batch, got, queries)
+        for update in batch:
+            if isinstance(update, QueryUpdate):
+                continue
+            old = seq_grid.positions.get(update.oid)
+            if update.pos is None:
+                seq_grid.delete_object(update.oid)
+            elif old is None:
+                seq_grid.insert_object(update.oid, update.pos)
+            else:
+                seq_grid.move_object(update.oid, update.pos)
+            if old != update.pos:
+                want.append((update.oid, old, update.pos))
+        assert got == want
+        assert queries == [u for u in batch if isinstance(u, QueryUpdate)]
+        assert bulk_grid.csr_fresh
+        self._assert_same_state(bulk_grid, seq_grid)
 
     def test_small_batches_use_scalar_fallback(self):
         grid, rng = self._populated(n=20)

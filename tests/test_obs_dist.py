@@ -2,7 +2,7 @@
 flight recorder (DESIGN §12).
 
 Covers the cross-process pieces the single-process obs suites cannot:
-the op-envelope context propagation, adopted worker spans, exactly-once
+the op-header context propagation, adopted worker spans, exactly-once
 delta aggregation (including across chaos recovery), the wire ``trace``
 field's backward compatibility with PR 7 peers, sharded ``explain``,
 and the crash dump path through ``tools/flightdump.py``.
@@ -24,14 +24,10 @@ from repro.core.events import ObjectUpdate
 from repro.geometry.point import Point
 from repro.obs.config import ObsConfig
 from repro.obs.dist import (
-    CTX_OP,
     WORKER_SPAN_STRIDE,
     TraceContext,
     current_context,
-    real_op,
     span_in_context,
-    split_request,
-    wrap_request,
 )
 from repro.obs.flight import FlightRecorder, load_dump, render_timeline
 from repro.obs.trace import InMemorySink, Tracer
@@ -87,21 +83,6 @@ class TestTraceContext:
     def test_malformed_wire_rejected(self, raw):
         with pytest.raises(ValueError):
             TraceContext.from_wire(raw)
-
-    def test_wrap_split_round_trip(self):
-        ctx = TraceContext(trace_id=9, parent_id=4)
-        wrapped = wrap_request(("tick", [1, 2]), ctx)
-        assert wrapped[0] == CTX_OP
-        assert real_op(wrapped) == "tick"
-        got_ctx, bare = split_request(wrapped)
-        assert got_ctx == ctx
-        assert bare == ("tick", [1, 2])
-
-    def test_wrap_without_context_is_identity(self):
-        request = ("stats",)
-        assert wrap_request(request, None) is request
-        assert split_request(request) == (None, request)
-        assert real_op(request) == "stats"
 
 
 class TestAdoption:

@@ -1,4 +1,4 @@
-"""Tracing core: nesting, sinks, sampling, and scalar/vectorized parity."""
+"""Tracing core: nesting, sinks, sampling, and scalar/vector kernel parity."""
 
 from __future__ import annotations
 
@@ -19,13 +19,12 @@ from repro.obs.trace import (
     Tracer,
     build_tree,
 )
-from repro.perf import HAVE_NUMPY
 
-#: Span names whose *counts* are backed by mode-independent logical
-#: counters — the scalar and vectorized paths must emit identical
-#: numbers of these.  Grid-internal spans (``grid.bulk_move``,
-#: ``grid.csr_rebuild``) are vectorized-only implementation detail and
-#: excluded on purpose.
+#: Span names whose *counts* are backed by kernel-independent logical
+#: counters — the scalar and vector kernels must emit identical numbers
+#: of these.  Grid-internal spans (``grid.bulk_move``,
+#: ``grid.csr_rebuild``) are implementation detail and excluded on
+#: purpose.
 LOGICAL_SPANS = frozenset({
     "monitor.process",
     "monitor.grid_moves",
@@ -38,13 +37,11 @@ LOGICAL_SPANS = frozenset({
 })
 
 
-def _run_workload(vectorized: bool, ticks: int = 6) -> CRNNMonitor:
+def _run_workload(vector_kernels: bool = True, ticks: int = 6) -> CRNNMonitor:
     rng = random.Random(42)
-    config = MonitorConfig(
-        vectorized=vectorized,
-        observability=ObsConfig(ring_capacity=100_000),
-    )
+    config = MonitorConfig(observability=ObsConfig(ring_capacity=100_000))
     monitor = CRNNMonitor(config)
+    monitor.grid.vector_enabled = vector_kernels
     for oid in range(150):
         monitor.add_object(oid, Point(rng.uniform(0, 100), rng.uniform(0, 100)))
     for qid in range(1000, 1008):
@@ -193,7 +190,7 @@ class TestJsonlSink:
 
 class TestMonitorSpans:
     def test_process_emits_phase_tree(self):
-        monitor = _run_workload(vectorized=False, ticks=2)
+        monitor = _run_workload(ticks=2)
         roots = [
             t for t in build_tree(monitor.obs.sink.spans())
             if t["name"] == "monitor.process"
@@ -203,10 +200,9 @@ class TestMonitorSpans:
         assert {"monitor.grid_moves", "monitor.pies", "monitor.circs",
                 "monitor.queries"} <= child_names
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vectorized mode inert")
     def test_logical_span_counts_identical_scalar_vs_vectorized(self):
-        def counts(vectorized: bool) -> dict[str, int]:
-            monitor = _run_workload(vectorized=vectorized)
+        def counts(vector_kernels: bool) -> dict[str, int]:
+            monitor = _run_workload(vector_kernels)
             out: dict[str, int] = {}
             for span in monitor.obs.sink.spans():
                 if span.name in LOGICAL_SPANS:

@@ -29,13 +29,6 @@ from __future__ import annotations
 import math
 import random
 
-import pytest
-
-from repro.perf import HAVE_NUMPY
-
-if not HAVE_NUMPY:  # pragma: no cover - numpy is part of the toolchain
-    pytest.skip("NumPy unavailable: vectorized kernels inert", allow_module_level=True)
-
 import numpy as np
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -167,9 +160,10 @@ class TestRowIntervalTwins:
     @settings(max_examples=30, deadline=None)
     @given(center=mixed_points, radius=radii)
     def test_circle_cell_enumeration_identical(self, center, radius):
-        grid = _grid()
-        scalar = [(c.cx, c.cy) for c in grid._cells_intersecting_circle_scalar(center, radius)]
-        vector = [(c.cx, c.cy) for c in grid._cells_intersecting_circle_vector(center, radius)]
+        grid, ref = _grid(), _grid()
+        ref.vector_enabled = False
+        scalar = [(c.cx, c.cy) for c in ref.cells_intersecting_circle(center, radius)]
+        vector = [(c.cx, c.cy) for c in grid.cells_intersecting_circle(center, radius)]
         assert scalar == vector
 
     @settings(max_examples=30, deadline=None)
@@ -179,9 +173,10 @@ class TestRowIntervalTwins:
         radius=radii,
     )
     def test_pie_cell_enumeration_identical(self, q, sector, radius):
-        grid = _grid()
-        scalar = [(c.cx, c.cy) for c in grid._cells_intersecting_pie_scalar(q, sector, radius)]
-        vector = [(c.cx, c.cy) for c in grid._cells_intersecting_pie_vector(q, sector, radius)]
+        grid, ref = _grid(), _grid()
+        ref.vector_enabled = False
+        scalar = [(c.cx, c.cy) for c in ref.cells_intersecting_pie(q, sector, radius)]
+        vector = [(c.cx, c.cy) for c in grid.cells_intersecting_pie(q, sector, radius)]
         assert scalar == vector
 
 

@@ -56,9 +56,11 @@ def direct(stream):
     return replay_direct(CRNNMonitor(monitor_config()), initial, tick_batches)
 
 
-def replay_wire(serve_config: ServeConfig, initial, tick_batches):
-    """The same batches through a live TCP server, firehose-subscribed."""
-    with ServerThread(serve_config) as (host, port):
+def replay_wire(serve_config: ServeConfig, initial, tick_batches, kill_worker_at=None):
+    """The same batches through a live TCP server, firehose-subscribed;
+    ahead of tick ``kill_worker_at`` shard 0's worker process is SIGKILLed."""
+    thread = ServerThread(serve_config)
+    with thread as (host, port):
         with ServeClient(host, port) as client:
             client.subscribe(None)
             client.send_updates(initial)
@@ -66,7 +68,12 @@ def replay_wire(serve_config: ServeConfig, initial, tick_batches):
             assert first.applied == len(initial)
             client.take_events()  # registration deltas precede tick 1
             per_tick = []
-            for batch in tick_batches:
+            for t, batch in enumerate(tick_batches):
+                if t == kill_worker_at:
+                    proc = thread.server.monitor.executor.supervisor.channels[0].proc
+                    proc.kill()
+                    proc.join(timeout=10.0)
+                    assert not proc.is_alive()
                 client.send_updates(batch)
                 ack = client.tick()
                 assert ack.shed == 0, "parity run must not shed"
@@ -110,15 +117,23 @@ def test_wire_parity_against_direct_backend(stream, backend, shards):
         assert got_results[qid] == tuple(sorted(want_rnn)), f"q{qid} final RNN"
 
 
-@pytest.mark.parametrize("shards", [4], ids=["K4"])
-def test_sharded_wire_matches_single_monitor(stream, direct, shards):
-    """The sharded wire path is also bit-identical to ONE plain monitor."""
+@pytest.mark.parametrize(
+    "shards, executor, kill_worker_at",
+    [(4, "serial", None), (2, "process", 15)],
+    ids=["K4", "K2-process-worker-killed"],
+)
+def test_sharded_wire_matches_single_monitor(stream, direct, shards, executor, kill_worker_at):
+    """The sharded wire path is also bit-identical to ONE plain monitor —
+    the process executor's even when a worker dies mid-run."""
     initial, tick_batches = stream
     want_events, want_counters, want_results = direct
     got_events, got_counters, got_results = replay_wire(
-        ServeConfig(monitor=monitor_config(), backend="sharded", shards=shards),
+        ServeConfig(
+            monitor=monitor_config(), backend="sharded", shards=shards, executor=executor
+        ),
         initial,
         tick_batches,
+        kill_worker_at,
     )
     assert got_counters == want_counters
     assert got_events == want_events

@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.monitor import CRNNMonitor
 from repro.core.stats import LOGICAL_COUNTERS
-from repro.perf import HAVE_NUMPY
 from repro.robustness.checkpoint import (
     CheckpointError,
     from_json,
@@ -29,11 +28,9 @@ from repro.shard import ShardedCRNNMonitor
 from .test_robustness_fuzz import _random_batches
 from .test_shard_parity import _config
 
-VECTOR_MODES = (False, True) if HAVE_NUMPY else (False,)
 
-
-def _build_deployment(seed: int, shards: int, executor: str, vectorized: bool):
-    cfg = _config(vectorized=vectorized)
+def _build_deployment(seed: int, shards: int, executor: str):
+    cfg = _config()
     sharded = ShardedCRNNMonitor(cfg, shards=shards, executor=executor)
     for batch in _random_batches(random.Random(seed), timestamps=8):
         sharded.process(batch)
@@ -53,15 +50,12 @@ def _continue_in_lockstep(monitors, seed: int, ticks: int, context: str):
 
 class TestSaveRestoreParity:
     @pytest.mark.parametrize("executor", ("serial", "process"))
-    @pytest.mark.parametrize("vectorized", VECTOR_MODES)
-    def test_restore_continues_in_event_lockstep(self, executor, vectorized):
+    def test_restore_continues_in_event_lockstep(self, executor):
         # Save under K=2, restore under K=4 and under the *other*
         # executor: both restored deployments (and a restored single
         # monitor) must emit the same events as the uninterrupted
         # original from the restore point on.
-        original = _build_deployment(
-            seed=301, shards=2, executor=executor, vectorized=vectorized
-        )
+        original = _build_deployment(seed=301, shards=2, executor=executor)
         other = "process" if executor == "serial" else "serial"
         with original:
             snap = original.checkpoint()
@@ -81,7 +75,7 @@ class TestSaveRestoreParity:
                 _continue_in_lockstep(
                     [original, restored_wide, restored_other, restored_single],
                     seed=302, ticks=6,
-                    context=f"{executor} vec={vectorized}",
+                    context=executor,
                 )
                 # Canonical rebuilds are counter-twins of each other:
                 # identical logical-counter deltas from the restore on.
@@ -99,7 +93,7 @@ class TestSaveRestoreParity:
                 restored_single.validate()
 
     def test_checkpoint_counters_recorded_and_incremented(self):
-        original = _build_deployment(301, 2, "serial", False)
+        original = _build_deployment(301, 2, "serial")
         with original:
             before = original.aggregated_stats().checkpoints_saved
             snap = original.checkpoint()
@@ -110,7 +104,7 @@ class TestSaveRestoreParity:
             assert restored.aggregated_stats().checkpoints_restored == 1
 
     def test_json_round_trip(self):
-        original = _build_deployment(303, 4, "serial", False)
+        original = _build_deployment(303, 4, "serial")
         with original:
             snap = from_json(to_json(original.checkpoint()))
             restored = ShardedCRNNMonitor.from_checkpoint(snap, shards=4)
@@ -139,7 +133,7 @@ class TestSaveRestoreParity:
             sharded.validate()
 
     def test_tampered_results_fail_verification(self):
-        original = _build_deployment(307, 2, "serial", False)
+        original = _build_deployment(307, 2, "serial")
         with original:
             snap = original.checkpoint()
         assert snap["results"], "workload produced no results to tamper with"

@@ -4,11 +4,11 @@
 :class:`CRNNMonitor` fed the same stream: same ``drain_events()``
 sequence, same ``results()``, same ``monitoring_region()`` per query,
 and the same logical counters (:data:`LOGICAL_COUNTERS`) — for every
-shard count, in both executor modes, with and without the vectorized
-kernels, on clean streams and on the resilience harness's mild-fault
-streams.  Plus the knife-edges: queries exactly on stripe boundaries,
-circ-regions spanning three stripes, and objects teleporting across
-``K-1`` shards in one tick.
+shard count, in both executor modes, on clean streams and on the
+resilience harness's mild-fault streams, with churn-sized and with
+array-path-sized ticks.  Plus the knife-edges: queries exactly on
+stripe boundaries, circ-regions spanning three stripes, and objects
+teleporting across ``K-1`` shards in one tick.
 """
 
 from __future__ import annotations
@@ -24,28 +24,24 @@ from repro.core.events import ObjectUpdate, QueryUpdate
 from repro.core.monitor import CRNNMonitor
 from repro.core.stats import LOGICAL_COUNTERS
 from repro.geometry.point import Point
-from repro.perf import HAVE_NUMPY
 from repro.robustness.audit import AuditPolicy, InvariantAuditor
 from repro.robustness.faults import FaultInjector, FaultSpec
 from repro.shard import ShardedCRNNMonitor
 
-from .conftest import TEST_BOUNDS
+from .conftest import TEST_BOUNDS, large_tick_batches
 from .test_robustness_fuzz import _random_batches
 
 GOLDEN_SEEDS = (11, 29)
 SHARD_COUNTS = (1, 2, 4, 8)
-VECTOR_MODES = (False, True) if HAVE_NUMPY else (False,)
 
 
-def _config(vectorized: bool = False, **kwargs) -> MonitorConfig:
+def _config(**kwargs) -> MonitorConfig:
     kwargs.setdefault("grid_cells", 12)
-    return MonitorConfig(
-        variant="lu+pi", bounds=TEST_BOUNDS, vectorized=vectorized, **kwargs
-    )
+    return MonitorConfig(variant="lu+pi", bounds=TEST_BOUNDS, **kwargs)
 
 
-def _pair(shards: int, executor: str = "serial", vectorized: bool = False, **kwargs):
-    cfg = _config(vectorized=vectorized, **kwargs)
+def _pair(shards: int, executor: str = "serial", **kwargs):
+    cfg = _config(**kwargs)
     return CRNNMonitor(cfg), ShardedCRNNMonitor(cfg, shards=shards, executor=executor)
 
 
@@ -102,23 +98,24 @@ class TestGoldenParity:
             _drive(mono, sharded, batches, f"mild K={shards} seed={seed}")
             assert sharded.guard.violation_counts() == mono.guard.violation_counts()
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vectorized mode inert")
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_vectorized_stream_event_for_event(self, shards):
-        mono, sharded = _pair(shards, vectorized=True)
+        # Ticks of hundreds of moves: the churn streams above stay under
+        # every array path's size threshold (bulk grid moves, row-interval
+        # kernels, chunked circ prefilter); this one runs them per shard.
+        mono, sharded = _pair(shards)
         with sharded:
             _drive(
                 mono, sharded,
-                _random_batches(random.Random(404), timestamps=12),
-                f"vec K={shards}",
+                large_tick_batches(random.Random(404), 300, 10, ticks=3, moves=300),
+                f"large ticks K={shards}",
             )
 
-    @pytest.mark.parametrize("vectorized", VECTOR_MODES)
-    def test_scalar_api_parity(self, vectorized):
+    def test_scalar_api_parity(self):
         # The non-batched facade surface: add/update/remove for both
         # objects and queries, one call at a time.  The drop policy
         # keeps double-deletes as counted no-ops on both sides.
-        mono, sharded = _pair(4, vectorized=vectorized, guard_policy="drop")
+        mono, sharded = _pair(4, guard_policy="drop")
         rng = random.Random(17)
 
         def pt():
@@ -162,14 +159,13 @@ class TestGoldenParity:
 
 
 class TestProcessExecutor:
-    @pytest.mark.parametrize("vectorized", VECTOR_MODES)
-    def test_process_pool_parity(self, vectorized):
-        mono, sharded = _pair(2, executor="process", vectorized=vectorized)
+    def test_process_pool_parity(self):
+        mono, sharded = _pair(2, executor="process")
         with sharded:
             _drive(
                 mono, sharded,
                 _random_batches(random.Random(29), timestamps=8),
-                f"process vec={vectorized}",
+                "process",
             )
 
     def test_process_pool_scalar_and_query_ops(self):

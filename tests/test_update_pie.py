@@ -1,8 +1,13 @@
 """Direct tests for the pie-region maintenance helpers."""
 
 import math
+import random
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
 from repro.core.update_pie import (
+    build_affected_map_vector,
     determine_certificate,
     register_pie_cells,
     research_sector,
@@ -11,7 +16,7 @@ from repro.core.update_pie import (
 from repro.geometry.point import Point, dist
 from repro.geometry.sector import sector_of
 
-from .conftest import make_monitor
+from .conftest import make_monitor, random_point
 
 
 def _setup(variant="lu+pi", grid_cells=10):
@@ -144,3 +149,28 @@ class TestResearchSector:
         assert st.cand[sector] is None
         assert math.isinf(st.d_cand[sector])
         assert mon.circ.record(50, sector) is None
+
+
+# Endpoints reach past the data space on every side (they clamp to the
+# border cells); ``None`` makes a move an insert or a delete.
+_coords = st.floats(min_value=-250.0, max_value=1250.0, allow_nan=False, width=64)
+_endpoints = st.one_of(st.none(), st.tuples(_coords, _coords).map(lambda t: Point(*t)))
+
+
+class TestAffectedMap:
+    @settings(max_examples=50, deadline=None)
+    @given(moves=st.lists(st.tuples(st.integers(0, 400), _endpoints, _endpoints), max_size=40))
+    def test_matches_per_endpoint_cell_lookup(self, moves):
+        rng = random.Random(8)
+        mon = _setup(grid_cells=10)
+        for oid in range(60):
+            mon.add_object(oid, random_point(rng))
+        for qid in range(500, 506):
+            mon.add_query(qid, random_point(rng))
+        want: dict[int, set[int]] = {}
+        for oid, *endpoints in moves:
+            for pos in endpoints:
+                if pos is not None:
+                    for qid in mon.grid.cell_at(pos).pie_queries:
+                        want.setdefault(qid, set()).add(oid)
+        assert build_affected_map_vector(mon, moves) == want
