@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test check lint smoke obs-smoke obs-dist-smoke chaos-smoke chaos-heavy rebalance-smoke rebalance-heavy serve-smoke serve-soak bench bench-paper docs docs-lint experiments experiments-quick examples clean
+.PHONY: install test check lint smoke obs-smoke obs-dist-smoke chaos-smoke chaos-heavy serve-smoke serve-soak bench bench-paper docs docs-lint experiments experiments-quick examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -54,17 +54,6 @@ chaos-smoke:
 # excluded from the default pytest run by the `chaos` marker.
 chaos-heavy:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_shard_chaos.py -m chaos
-
-# The kill loop with a live plan migration forced every 5th tick:
-# proves the PR-9 migration protocol holds event/counter parity with
-# worker SIGKILLs interleaved (what the CI chaos job runs).
-rebalance-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.shard.chaos --seconds 60 --rebalance-every 5
-
-# The 200-tick rebalance acceptance matrix (K x executor, plus chaos
-# kills), excluded from the default pytest run by the `chaos` marker.
-rebalance-heavy:
-	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/test_shard_rebalance.py -m chaos
 
 # The one benchmark (bench/README.md): five named workloads, oracle-
 # checked, end-to-end metrics plus a traced per-layer table. Compare two

@@ -13,7 +13,7 @@ construct violate that inside ``core``/``grid``/``rnn``/
   ``time.time_ns()``: replay happens at a different wall time, so any
   value derived from one diverges.  (``time.perf_counter`` /
   ``time.monotonic`` stay legal: they feed *measurements* such as the
-  rebalancer's load signal, never event content or tie-breaks.)
+  per-stripe tick wall-times, never event content or tie-breaks.)
 * **Unseeded randomness** — module-level ``random.*`` (the global RNG,
   seeded differently per process), ``random.Random()`` with no seed,
   ``os.urandom``, ``uuid.uuid4``, ``secrets.*``.

@@ -10,10 +10,9 @@ Three patterns defeat the failure-classification story (DESIGN §10):
   never raise, say so with a justified suppression.
 * **Swallowed ``ShardWorkerError``** — the typed worker-failure signal
   must reach the supervisor's classification path (crash/hang/
-  protocol/fault/stale); a handler outside that path that catches it
+  protocol/fault); a handler outside that path that catches it
   without re-raising breaks recovery accounting.  Handlers that
-  re-raise (any ``raise`` in the handler body) are legal — rollback
-  paths convert it into typed aborts.
+  re-raise (any ``raise`` in the handler body) are legal.
 """
 
 from __future__ import annotations

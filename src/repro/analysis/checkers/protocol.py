@@ -18,7 +18,8 @@ Checked invariants:
 2. the three journal classification sets are pairwise disjoint;
 3. ``OP_DEADLINE_SCALE`` covers exactly the dispatchable + lifecycle
    ops (no missing entries, no stale leftovers);
-4. the worker loop handles every ``LIFECYCLE_OPS`` entry.
+4. the worker loop handles every ``LIFECYCLE_OPS`` entry, and names no
+   op the other surfaces do not know.
 """
 
 from __future__ import annotations
@@ -262,6 +263,17 @@ class ProtocolExhaustivenessChecker(Checker):
                     worker_line,
                     f"lifecycle op(s) not handled in `_worker_main`: "
                     f"{fmt(unhandled)}",
+                )
+            )
+        leftover = worker_ops - expected
+        if leftover:
+            findings.append(
+                Finding(
+                    RULE,
+                    executor.rel,
+                    worker_line,
+                    f"`_worker_main` handles op(s) no other surface knows: "
+                    f"{fmt(leftover)}",
                 )
             )
         return findings

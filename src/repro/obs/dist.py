@@ -4,8 +4,8 @@ PR 3's :mod:`repro.obs` sees one process.  This module carries it across
 the two boundaries the system actually has:
 
 * **process boundary** (coordinator → shard worker): every executor
-  request carries a fixed header ``(plan_version, trace_ctx, op, *args)``
-  whose second slot holds the coordinator's :class:`TraceContext` in
+  request carries a fixed header ``(trace_ctx, op, *args)``
+  whose first slot holds the coordinator's :class:`TraceContext` in
   wire form (``None`` when nothing is being recorded); the worker
   *adopts* that context
   (:meth:`~repro.obs.trace.Tracer.adopt`) so its CPM/circ spans join the

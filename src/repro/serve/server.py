@@ -103,6 +103,9 @@ BACKEND_SERIAL = "serial"
 BACKEND_SHARDED = "sharded"
 BACKENDS = (BACKEND_SERIAL, BACKEND_SHARDED)
 
+#: Executors of the sharded backend (ignored by the serial backend).
+EXECUTORS = ("serial", "process")
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -121,17 +124,6 @@ class ServeConfig:
     executor: str = "serial"
     #: Monitor configuration; defaults to ``MonitorConfig.lu_pi()``.
     monitor: Optional[MonitorConfig] = None
-    #: Enable adaptive shard rebalancing on the sharded backend.  Plan
-    #: changes run between ticks inside the monitor, so subscribers
-    #: never observe a gap or a reconnect across a migration.
-    rebalance: bool = False
-    #: Sustained per-shard load ratio (max/mean tick wall-time) above
-    #: which a re-split is proposed.
-    rebalance_threshold: float = 1.5
-    #: Consecutive over-threshold ticks required before acting.
-    rebalance_patience: int = 5
-    #: Minimum ticks between two committed plan changes.
-    rebalance_cooldown: int = 50
     #: Auto-tick period in seconds; ``None`` processes only on explicit
     #: ``tick`` frames (the deterministic mode the parity suite uses).
     tick_interval: Optional[float] = None
@@ -160,6 +152,8 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+        if self.executor not in EXECUTORS:
+            raise ValueError(f"executor must be one of {EXECUTORS}, got {self.executor!r}")
         if self.overload not in POLICIES:
             raise ValueError(f"overload must be one of {POLICIES}, got {self.overload!r}")
         if self.fanout_policy is not None and self.fanout_policy not in POLICIES:
@@ -172,12 +166,6 @@ class ServeConfig:
             raise ValueError("subscriber_buffer must be >= 1")
         if self.tick_interval is not None and self.tick_interval <= 0:
             raise ValueError("tick_interval must be positive")
-        if self.rebalance and self.backend != BACKEND_SHARDED:
-            raise ValueError("rebalance requires the sharded backend")
-        if self.rebalance_threshold <= 1.0:
-            raise ValueError("rebalance_threshold must be > 1.0")
-        if self.rebalance_patience < 1 or self.rebalance_cooldown < 0:
-            raise ValueError("rebalance_patience >= 1 and rebalance_cooldown >= 0")
 
     @property
     def effective_fanout_policy(self) -> str:
@@ -230,20 +218,11 @@ class CRNNServer:
         mc = self.config.monitor if self.config.monitor is not None else MonitorConfig.lu_pi()
         if self.config.backend == BACKEND_SHARDED:
             from repro.shard.monitor import ShardedCRNNMonitor
-            from repro.shard.rebalance import RebalanceConfig
 
-            rebalance = None
-            if self.config.rebalance:
-                rebalance = RebalanceConfig(
-                    imbalance_threshold=self.config.rebalance_threshold,
-                    patience_ticks=self.config.rebalance_patience,
-                    cooldown_ticks=self.config.rebalance_cooldown,
-                )
             self.monitor: Union[CRNNMonitor, "ShardedCRNNMonitor"] = ShardedCRNNMonitor(
                 mc,
                 shards=self.config.shards,
                 executor=self.config.executor,
-                rebalance=rebalance,
             )
         else:
             self.monitor = CRNNMonitor(mc)
@@ -1043,20 +1022,14 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--backend", choices=BACKENDS, default=BACKEND_SERIAL)
     parser.add_argument("--shards", type=int, default=2,
                         help="stripe count of the sharded backend")
-    parser.add_argument("--executor", default="serial",
-                        help="executor of the sharded backend (serial|process)")
+    parser.add_argument("--executor", choices=EXECUTORS, default="serial",
+                        help="executor of the sharded backend")
     parser.add_argument("--tick-interval", type=float, default=0.1,
                         help="seconds between automatic ticks (0 = explicit ticks only)")
     parser.add_argument("--max-pending", type=int, default=100_000)
     parser.add_argument("--overload", choices=POLICIES, default=POLICY_BLOCK)
     parser.add_argument("--checkpoint", default=None,
                         help="write a verified checkpoint here on shutdown")
-    parser.add_argument("--rebalance", action="store_true",
-                        help="adaptive shard rebalancing (sharded backend only)")
-    parser.add_argument("--rebalance-threshold", type=float, default=1.5,
-                        help="max/mean shard-load ratio that triggers a re-split")
-    parser.add_argument("--rebalance-cooldown", type=int, default=50,
-                        help="minimum ticks between committed plan changes")
     args = parser.parse_args(argv)
 
     config = ServeConfig(
@@ -1069,9 +1042,6 @@ def main(argv: Optional[list] = None) -> int:
         max_pending=args.max_pending,
         overload=args.overload,
         checkpoint_path=args.checkpoint,
-        rebalance=args.rebalance,
-        rebalance_threshold=args.rebalance_threshold,
-        rebalance_cooldown=args.rebalance_cooldown,
     )
     thread = ServerThread(config)
     host, port = thread.start()

@@ -8,11 +8,12 @@ point is :class:`ShardedCRNNMonitor`, a drop-in for
 :class:`~repro.core.monitor.CRNNMonitor` whose event stream and logical
 counters are bit-identical to the single-shard monitor's.
 
-Worker processes are fault-tolerant: :class:`ShardSupervisor` (enabled
-by passing a :class:`SupervisionConfig`) detects crashed, hung, and
-protocol-violating workers, rebuilds them bit-identically from exact
-per-shard checkpoints plus a tick journal, and — when the respawn
-budget is exhausted — can degrade the stripe to in-process execution.
+Worker processes are fault-tolerant: :class:`ShardSupervisor` (always
+on under the process executor; tuned by a :class:`SupervisionConfig`)
+detects crashed, hung, and protocol-violating workers, rebuilds them
+bit-identically from exact per-shard checkpoints plus a tick journal,
+and — when the respawn budget is exhausted — can degrade the stripe to
+in-process execution.
 Failures surface as typed :class:`ShardWorkerError`.  The
 :mod:`repro.shard.chaos` harness injects deterministic worker faults
 for testing.

@@ -205,7 +205,6 @@ def run_kill_loop(
     kill_every: int = 5,
     seed: int = 0,
     min_ticks: int = 0,
-    rebalance_every: int = 0,
 ) -> dict:
     """Run the seeded kill-loop; returns a summary dict, raises on any
     parity violation.
@@ -215,9 +214,6 @@ def run_kill_loop(
     stream until the time budget (and ``min_ticks``) is spent, with
     workers SIGKILLed every ``kill_every`` ticks at seeded kill points.
     Event streams are compared every tick, logical counters at the end.
-    A non-zero ``rebalance_every`` additionally forces a live plan
-    migration every Nth tick (``make rebalance-smoke``), proving the
-    PR-9 migration protocol holds parity with kills interleaved.
     """
     import random
 
@@ -238,7 +234,6 @@ def run_kill_loop(
         supervision=supervision, chaos=spec,
     )
     ticks = 0
-    rebalances = 0
     deadline = time.monotonic() + seconds
     try:
         assert mono.process(initial) == sharded.process(initial)
@@ -250,21 +245,6 @@ def run_kill_loop(
                 f"event stream diverged from the single monitor at tick {ticks}"
             )
             ticks += 1
-            if rebalance_every and ticks % rebalance_every == 0:
-                from repro.shard.plan import StripePlan
-
-                plan = sharded.plan
-                starts = list(plan.starts)
-                step = 1 if (ticks // rebalance_every) % 2 else -1
-                moved = starts[1] + step
-                hi = starts[2] if len(starts) > 2 else plan.n
-                if starts[0] < moved < hi:
-                    starts[1] = moved
-                    if sharded.rebalance_now(StripePlan.from_starts(
-                        plan.bounds, plan.n, tuple(starts),
-                        version=plan.version + 1,
-                    )):
-                        rebalances += 1
         base = logical_subset(mono.stats.snapshot())
         got = logical_subset(sharded.aggregated_stats().snapshot())
         assert got == base, f"logical counters diverged: {got} != {base}"
@@ -273,10 +253,6 @@ def run_kill_loop(
         if ticks >= 2 * kill_every:
             assert report["restarts_total"] > 0, (
                 "kill loop ran but no worker was ever killed — chaos miswired"
-            )
-        if rebalance_every and ticks >= 2 * rebalance_every:
-            assert rebalances > 0, (
-                "rebalance loop ran but no migration ever committed"
             )
     finally:
         sharded.close()
@@ -287,8 +263,6 @@ def run_kill_loop(
         "seed": seed,
         "restarts_total": report["restarts_total"],
         "degraded": sorted(report["degraded_shards"]),
-        "rebalances_committed": rebalances,
-        "plan_version": sharded.plan.version,
         "logical_counters": base,
     }
 
@@ -308,15 +282,11 @@ def main(argv: Optional[list] = None) -> int:
                         help="chaos + stream seed (default: %(default)s)")
     parser.add_argument("--min-ticks", type=int, default=0,
                         help="run at least this many ticks regardless of time")
-    parser.add_argument("--rebalance-every", type=int, default=0,
-                        help="force a live plan migration every Nth tick "
-                             "(0 = never; `make rebalance-smoke` uses this)")
     args = parser.parse_args(argv)
     t0 = time.monotonic()
     summary = run_kill_loop(
         args.seconds, shards=args.shards, kill_every=args.kill_every,
         seed=args.seed, min_ticks=args.min_ticks,
-        rebalance_every=args.rebalance_every,
     )
     summary["wall_seconds"] = round(time.monotonic() - t0, 1)
     print(f"[chaos-smoke] parity held: {summary}", file=sys.stderr)

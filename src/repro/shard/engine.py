@@ -389,8 +389,8 @@ def dispatch_op(engine: ShardEngine, op: str, args: tuple) -> object:
     if op == "tick":
         # Worker 0 additionally reports halo traffic for every shard
         # (it sees the same full move list as everyone).  The wall-time
-        # of the shard's compute rides back as the 5th element — the
-        # live load signal the PR 9 rebalancer consumes.
+        # of the shard's compute rides back as the 5th element
+        # (``TickReport.shard_seconds``, the imbalance gauge's input).
         from time import perf_counter
 
         t0 = perf_counter()

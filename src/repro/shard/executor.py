@@ -58,17 +58,7 @@ __all__ = [
     "ProcessExecutor",
     "TickReport",
     "ShardWorkerError",
-    "RebalanceAborted",
 ]
-
-
-class RebalanceAborted(RuntimeError):
-    """A live migration failed mid-apply and was rolled back bit-exactly.
-
-    The monitor state (worker engines, recovery checkpoints, journals)
-    is back to the instant before the migration started, under the old
-    plan; the caller may keep ticking and retry after the cooldown.
-    """
 
 
 @dataclass
@@ -84,8 +74,8 @@ class TickReport:
     n_circ_moves: int = 0
     #: shard -> boundary-crossing moves entering its halo this tick.
     halo: dict[int, int] = field(default_factory=dict)
-    #: Per-shard compute wall-time of this tick (seconds, shard order) —
-    #: the live load signal the PR 9 rebalancer consumes.
+    #: Per-shard compute wall-time of this tick (seconds, shard order);
+    #: its max/mean is the ``crnn_shard_imbalance_ratio`` gauge.
     shard_seconds: list[float] = field(default_factory=list)
 
 
@@ -100,50 +90,6 @@ class _MapShim:
     def __init__(self, grid: GridIndex, stats: StatCounters):
         self.grid = grid
         self.stats = stats
-
-
-def _transfer_query(src: ShardEngine, dst: ShardEngine, qid: int) -> None:
-    """Move one query's exact monitoring state between shared-grid engines.
-
-    The serial-executor half of live rebalancing: the query's table
-    state, per-sector circ records (with their hysteretic lazy radii and
-    certificates), result set, and RNN multiplicity counts are *moved*,
-    never recomputed — no NN search runs and no event is emitted, so the
-    migration is invisible to logical counters and the event stream.
-    Pie-cell registrations live in the shared grid keyed by qid and need
-    no touch-up.  The FUR-tree and NN-hash memberships are unlinked on
-    the source and relinked on the destination through the stores' own
-    ``_refresh_candidate`` maintenance, keeping both trees' aggregated
-    radii exact.
-    """
-    state = src.inner.qt._states.pop(qid)
-    dst.inner.qt._states[qid] = state
-    s_circ, d_circ = src.inner.circ, dst.inner.circ
-    for rec in sorted(s_circ.records_of_query(qid), key=lambda r: r.sector):
-        key = (qid, rec.sector)
-        del s_circ._records[key]
-        if rec.nn is not None:
-            members = s_circ.nn_hash.get(rec.nn)
-            if members is not None:
-                members.discard(key)
-                if not members:
-                    del s_circ.nn_hash[rec.nn]
-        cand_keys = s_circ.by_cand.get(rec.cand)
-        if cand_keys is not None:
-            cand_keys.discard(key)
-            if not cand_keys:
-                del s_circ.by_cand[rec.cand]
-        s_circ._refresh_candidate(rec.cand, None)
-        d_circ._records[key] = rec
-        d_circ.by_cand.setdefault(rec.cand, set()).add(key)
-        if rec.nn is not None:
-            d_circ.nn_hash.setdefault(rec.nn, set()).add(key)
-        d_circ._refresh_candidate(rec.cand, None)
-    if qid in src.inner._results:
-        dst.inner._results[qid] = src.inner._results.pop(qid)
-    counts = src.inner._rnn_counts.pop(qid, None)
-    if counts is not None:
-        dst.inner._rnn_counts[qid] = counts
 
 
 class SerialExecutor:
@@ -238,37 +184,6 @@ class SerialExecutor:
             tagged.extend(engine.drain_tagged())
         return True, tagged
 
-    # -- live rebalancing -------------------------------------------------
-    def rebalance(self, new_plan: StripePlan) -> dict[int, int]:
-        """Adopt ``new_plan`` by moving query state between engines.
-
-        Serial engines share one grid, so migration is a direct in-memory
-        transfer (:func:`_transfer_query`) of every query whose stripe
-        changed — no checkpoint round-trip, no events, no logical-counter
-        movement.  Must be called at a tick boundary (between public
-        operations).  Returns the complete ``qid -> owner shard`` map
-        under the new plan.
-        """
-        if new_plan.shards != len(self.engines):
-            raise ValueError(
-                f"rebalance cannot change the shard count "
-                f"({len(self.engines)} -> {new_plan.shards})"
-            )
-        owners: dict[int, int] = {}
-        moved: list[tuple[int, int, int]] = []
-        for k, engine in enumerate(self.engines):
-            for st in engine.inner.qt:
-                dest = new_plan.owner_of(st.pos)
-                owners[st.qid] = dest
-                if dest != k:
-                    moved.append((st.qid, k, dest))
-        for qid, src, dst in sorted(moved):
-            _transfer_query(self.engines[src], self.engines[dst], qid)
-        self.plan = new_plan
-        for engine in self.engines:
-            engine.plan = new_plan
-        return owners
-
     # -- query ops (owner-side) ------------------------------------------
     def add_query(
         self, shard: int, qid: int, pos: Point, exclude: frozenset[int], seq: int = 0
@@ -356,16 +271,15 @@ def _worker_main(
     """Worker process loop: build one private-grid engine, serve RPCs.
 
     Runs until a ``close`` request (or EOF on the pipe).  Every request
-    is ``(plan_version | None, trace_ctx | None, op, *args)`` and every
-    reply ``(status, payload, obs_delta | None)``: ``("ok", payload,
-    delta)`` with the worker-side observability kit's counters/spans
-    piggybacked as ``delta``, ``("err", repr, None)`` so
-    coordinator-side errors carry context, or ``("stale", info, None)``
-    when the stamped plan version is not the worker's.  The op
-    set itself lives in :func:`~repro.shard.engine.dispatch_op`; this
-    loop adds the lifecycle ops — ``close``, ``restore`` (rebuild the
-    engine from an exact checkpoint), ``arm`` (start chaos injection),
-    ``checkpoint`` (exact state capture) — and, when a
+    is ``(trace_ctx | None, op, *args)`` and every reply ``(status,
+    payload, obs_delta | None)``: ``("ok", payload, delta)`` with the
+    worker-side observability kit's counters/spans piggybacked as
+    ``delta``, or ``("err", repr, None)`` so coordinator-side errors
+    carry context.  The op set itself lives in
+    :func:`~repro.shard.engine.dispatch_op`; this loop adds the
+    lifecycle ops — ``close``, ``restore`` (rebuild the engine from an
+    exact checkpoint), ``arm`` (start chaos injection), ``checkpoint``
+    (exact state capture) — and, when a
     :class:`~repro.shard.chaos.ChaosSpec` is supplied, the seeded fault
     injection around each request.
 
@@ -398,14 +312,7 @@ def _worker_main(
             request = conn.recv()
         except (EOFError, OSError):
             break
-        want_version, ctx, op, args = request[0], request[1], request[2], request[3:]
-        if want_version is not None and want_version != plan.version:
-            # The coordinator moved to a newer plan this worker never
-            # adopted (e.g. a lost rebalance op): computing against the
-            # wrong stripe map would silently corrupt parity, so refuse
-            # and let the supervisor respawn us under the current plan.
-            conn.send(("stale", {"have": plan.version, "want": want_version}, None))
-            continue
+        ctx, op, args = request[0], request[1], request[2:]
         action = agent.plan(op) if agent is not None else None
         if action is not None:
             if action.delay:
@@ -431,19 +338,6 @@ def _worker_main(
                 payload = None
             elif op == "checkpoint":
                 payload = engine_snapshot(engine)
-            elif op == "rebalance":
-                # Live migration: adopt a new stripe plan and rebuild the
-                # engine from the coordinator's spliced exact snapshot.
-                # Flush any counter drift first — wire() below re-baselines
-                # the worker-obs kit on the restored values, so an unflushed
-                # delta would be lost to the coordinator's merge.
-                if wobs is not None:
-                    delta = wobs.delta(engine.inner.stats)
-                plan = StripePlan.from_args(args[0])
-                engine = rehydrate_engine(config, plan, shard, args[1])
-                if wobs is not None:
-                    wobs.wire(engine)
-                payload = None
             elif wobs is not None:
                 trace_ctx = TraceContext.from_wire(ctx) if ctx is not None else None
                 with wobs.op_span(trace_ctx, op):
@@ -595,29 +489,24 @@ class ProcessExecutor:
             self._ctx = mp.get_context(mp_context)
         except ValueError:  # pragma: no cover - platform fallback
             self._ctx = mp.get_context("spawn")
-        # The live plan rides in a mutable box: rebalancing swaps the
-        # box contents so respawns (whose closures below must never
-        # capture ``self`` — see the GC note) come up under the current
-        # plan without re-wiring the supervisor.
-        self._plan_box = {"plan": plan, "plan_args": plan.to_args()}
-        self._chaos = chaos
+        self.plan = plan
         # The supervisor's callbacks close over plain data, never over
         # ``self``: the finalize guard below keeps the supervisor alive,
         # so any supervisor->executor reference would make the executor
         # permanently reachable and the guard would never fire on GC.
         ctx, worker_config = self._ctx, self._worker_config
-        plan_box = self._plan_box
+        plan_args = plan.to_args()
 
         def spawn(shard: int, incarnation: int):
             # _spawn_worker resolved at call time (monkeypatch seam).
             return _spawn_worker(
-                ctx, worker_config, plan_box["plan_args"], shard, chaos, incarnation
+                ctx, worker_config, plan_args, shard, chaos, incarnation
             )
 
         def local_factory(shard: int, snap: dict) -> ShardEngine:
             from repro.shard.journal import rehydrate_engine
 
-            return rehydrate_engine(worker_config, plan_box["plan"], shard, snap)
+            return rehydrate_engine(worker_config, plan, shard, snap)
 
         self.supervisor = ShardSupervisor(
             shards=plan.shards,
@@ -642,37 +531,17 @@ class ProcessExecutor:
             raise
 
     # -- RPC plumbing ----------------------------------------------------
-    @property
-    def plan(self) -> StripePlan:
-        """The live stripe plan (rebalancing swaps it atomically)."""
-        return self._plan_box["plan"]
-
-    @plan.setter
-    def plan(self, plan: StripePlan) -> None:
-        """Install a new plan (and its wire form) in the shared box."""
-        self._plan_box["plan"] = plan
-        self._plan_box["plan_args"] = plan.to_args()
-
     def _request(self, op: str, args: tuple) -> tuple:
-        """``(plan_version, trace_ctx, op, *args)`` for one regular op.
+        """``(trace_ctx, op, *args)`` for one regular op.
 
         The trace context is set only when worker observability is on
         and a span is actually recording — unsampled ticks propagate no
-        context, so workers suppress their subtree.  The plan version
-        goes on every regular request: a worker holding a superseded
-        plan replies ``stale`` instead of computing against the wrong
-        stripe map (lifecycle ops carry ``None`` — they are valid
-        regardless of the plan the worker holds).
+        context, so workers suppress their subtree.
         """
         ctx = None
         if self._worker_obs_on and self.tracer is not None:
             ctx = current_context(self.tracer)
-        return (
-            self._plan_box["plan"].version,
-            ctx.to_wire() if ctx is not None else None,
-            op,
-            *args,
-        )
+        return (ctx.to_wire() if ctx is not None else None, op, *args)
 
     def _call(self, shard: int, op: str, *args) -> Any:
         return self.supervisor.request(shard, self._request(op, args))
@@ -700,73 +569,6 @@ class ProcessExecutor:
         report.shard_seconds = [r[4] for r in replies]
         self.supervisor.maybe_checkpoint()
         return report
-
-    # -- live rebalancing -------------------------------------------------
-    def rebalance(self, new_plan: StripePlan) -> dict[int, int]:
-        """Adopt ``new_plan`` by live-migrating worker state.
-
-        Protocol (the caller quiesces at a tick boundary):
-
-        1. **Gather** — broadcast ``checkpoint``; every worker returns
-           its exact snapshot (supervised: a crash here recovers
-           normally under the old plan).
-        2. **Splice** — regroup the snapshots by the new plan's
-           ownership (:func:`~repro.shard.rebalance.splice_shard_snapshots`),
-           pure coordinator-side computation.
-        3. **Apply** — send each worker a ``rebalance`` op carrying the
-           new plan and its spliced snapshot.  Unsupervised on purpose:
-           any failure (including a chaos kill mid-migration) aborts to
-           step R below instead of triggering checkpoint replay.
-        4. **Commit** — swap the plan box (so respawns and request
-           stamps use the new plan) and adopt the spliced snapshots as
-           the supervisor's new recovery baseline (journals truncate:
-           the snapshots *are* the current state).
-
-        R. **Rollback** — respawn every worker fresh (new incarnations
-           start chaos-disarmed, so rollback traffic is
-           injection-exempt), restore each from its step-1 snapshot,
-           re-adopt those snapshots as the recovery baseline, re-arm.
-           State is bit-identical to the moment before step 1.
-
-        Returns the complete ``qid -> owner shard`` map under the plan
-        that is live when the call returns.  Raises
-        :class:`ShardWorkerError` only if the rollback itself fails.
-        """
-        from repro.shard.rebalance import splice_shard_snapshots
-
-        old_plan = self._plan_box["plan"]
-        if new_plan.shards != old_plan.shards:
-            raise ValueError(
-                f"rebalance cannot change the shard count "
-                f"({old_plan.shards} -> {new_plan.shards})"
-            )
-        sup = self.supervisor
-        if sup.degraded:
-            raise RebalanceAborted(
-                f"refusing to migrate with degraded shards {sorted(sup.degraded)}"
-            )
-        snaps = sup.broadcast((None, None, "checkpoint"))
-        new_snaps, owners = splice_shard_snapshots(snaps, new_plan)
-        try:
-            for shard in range(old_plan.shards):
-                sup._exchange(
-                    shard, (None, None, "rebalance", new_plan.to_args(), new_snaps[shard])
-                )
-        except ShardWorkerError:
-            for shard in range(old_plan.shards):
-                sup.respawn_fresh(shard)
-                sup._exchange(shard, (None, None, "restore", snaps[shard]))
-            sup.adopt_plan_state(snaps)
-            if self._chaos is not None:
-                for shard in range(old_plan.shards):
-                    sup._exchange(shard, (None, None, "arm"))
-            raise RebalanceAborted(
-                "migration failed; all shards rolled back to plan "
-                f"v{old_plan.version}"
-            )
-        self.plan = new_plan
-        sup.adopt_plan_state(new_snaps)
-        return owners
 
     # -- scalar object ops ----------------------------------------------
     def scalar(

@@ -92,7 +92,6 @@ LIFECYCLE_OPS = frozenset(
         "restore",
         "arm",
         "checkpoint",
-        "rebalance",
     }
 )
 

@@ -48,9 +48,8 @@ from repro.obs.flight import FlightRecorder
 from repro.perf import PhaseTimers
 from repro.robustness.guard import IngestionGuard
 from repro.shard.engine import TaggedEvent
-from repro.shard.executor import ProcessExecutor, RebalanceAborted, SerialExecutor
+from repro.shard.executor import ProcessExecutor, SerialExecutor
 from repro.shard.plan import StripePlan
-from repro.shard.rebalance import RebalanceConfig, RebalanceController
 from repro.shard.supervisor import SupervisionConfig, SupervisorHooks
 
 __all__ = ["ShardedCRNNMonitor"]
@@ -84,13 +83,6 @@ class ShardedCRNNMonitor:
     chaos:
         Optional :class:`~repro.shard.chaos.ChaosSpec` injecting seeded
         worker faults (process executor only; testing).
-    rebalance:
-        Optional :class:`~repro.shard.rebalance.RebalanceConfig`
-        enabling adaptive live rebalancing (PR 9): per-stripe tick
-        wall-times feed an imbalance detector, and sustained skew
-        triggers a bit-exact state migration to a load-weighted plan
-        between ticks.  ``None`` (the default) keeps the static plan;
-        :meth:`rebalance_now` still accepts operator-forced migrations.
 
     Examples
     --------
@@ -109,7 +101,6 @@ class ShardedCRNNMonitor:
         mp_context: str = "fork",
         supervision: Optional[SupervisionConfig] = None,
         chaos=None,
-        rebalance: Optional[RebalanceConfig] = None,
     ):
         self.config = config if config is not None else MonitorConfig()
         if not self.config.uses_fur_store:
@@ -132,21 +123,13 @@ class ShardedCRNNMonitor:
         self.timers = PhaseTimers()
         self.obs = Observability(self.config.observability)
         self.plan = StripePlan(self.config.bounds, self.config.grid_cells, shards)
-        #: Live-rebalance controller (``None`` = static plan); its load
-        #: tracker and imbalance gauge run on every tick when present.
-        self._rebalancer: Optional[RebalanceController] = (
-            RebalanceController(self.plan, rebalance)
-            if rebalance is not None
-            else None
-        )
-        #: Lifetime migration outcomes (also exported as
-        #: ``crnn_shard_rebalances_total{outcome=...}``).
-        self.rebalance_outcomes = {"committed": 0, "rolled_back": 0, "skipped": 0}
+        #: Max/mean of the last tick's per-stripe compute wall-times
+        #: (1.0 = perfectly balanced; the static split's skew, also
+        #: exported as ``crnn_shard_imbalance_ratio``).
+        self.imbalance_ratio = 1.0
         #: Coordinator-side merger of worker metric/span deltas (process
         #: executor with observability only; see DESIGN §12).
         self._shard_obs: Optional[ShardObsMerger] = None
-        #: Crash-safe flight recorder (same condition as above).
-        self._flight: Optional[FlightRecorder] = None
         if executor == "serial":
             self.executor: Union[SerialExecutor, ProcessExecutor] = SerialExecutor(
                 self.config, self.plan, self.stats,
@@ -238,12 +221,11 @@ class ShardedCRNNMonitor:
         if not self.obs.enabled:
             return None
         cfg = self.config.observability
-        self._flight = FlightRecorder(
+        return FlightRecorder(
             self.plan.shards,
             capacity=cfg.flight_capacity,
             flight_dir=cfg.flight_dir,
         )
-        return self._flight
 
     def _make_delta_sink(self):
         """Bind worker obs-delta delivery to the coordinator merger.
@@ -272,25 +254,15 @@ class ShardedCRNNMonitor:
         registry = self.obs.registry
         if not self.obs.enabled:
             self._m_events = self._m_halo = self._m_updates = None
-            self._m_rebalances = self._m_imbalance = self._m_plan_version = None
+            self._m_imbalance = None
             return
         registry.gauge("crnn_shards", "configured shard count").set(
             float(self.plan.shards)
-        )
-        self._m_rebalances = registry.counter(
-            "crnn_shard_rebalances_total",
-            "live plan migrations by outcome "
-            "(committed / rolled_back / skipped)",
-            ("outcome",),
         )
         self._m_imbalance = registry.gauge(
             "crnn_shard_imbalance_ratio",
             "max/mean per-stripe tick wall-time (1.0 = perfectly balanced)",
         )
-        self._m_plan_version = registry.gauge(
-            "crnn_shard_plan_version", "generation of the live stripe plan"
-        )
-        self._m_plan_version.set(float(self.plan.version))
         self._m_updates = registry.counter(
             "crnn_shard_ticks_total", "object-phase ticks executed", ("executor",)
         )
@@ -420,8 +392,6 @@ class ShardedCRNNMonitor:
         self._owner[qid] = shard
         self._exclude[qid] = excl
         self._results.setdefault(qid, set())
-        if self._rebalancer is not None:
-            self._rebalancer.tracker.note_query(qid, self.plan.column_of(checked[0]))
         self._merge(tagged)
         return frozenset(self._results[qid])
 
@@ -432,8 +402,6 @@ class ShardedCRNNMonitor:
             return False
         shard = self._owner.pop(qid)
         self._exclude.pop(qid, None)
-        if self._rebalancer is not None:
-            self._rebalancer.tracker.drop_query(qid)
         _removed, tagged = self.executor.remove_query(shard, qid)
         self._merge(tagged)
         self._results.pop(qid, None)
@@ -455,8 +423,6 @@ class ShardedCRNNMonitor:
             return
         old_shard = self._owner[qid]
         new_shard = self.plan.owner_of(checked)
-        if self._rebalancer is not None:
-            self._rebalancer.tracker.note_query(qid, self.plan.column_of(checked[0]))
         if new_shard == old_shard:
             self._merge(self.executor.update_query(old_shard, qid, checked))
             return
@@ -480,107 +446,6 @@ class ShardedCRNNMonitor:
                 for oid in sorted(after - before)
             )
             self._merge(tagged)
-
-    # ------------------------------------------------------------------
-    # Live rebalancing (PR 9)
-    # ------------------------------------------------------------------
-    def rebalance_now(self, new_plan: Optional[StripePlan] = None) -> bool:
-        """Force a live migration right now (the caller is quiesced).
-
-        With a configured controller and no explicit plan, migrates to
-        the controller's current load-weighted proposal (``False`` if
-        the proposal moves no boundary).  An explicit ``new_plan`` must
-        keep the shard count; a plan without a fresh generation number
-        is re-stamped at ``current version + 1`` so stale-worker
-        detection keeps working.  Returns whether a migration committed.
-        """
-        if new_plan is None:
-            if self._rebalancer is None:
-                raise RuntimeError(
-                    "no rebalance controller configured; pass an explicit plan"
-                )
-            new_plan = self._rebalancer.propose()
-            if new_plan is None:
-                return False
-        elif new_plan.version <= self.plan.version:
-            new_plan = StripePlan.from_starts(
-                new_plan.bounds, new_plan.n, new_plan.starts,
-                version=self.plan.version + 1,
-            )
-        return self._apply_plan(new_plan)
-
-    def _apply_plan(self, new_plan: StripePlan) -> bool:
-        """Execute one live migration; returns whether it committed.
-
-        Outcomes land in :attr:`rebalance_outcomes`, the
-        ``crnn_shard_rebalances_total`` counter, and the flight
-        recorder.  The migration is skipped (not attempted) while a
-        recovery is in flight or a stripe runs degraded — the interlock
-        that keeps migration and crash recovery from interleaving.
-        """
-        old_plan = self.plan
-        sup = getattr(self.executor, "supervisor", None)
-        if sup is not None and (sup.recovering or sup.degraded):
-            self._count_rebalance("skipped")
-            self._flight_plan_event(
-                "plan_skipped",
-                f"v{new_plan.version} not attempted: "
-                f"recovering={sup.recovering} degraded={sorted(sup.degraded)}",
-            )
-            if self._rebalancer is not None:
-                self._rebalancer.note_plan_change(old_plan)
-            return False
-        with self.obs.tracer.span(
-            "shard.rebalance",
-            from_version=old_plan.version,
-            to_version=new_plan.version,
-        ):
-            try:
-                owners = self.executor.rebalance(new_plan)
-            except RebalanceAborted as exc:
-                self._count_rebalance("rolled_back")
-                self._flight_plan_event(
-                    "plan_rollback", f"v{new_plan.version} aborted: {exc}"
-                )
-                if self._rebalancer is not None:
-                    self._rebalancer.note_plan_change(old_plan)
-                return False
-        self.plan = new_plan
-        # In-place remap: the ingestion guard holds this dict's bound
-        # ``__contains__``, so the mapping object itself must survive.
-        self._owner.clear()
-        self._owner.update(owners)
-        if self._rebalancer is not None:
-            self._rebalancer.note_plan_change(new_plan)
-        self._count_rebalance("committed")
-        if self._m_plan_version is not None:
-            self._m_plan_version.set(float(new_plan.version))
-        self._flight_plan_event(
-            "plan_change",
-            f"v{old_plan.version} -> v{new_plan.version} "
-            f"starts={list(new_plan.starts)}",
-        )
-        return True
-
-    def _count_rebalance(self, outcome: str) -> None:
-        self.rebalance_outcomes[outcome] += 1
-        if self._m_rebalances is not None:
-            self._m_rebalances.labels(outcome).inc()
-
-    def _flight_plan_event(self, kind: str, detail: str) -> None:
-        """Put a plan-lifecycle entry on every shard's flight ring."""
-        if self._flight is not None:
-            for shard in range(self.plan.shards):
-                self._flight.record_event(shard, kind, detail)
-
-    @property
-    def imbalance_ratio(self) -> float:
-        """Latest max/mean stripe tick-time ratio (1.0 without a controller)."""
-        return (
-            self._rebalancer.imbalance_ratio
-            if self._rebalancer is not None
-            else 1.0
-        )
 
     # ------------------------------------------------------------------
     # Batched processing
@@ -613,6 +478,11 @@ class ShardedCRNNMonitor:
             with self.timers.phase("shard_tick"):
                 report = self.executor.tick(sanitized)
         self._containment += report.n_circ_moves
+        seconds = report.shard_seconds
+        mean = sum(seconds) / len(seconds)
+        self.imbalance_ratio = max(seconds) / mean if mean > 0.0 else 1.0
+        if self._m_imbalance is not None:
+            self._m_imbalance.set(self.imbalance_ratio)
         for update in sanitized:
             if isinstance(update, ObjectUpdate):
                 if update.pos is None:
@@ -638,38 +508,7 @@ class ShardedCRNNMonitor:
                         self.update_query(update.qid, update.pos)
                     else:
                         self.add_query(update.qid, update.pos)
-        if self._rebalancer is not None:
-            self._note_tick_load(sanitized, report)
         return self._events[mark:]
-
-    def _note_tick_load(self, sanitized: list, report) -> None:
-        """Feed one tick's load signals to the rebalance controller.
-
-        Charges each object-update endpoint to its grid column, folds
-        the tick into the EWMA, digests the per-stripe wall-times, and
-        — when sustained skew crosses the configured threshold outside
-        warmup/cooldown — proposes and executes a live migration.  Runs
-        after the queries phase, i.e. at a quiesced tick boundary.
-        """
-        ctl = self._rebalancer
-        tracker = ctl.tracker
-        column_of = self.plan.column_of
-        for update in sanitized:
-            if isinstance(update, ObjectUpdate) and update.pos is not None:
-                tracker.note_event(column_of(update.pos[0]))
-        tracker.end_tick()
-        trigger = ctl.note_tick(report.shard_seconds)
-        if self._m_imbalance is not None:
-            self._m_imbalance.set(ctl.imbalance_ratio)
-        if trigger:
-            candidate = ctl.propose()
-            if candidate is None:
-                # Skew without a better split (e.g. one mega-column):
-                # restart the cooldown so the proposal isn't recomputed
-                # every tick.
-                ctl.note_plan_change(self.plan)
-            else:
-                self._apply_plan(candidate)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -747,9 +586,7 @@ class ShardedCRNNMonitor:
         report = self.supervision_report()
         out["shard_restarts"] = float(report["restarts_total"])
         out["shards_degraded"] = float(len(report["degraded_shards"]))
-        out["plan_version"] = float(self.plan.version)
-        out["rebalances_committed"] = float(self.rebalance_outcomes["committed"])
-        out["imbalance_ratio"] = float(self.imbalance_ratio)
+        out["imbalance_ratio"] = self.imbalance_ratio
         out.update(
             (name, float(value))
             for name, value in self.guard.violation_counts().items()

@@ -13,7 +13,7 @@ read objects arbitrarily far away (DESIGN §9).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -35,30 +35,16 @@ class StripePlan:
 
     Notes
     -----
-    By default shard ``k`` owns grid columns ``[floor(k*n/K),
-    floor((k+1)*n/K))`` — the balanced contiguous split.  Passing
-    ``starts`` installs an explicit (e.g. load-weighted) split instead;
-    see :meth:`weighted` and :meth:`from_starts`.  Ownership of a point
-    follows the column of the cell the grid would place it in, so
-    stripe boundaries and cell boundaries coincide and a boundary point
-    belongs to the stripe on its right (grid truncation), clamped at
-    the space edge.
-
-    ``version`` is the plan's generation number.  PR 9's live
-    rebalancer bumps it on every migration; the process executor stamps
-    it on every request so a worker still holding a superseded plan
-    detects the mismatch and replies ``stale`` instead of computing
-    against the wrong stripe map.
+    Shard ``k`` owns grid columns ``[floor(k*n/K), floor((k+1)*n/K))`` —
+    the balanced contiguous split, fixed for the life of the monitor
+    (DESIGN §13 records why it is not re-cut under load).  Ownership of
+    a point follows the column of the cell the grid would place it in,
+    so stripe boundaries and cell boundaries coincide and a boundary
+    point belongs to the stripe on its right (grid truncation), clamped
+    at the space edge.
     """
 
-    def __init__(
-        self,
-        bounds: Rect,
-        grid_cells: int,
-        shards: int,
-        starts: Optional[Sequence[int]] = None,
-        version: int = 0,
-    ) -> None:
+    def __init__(self, bounds: Rect, grid_cells: int, shards: int) -> None:
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
         if shards > grid_cells:
@@ -68,31 +54,12 @@ class StripePlan:
         self.bounds = bounds
         self.n = grid_cells
         self.shards = shards
-        #: Plan generation, bumped by every rebalance (0 = the initial plan).
-        self.version = int(version)
         self._cell_w = bounds.width / grid_cells
         #: First grid column of each stripe, plus a terminal ``n``:
         #: stripe ``k`` covers columns ``[starts[k], starts[k+1])``.
-        if starts is None:
-            self.starts: tuple[int, ...] = tuple(
-                (k * grid_cells) // shards for k in range(shards)
-            ) + (grid_cells,)
-        else:
-            starts = tuple(int(s) for s in starts)
-            if len(starts) != shards + 1:
-                raise ValueError(
-                    f"starts must have K+1={shards + 1} entries, got {len(starts)}"
-                )
-            if starts[0] != 0 or starts[-1] != grid_cells:
-                raise ValueError(
-                    f"starts must span [0, {grid_cells}], got {starts}"
-                )
-            for a, b in zip(starts, starts[1:]):
-                if b <= a:
-                    raise ValueError(
-                        f"every stripe needs at least one column: {starts}"
-                    )
-            self.starts = starts
+        self.starts: tuple[int, ...] = tuple(
+            (k * grid_cells) // shards for k in range(shards)
+        ) + (grid_cells,)
         #: Column -> owning shard, precomputed for O(1) point lookup.
         owner = []
         for k in range(shards):
@@ -100,82 +67,16 @@ class StripePlan:
         self._col_owner: tuple[int, ...] = tuple(owner)
 
     # ------------------------------------------------------------------
-    # Alternate constructors + wire form
+    # Wire form
     # ------------------------------------------------------------------
-    @classmethod
-    def from_starts(
-        cls, bounds: Rect, grid_cells: int, starts: Sequence[int], version: int = 0
-    ) -> "StripePlan":
-        """A plan with an explicit column split (``len(starts) == K+1``)."""
-        return cls(
-            bounds, grid_cells, len(starts) - 1, starts=starts, version=version
-        )
-
-    @classmethod
-    def weighted(
-        cls,
-        bounds: Rect,
-        grid_cells: int,
-        shards: int,
-        column_loads: Sequence[float],
-        version: int = 0,
-    ) -> "StripePlan":
-        """A load-weighted split: boundaries placed so every stripe
-        carries roughly ``total_load / K`` of the observed per-column
-        load, subject to each stripe keeping at least one column.
-
-        ``column_loads`` is a length-``n`` sequence of non-negative
-        weights (any scale).  Zero total load degrades to the balanced
-        split.
-        """
-        if len(column_loads) != grid_cells:
-            raise ValueError(
-                f"need one load per column: {len(column_loads)} != {grid_cells}"
-            )
-        loads = [max(0.0, float(w)) for w in column_loads]
-        total = sum(loads)
-        if total <= 0.0 or shards == 1:
-            return cls(bounds, grid_cells, shards, version=version)
-        # Greedy cumulative cut: boundary k goes where the running load
-        # first reaches k/K of the total, then clamp so each stripe
-        # keeps >= 1 column (feasible because K <= n).
-        starts = [0]
-        acc = 0.0
-        col = 0
-        for k in range(1, shards):
-            target = total * k / shards
-            while col < grid_cells and acc + loads[col] <= target:
-                acc += loads[col]
-                col += 1
-            # Leave enough columns for the remaining K-k stripes and
-            # advance past the previous boundary.
-            cut = min(max(col, starts[-1] + 1), grid_cells - (shards - k))
-            starts.append(cut)
-            # Re-sync the accumulator with the clamped cut.
-            while col < cut:
-                acc += loads[col]
-                col += 1
-            col = max(col, cut)
-        starts.append(grid_cells)
-        return cls(
-            bounds, grid_cells, shards, starts=tuple(starts), version=version
-        )
-
     def to_args(self) -> tuple:
         """Pickle-friendly wire form (see :meth:`from_args`)."""
-        return (tuple(self.bounds), self.n, self.shards, self.starts, self.version)
+        return (tuple(self.bounds), self.n, self.shards)
 
     @classmethod
     def from_args(cls, args: tuple) -> "StripePlan":
-        """Rebuild from :meth:`to_args` output.
-
-        Also accepts the pre-PR 9 3-tuple ``(bounds, n, K)`` form so a
-        checkpoint written by an older coordinator still rehydrates.
-        """
-        bounds = Rect(*args[0])
-        if len(args) == 3:
-            return cls(bounds, args[1], args[2])
-        return cls(bounds, args[1], args[2], starts=args[3], version=args[4])
+        """Rebuild from :meth:`to_args` output."""
+        return cls(Rect(*args[0]), args[1], args[2])
 
     # ------------------------------------------------------------------
     # Ownership
@@ -254,7 +155,4 @@ class StripePlan:
         cols = ",".join(
             f"[{self.starts[k]},{self.starts[k + 1]})" for k in range(self.shards)
         )
-        return (
-            f"StripePlan(n={self.n}, K={self.shards}, v={self.version}, "
-            f"columns={cols})"
-        )
+        return f"StripePlan(n={self.n}, K={self.shards}, columns={cols})"

@@ -61,17 +61,14 @@ logger = logging.getLogger("repro.shard.supervisor")
 
 #: Failure kinds the supervisor recovers from; ``fault`` (a worker-side
 #: application error, i.e. a deterministic bug) is never recovered.
-#: ``stale`` (PR 9) means the worker holds a superseded stripe plan —
-#: its replacement respawns under the current plan and replays from the
-#: current-plan checkpoint, which heals the mismatch.
-RECOVERABLE_KINDS = frozenset({"crash", "hang", "protocol", "stale"})
+RECOVERABLE_KINDS = frozenset({"crash", "hang", "protocol"})
 
 #: Per-op hang-deadline multipliers over ``SupervisionConfig.op_deadline``
 #: — the liveness table: how long each protocol op may run before a
 #: silent worker is declared hung and killed.  Snapshot-moving ops
-#: (``restore``/``checkpoint``/``rebalance``) serialize whole engine
-#: states across the pipe and legitimately take several times a tick's
-#: budget; everything else replies within one.  Every op of the
+#: (``restore``/``checkpoint``) serialize whole engine states across
+#: the pipe and legitimately take several times a tick's budget;
+#: everything else replies within one.  Every op of the
 #: protocol — dispatchable (:func:`~repro.shard.engine.dispatch_op`)
 #: or lifecycle (the worker loop) — must have an entry: CRNN003
 #: (``crnnlint``) cross-checks this table against the dispatch set and
@@ -100,7 +97,6 @@ OP_DEADLINE_SCALE: dict[str, float] = {
     "arm": 1.0,
     "restore": 4.0,
     "checkpoint": 4.0,
-    "rebalance": 4.0,
 }
 
 
@@ -219,13 +215,11 @@ class _LocalShard:
 
     def request(self, request: tuple) -> Any:
         """Execute one request synchronously and return its payload."""
-        # In-process execution always holds the coordinator's current
-        # plan, so the version stamp is trusted; no worker kit to adopt
-        # the trace context into either.
-        op = request[2]
+        # No worker kit in-process to adopt the trace context into.
+        op = request[1]
         if op in LIFECYCLE_OPS:
             return None  # lifecycle ops are meaningless in-process
-        return dispatch_op(self.engine, op, request[3:])
+        return dispatch_op(self.engine, op, request[2:])
 
 
 class ShardSupervisor:
@@ -296,9 +290,6 @@ class ShardSupervisor:
         self.degraded: set[int] = set()
         #: Wall-clock recovery latencies, in completion order.
         self.recovery_seconds: list[float] = []
-        #: True while a respawn/replay is in flight — the rebalancer's
-        #: interlock (never start a migration during recovery).
-        self.recovering = False
         self._log = RateLimitedLogger(logger)
         self._closed = False
 
@@ -317,12 +308,10 @@ class ShardSupervisor:
                 proc, conn = self.spawn(shard, 0)
                 self.channels[shard] = _WorkerChannel(proc, conn, 0)
             for shard in range(self.shards):
-                self.checkpoints[shard] = self._exchange(
-                    shard, (None, None, "checkpoint")
-                )
+                self.checkpoints[shard] = self._exchange(shard, (None, "checkpoint"))
             if self.chaos is not None:
                 for shard in range(self.shards):
-                    self._exchange(shard, (None, None, "arm"))
+                    self._exchange(shard, (None, "arm"))
         except BaseException:
             self.close()
             raise
@@ -335,7 +324,7 @@ class ShardSupervisor:
         channels = [c for c in self.channels if isinstance(c, _WorkerChannel)]
         for chan in channels:
             try:
-                chan.conn.send((None, None, "close"))
+                chan.conn.send((None, "close"))
             except (BrokenPipeError, OSError):
                 pass
         for chan in channels:
@@ -356,7 +345,7 @@ class ShardSupervisor:
         chan = self.channels[shard]
         if isinstance(chan, _LocalShard):
             return chan.request(request)
-        op = request[2]
+        op = request[1]
         if op in MUTATING_OPS:
             self.journals[shard].append(request)
         if self.flight is not None:
@@ -376,7 +365,7 @@ class ShardSupervisor:
         each worker failure is recovered independently, so one crash
         does not cost the others' overlap.
         """
-        op = request[2]
+        op = request[1]
         send_errors: dict[int, ShardWorkerError] = {}
         for shard in range(self.shards):
             chan = self.channels[shard]
@@ -434,55 +423,15 @@ class ShardSupervisor:
                     journal.clear()  # in-process state cannot be lost
                 continue
             if len(journal) >= self.config.checkpoint_interval:
-                self.checkpoints[shard] = self.request(
-                    shard, (None, None, "checkpoint")
-                )
+                self.checkpoints[shard] = self.request(shard, (None, "checkpoint"))
                 journal.clear()
-
-    # ------------------------------------------------------------------
-    # Rebalance support (PR 9)
-    # ------------------------------------------------------------------
-    def respawn_fresh(self, shard: int) -> None:
-        """Replace one worker with a blank next incarnation, no restore.
-
-        The rebalance rollback path: the caller drives the new worker's
-        state explicitly (a ``restore`` from a just-gathered snapshot),
-        so the checkpoint-replay machinery of :meth:`_rebuild` is
-        deliberately skipped.  New incarnations start chaos-disarmed,
-        which is what makes rollback traffic injection-exempt.
-        """
-        chan = self.channels[shard]
-        if isinstance(chan, _WorkerChannel):
-            self._kill_channel(chan)
-        self.incarnations[shard] += 1
-        incarnation = self.incarnations[shard]
-        proc, conn = self.spawn(shard, incarnation)
-        self.channels[shard] = _WorkerChannel(proc, conn, incarnation)
-        if self.flight is not None:
-            self.flight.record_event(
-                shard, "respawn", f"incarnation {incarnation} (rebalance)"
-            )
-
-    def adopt_plan_state(self, snaps: list) -> None:
-        """Install per-shard snapshots as the new recovery baseline.
-
-        Called when a migration commits (spliced new-plan snapshots) or
-        rolls back (the pre-migration gather): either way the snapshots
-        *are* the workers' exact current state, so they become the
-        checkpoints and the journals truncate — a later recovery replays
-        nothing stale, and every journal entry after this point carries
-        the now-current plan version.
-        """
-        for shard, snap in enumerate(snaps):
-            self.checkpoints[shard] = snap
-            self.journals[shard].clear()
 
     # ------------------------------------------------------------------
     # Wire-level exchange (no journaling, no recovery)
     # ------------------------------------------------------------------
     def _exchange(self, shard: int, request: tuple) -> Any:
         chan = self.channels[shard]
-        op = request[2]
+        op = request[1]
         try:
             chan.conn.send(request)
         except (BrokenPipeError, ConnectionResetError, OSError) as exc:
@@ -520,12 +469,6 @@ class ShardSupervisor:
             return payload
         if status == "err":
             raise ShardWorkerError(shard, op, "fault", str(payload))
-        if status == "stale":
-            # The worker refused a request stamped with a plan version it
-            # never adopted; its stripe map cannot be trusted, so replace
-            # it (recovery restores from the current-plan checkpoint).
-            self._kill_channel(chan)
-            raise ShardWorkerError(shard, op, "stale", f"plan mismatch {payload!r}")
         self._kill_channel(chan)
         raise ShardWorkerError(
             shard, op, "protocol", f"unknown reply status {status!r}"
@@ -574,16 +517,6 @@ class ShardSupervisor:
             "shard %d worker %s during %r; recovering (journal depth %d)",
             shard, err.kind, err.op, len(self.journals[shard]),
         )
-        self.recovering = True
-        try:
-            return self._recover_loop(shard, failed_request, err, t0)
-        finally:
-            self.recovering = False
-
-    def _recover_loop(
-        self, shard: int, failed_request: tuple, err: ShardWorkerError, t0: float
-    ) -> Any:
-        """The respawn/backoff loop body of :meth:`_recover`."""
         config = self.config
         attempts = 0
         while True:
@@ -633,7 +566,7 @@ class ShardSupervisor:
         self.channels[shard] = _WorkerChannel(proc, conn, incarnation)
         if self.flight is not None:
             self.flight.record_event(shard, "respawn", f"incarnation {incarnation}")
-        self._exchange(shard, (None, None, "restore", self.checkpoints[shard]))
+        self._exchange(shard, (None, "restore", self.checkpoints[shard]))
         entries = self.journals[shard].entries
         last = entries[-1] if entries else None
         reply, have_reply, replay_delta = None, False, None
@@ -644,12 +577,7 @@ class ShardSupervisor:
         try:
             for entry in entries:
                 self._stashed_delta = None
-                # Replay unstamped: entries carry the plan version current
-                # when first sent, but the replacement worker was spawned
-                # under the *current* plan box (and replay is synchronous,
-                # so no plan change can interleave).  A stale stamp here
-                # would wedge recovery in a respawn loop.
-                r = self._exchange(shard, (None,) + entry[1:])
+                r = self._exchange(shard, entry)
                 if entry is last and entry is failed_request:
                     reply, have_reply, replay_delta = r, True, self._stashed_delta
         finally:
@@ -658,9 +586,9 @@ class ShardSupervisor:
         if have_reply:
             self._deliver_delta(shard, replay_delta)
         if self.chaos is not None:
-            self._exchange(shard, (None, None, "arm"))
+            self._exchange(shard, (None, "arm"))
         if not have_reply:
-            reply = self._exchange(shard, (None,) + failed_request[1:])
+            reply = self._exchange(shard, failed_request)
         return reply
 
     def _give_up(self, shard: int, failed_request: tuple, err: ShardWorkerError) -> Any:

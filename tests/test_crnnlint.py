@@ -21,6 +21,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import Finding, LintConfig, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -281,6 +283,7 @@ def protocol_tree(
     extra_journal: str = "",
     extra_deadline: str = "",
     lifecycle: str = '"close"',
+    extra_worker: str = "",
 ) -> dict[str, str]:
     """A minimal consistent four-surface protocol tree, plus drift hooks."""
     return {
@@ -305,12 +308,12 @@ def protocol_tree(
             "close": 1.0,{extra_deadline}
         }}
         """,
-        "src/repro/shard/executor.py": """\
+        "src/repro/shard/executor.py": f"""\
         def _worker_main(conn):
             while True:
                 op, payload = conn.recv()
                 if op == "close":
-                    break
+                    break{extra_worker}
         """,
     }
 
@@ -356,6 +359,26 @@ class TestProtocolExhaustiveness:
         findings = lint_tree(tmp_path, tree, select=["CRNN003"])
         f = assert_fires(findings, "CRNN003", "restore")
         assert f.path == "src/repro/shard/executor.py"
+
+    @pytest.mark.parametrize(
+        "surface, drift",
+        [
+            ("src/repro/shard/journal.py", {"extra_dispatch": ', "rebalance"'}),
+            ("src/repro/shard/supervisor.py", {"lifecycle": '"close", "rebalance"'}),
+            ("src/repro/shard/supervisor.py", {"extra_deadline": ' "rebalance": 4.0,'}),
+            (
+                "src/repro/shard/executor.py",
+                {"extra_worker": f'\n{" " * 16}if op == "rebalance":\n{" " * 20}pass'},
+            ),
+        ],
+        ids=["dispatch", "journal", "deadline", "worker"],
+    )
+    def test_leftover_retired_op_fires_on_every_surface(self, tmp_path, surface, drift):
+        # An op retired from the protocol must leave all four surfaces
+        # at once; one forgotten entry anywhere is reported by name.
+        findings = lint_tree(tmp_path, protocol_tree(**drift), select=["CRNN003"])
+        named = {f.path for f in only_rule(findings, "CRNN003") if "rebalance" in f.message}
+        assert surface in named, [f.render() for f in findings]
 
     def test_overlapping_classification_sets_fire(self, tmp_path):
         findings = lint_tree(

@@ -350,12 +350,18 @@ class TestWorkerObsConfig:
         assert cfg.observability.ring_capacity == 123
         assert cfg.observability.sample_rate == 0.5
 
-    def test_jsonl_sink_downgrades_to_memory_with_warning(self, tmp_path, caplog):
+    def test_jsonl_sink_downgrades_to_memory_with_warning(
+        self, tmp_path, caplog, monkeypatch
+    ):
         import logging
 
         from repro.obs.config import SINK_JSONL, SINK_MEMORY
+        from repro.shard import executor
         from repro.shard.executor import _worker_obs_config
 
+        # The module-level limiter's one-record burst may already be
+        # spent by an earlier test in this process; own a fresh budget.
+        monkeypatch.setattr(executor._log, "_counts", {})
         base = MonitorConfig.lu_pi(
             observability=ObsConfig(
                 trace_sink=SINK_JSONL, trace_path=str(tmp_path / "t.jsonl")

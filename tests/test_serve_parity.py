@@ -163,68 +163,13 @@ def test_selective_subscription_sees_only_its_query(stream, direct):
         assert per_tick[t] == [c for c in want if c[0] == qid], f"tick {t}"
 
 
-def test_subscriber_survives_live_rebalance(stream, direct):
-    """A live plan migration between ticks is invisible on the wire.
-
-    The firehose subscriber stays connected across two forced plan
-    changes on the sharded backend under the ``block`` policy: the
-    per-tick event stream stays bit-identical to the single-monitor
-    ground truth and no frame ever carries a gap marker.
-    """
-    from repro.shard.plan import StripePlan
-
-    initial, tick_batches = stream
-    want_events, want_counters, _results = direct
-    config = ServeConfig(
-        monitor=monitor_config(), backend="sharded", shards=4,
-        overload="block",
-    )
-    thread = ServerThread(config)
-    host, port = thread.start()
-    try:
-        with ServeClient(host, port) as client:
-            client.subscribe(None)
-            client.send_updates(initial)
-            client.tick()
-            client.take_events()
-            per_tick = []
-            gap_frames = 0
-            rebalance_at = {TICKS // 3: 1, (2 * TICKS) // 3: -1}
-            for t, batch in enumerate(tick_batches):
-                step = rebalance_at.get(t)
-                if step is not None:
-                    # The tick ack has returned, so the backend is
-                    # quiesced; force a migration from outside the loop
-                    # thread exactly as an operator endpoint would.
-                    mon = thread.server.monitor
-                    starts = list(mon.plan.starts)
-                    starts[1] += step
-                    assert mon.rebalance_now(
-                        StripePlan.from_starts(
-                            mon.plan.bounds, mon.plan.n, tuple(starts),
-                            version=mon.plan.version + 1,
-                        )
-                    )
-                client.send_updates(batch)
-                ack = client.tick()
-                assert ack.shed == 0
-                events = client.take_events()
-                gap_frames += sum(1 for ev in events if ev.gap)
-                per_tick.append(sorted(c for ev in events for c in ev.changes))
-            counters = logical_subset(
-                {k: int(v) for k, v in client.stats().counters.items()}
-            )
-            assert thread.server.monitor.rebalance_outcomes["committed"] == 2
-    finally:
-        thread.stop()
-    assert gap_frames == 0, "a migration must never shed subscriber frames"
-    assert per_tick == want_events
-    assert counters == want_counters
-
-
-def test_rebalance_config_requires_sharded_backend():
-    with pytest.raises(ValueError):
-        ServeConfig(monitor=monitor_config(), backend="serial", rebalance=True)
+@pytest.mark.parametrize(
+    "field", ["backend", "executor", "overload", "fanout_policy"]
+)
+def test_serve_config_rejects_bad_enums(field):
+    """Every enum field refuses a typo at construction, on any backend."""
+    with pytest.raises(ValueError, match=field):
+        ServeConfig(monitor=monitor_config(), **{field: "proces"})
 
 
 def test_unsubscribe_stops_the_stream(stream):

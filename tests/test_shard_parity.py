@@ -24,6 +24,7 @@ from repro.core.events import ObjectUpdate, QueryUpdate
 from repro.core.monitor import CRNNMonitor
 from repro.core.stats import LOGICAL_COUNTERS
 from repro.geometry.point import Point
+from repro.obs.config import ObsConfig
 from repro.robustness.audit import AuditPolicy, InvariantAuditor
 from repro.robustness.faults import FaultInjector, FaultSpec
 from repro.shard import ShardedCRNNMonitor
@@ -378,6 +379,40 @@ class TestFacadeSurface:
                 sharded.rnn(999)
             with pytest.raises(KeyError):
                 sharded.update_query(999, Point(5.0, 5.0))
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_imbalance_ratio_is_max_over_mean_of_last_tick(self, executor, monkeypatch):
+        """The skew of the static split stays measured on every tick:
+        gauge and summary equal max/mean of ``TickReport.shard_seconds``
+        and read > 1 when one stripe owns every query."""
+        rng = random.Random(5)
+        cfg = _config(observability=ObsConfig())
+        with ShardedCRNNMonitor(cfg, shards=2, executor=executor) as sharded:
+            assert sharded.summary()["imbalance_ratio"] == 1.0
+            reports = []
+            tick = sharded.executor.tick
+
+            def recording_tick(batch):
+                reports.append(tick(batch))
+                return reports[-1]
+
+            monkeypatch.setattr(sharded.executor, "tick", recording_tick)
+
+            def hot() -> Point:  # stripe 0 of the K=2 split of [0, 1000]
+                return Point(rng.uniform(0.0, 490.0), rng.uniform(0.0, 1000.0))
+
+            sharded.process(
+                [ObjectUpdate(oid, hot()) for oid in range(300)]
+                + [QueryUpdate(10_000 + i, hot()) for i in range(40)]
+            )
+            for _ in range(3):
+                sharded.process([ObjectUpdate(oid, hot()) for oid in range(300)])
+            seconds = reports[-1].shard_seconds
+            want = max(seconds) / (sum(seconds) / len(seconds))
+            assert want > 1.0
+            assert sharded.summary()["imbalance_ratio"] == want
+            gauge = sharded.obs.registry.get("crnn_shard_imbalance_ratio")
+            assert gauge.value == want
 
     def test_requires_fur_variant(self):
         cfg = MonitorConfig(variant="uniform", bounds=TEST_BOUNDS)
