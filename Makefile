@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test check lint smoke obs-smoke obs-dist-smoke chaos-smoke chaos-heavy serve-smoke serve-soak bench bench-paper docs docs-lint experiments experiments-quick examples clean
+.PHONY: install test check lint smoke obs-smoke obs-dist-smoke chaos-smoke chaos-heavy serve-smoke serve-soak bench bench-pairs bench-paper docs docs-lint experiments experiments-quick examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -59,7 +59,16 @@ chaos-heavy:
 # checked, end-to-end metrics plus a traced per-layer table. Compare two
 # runs' result files with `python3 bench/run.py compare A B`.
 bench:
-	python3 bench/run.py
+	$(PYTHON) bench/run.py
+
+# A change against its parent, the way a speed claim has to be shown
+# (docs/TUNING.md "Measuring a change"): PARENT's committed files in a
+# temporary directory, alternating same-seed pairs of bench/run.py on
+# both trees, then `bench/run.py compare`.
+#   make bench-pairs PARENT=<rev> [PAIRS=10] [WORKLOAD=obj-move]
+PAIRS ?= 10
+bench-pairs:
+	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --pairs $(PAIRS) $(if $(WORKLOAD),--workload $(WORKLOAD))
 
 # Serving-layer smoke over a real TCP loopback: wire parity (serial +
 # sharded), shedding policies, drain shutdown -> verified checkpoint.

@@ -36,6 +36,7 @@ from repro.core.query_table import QueryTable
 from repro.core.stats import StatCounters
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point, dist
+from repro.geometry.sector import NUM_SECTORS
 from repro.grid.cpm import nearest_neighbor
 from repro.grid.index import GridIndex
 from repro.perf.kernels import EntrySnapshot
@@ -122,8 +123,9 @@ class CircStoreBase:
         return self._records.get((qid, sector))
 
     def records_of_query(self, qid: int) -> list[CircRecord]:
-        """Every sector's circ record belonging to query ``qid``."""
-        return [r for (q, _s), r in self._records.items() if q == qid]
+        """Every sector's circ record belonging to query ``qid``, in sector order."""
+        records = (self._records.get((qid, sector)) for sector in range(NUM_SECTORS))
+        return [r for r in records if r is not None]
 
     def rnn_set(self, qid: int) -> frozenset[int]:
         """The current RNN result of ``qid`` derived from its records."""

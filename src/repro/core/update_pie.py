@@ -23,7 +23,7 @@ search when none of them proves the candidate a false positive.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,7 +31,12 @@ from repro.geometry.point import Point, dist
 from repro.geometry.rect import Rect
 from repro.geometry.sector import NUM_SECTORS, sector_of
 from repro.geometry.wedge import mindist_rect_in_sector
-from repro.grid.cpm import constrained_nn_search, nearest_neighbor
+from repro.grid.cpm import (
+    NNRequest,
+    constrained_nn_search,
+    nearest_neighbor,
+    nn_search_batch,
+)
 from repro.core.query_table import QueryState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -72,6 +77,47 @@ def register_pie_cells(monitor: "CRNNMonitor", st: QueryState, sector: int) -> N
     st.pie_reg_radius[sector] = needed
 
 
+def _known_disprover(
+    monitor: "CRNNMonitor",
+    st: QueryState,
+    sector: int,
+    cand: int,
+    cand_pos: Point,
+    d_q_cand: float,
+    extra_known: tuple[tuple[Optional[int], Optional[Point]], ...] = (),
+) -> Optional[tuple[int, float]]:
+    """The nearest *known* object that disproves a (new) candidate.
+
+    Scans the query's other candidates, anything in ``extra_known``, and
+    the previous certificate of this sector; returns ``(nn, nn_dist)`` or
+    ``None`` when none of them is strictly nearer to the candidate than
+    the query.  In eager mode (Uniform) known objects are never enough —
+    the NN search always runs so the circ-region stays tight.
+    """
+    if monitor.config.eager_nn:
+        return None
+    grid = monitor.grid
+    best: Optional[int] = None
+    best_d = math.inf
+    known: list[tuple[Optional[int], Optional[Point]]] = list(extra_known)
+    for j in range(NUM_SECTORS):
+        other = st.cand[j]
+        if j != sector and other is not None:
+            # A sibling candidate may have been deleted earlier in
+            # the same batch (its sector is resolved later).
+            known.append((other, grid.positions.get(other)))
+    prev = monitor.circ.record(st.qid, sector)
+    if prev is not None and prev.nn is not None and prev.nn in grid:
+        known.append((prev.nn, grid.positions[prev.nn]))
+    for oid, pos in known:
+        if oid is None or oid == cand or pos is None:
+            continue
+        d = dist(cand_pos, pos)
+        if d < d_q_cand and d < best_d:
+            best, best_d = oid, d
+    return (best, best_d) if best is not None else None
+
+
 def determine_certificate(
     monitor: "CRNNMonitor",
     st: QueryState,
@@ -86,40 +132,38 @@ def determine_certificate(
     Returns ``(nn, nn_dist)``; ``nn is None`` means no object is strictly
     nearer to the candidate than the query — the candidate is an RNN.
 
-    In the paper's variants the first attempt scans *known* objects (the
-    query's other candidates, anything in ``extra_known``, and the
-    previous certificate of this sector); a full bounded NN search runs
-    only when no known object disproves the candidate.  In eager mode
-    (Uniform) the NN search always runs so the circ-region stays tight.
+    The first attempt is :func:`_known_disprover`; a full bounded NN
+    search runs only when no known object disproves the candidate.
     """
-    grid = monitor.grid
-    if not monitor.config.eager_nn:
-        best: Optional[int] = None
-        best_d = math.inf
-        known: list[tuple[Optional[int], Optional[Point]]] = list(extra_known)
-        for j in range(NUM_SECTORS):
-            other = st.cand[j]
-            if j != sector and other is not None:
-                # A sibling candidate may have been deleted earlier in
-                # the same batch (its sector is resolved later).
-                known.append((other, grid.positions.get(other)))
-        prev = monitor.circ.record(st.qid, sector)
-        if prev is not None and prev.nn is not None and prev.nn in grid:
-            known.append((prev.nn, grid.positions[prev.nn]))
-        for oid, pos in known:
-            if oid is None or oid == cand or pos is None:
-                continue
-            d = dist(cand_pos, pos)
-            if d < d_q_cand and d < best_d:
-                best, best_d = oid, d
-        if best is not None:
-            return best, best_d
+    known = _known_disprover(monitor, st, sector, cand, cand_pos, d_q_cand, extra_known)
+    if known is not None:
+        return known
     found = nearest_neighbor(
-        grid, cand_pos, exclude=st.exclude | {cand}, max_dist=d_q_cand
+        monitor.grid, cand_pos, exclude=st.exclude | {cand}, max_dist=d_q_cand
     )
+    return _as_certificate(found, d_q_cand)
+
+
+def _as_certificate(
+    found: Optional[tuple[float, int]], d_q_cand: float
+) -> tuple[Optional[int], float]:
+    """``(nn, nn_dist)`` from the bounded NN search around a candidate."""
     if found is not None and found[0] < d_q_cand:
         return found[1], found[0]
     return None, math.inf
+
+
+def _point_pie_at(
+    monitor: "CRNNMonitor",
+    st: QueryState,
+    sector: int,
+    cand: Optional[int],
+    d_q_cand: float,
+) -> None:
+    """Make ``cand`` the sector's candidate (``None``: empty, unbounded pie)."""
+    st.cand[sector] = cand
+    st.d_cand[sector] = d_q_cand
+    register_pie_cells(monitor, st, sector)
 
 
 def set_candidate(
@@ -132,9 +176,7 @@ def set_candidate(
     extra_known: tuple[tuple[Optional[int], Optional[Point]], ...] = (),
 ) -> None:
     """Install ``cand`` as the sector's candidate: pie cells + circ-region."""
-    st.cand[sector] = cand
-    st.d_cand[sector] = d_q_cand
-    register_pie_cells(monitor, st, sector)
+    _point_pie_at(monitor, st, sector, cand, d_q_cand)
     nn, nn_dist = determine_certificate(
         monitor, st, sector, cand, cand_pos, d_q_cand, extra_known
     )
@@ -143,9 +185,7 @@ def set_candidate(
 
 def clear_candidate(monitor: "CRNNMonitor", st: QueryState, sector: int) -> None:
     """Empty sector: unbounded pie-region, no circ-region."""
-    st.cand[sector] = None
-    st.d_cand[sector] = math.inf
-    register_pie_cells(monitor, st, sector)
+    _point_pie_at(monitor, st, sector, None, math.inf)
     monitor.circ.remove_circ(st.qid, sector)
 
 
@@ -292,6 +332,37 @@ def build_affected_map_vector(
     return affected
 
 
+class _CircWrite(NamedTuple):
+    """One deferred circ-store write of :func:`_resolve_affected`.
+
+    The circ half of :func:`set_candidate` / :func:`clear_candidate`:
+    queued by pass 3, run by pass 5.  ``cand is None`` removes the
+    sector's circ-region.  Otherwise the certificate is ``known`` (a
+    disprover pass 3 already had) or, when that is ``None``, the answer
+    to certificate request number ``asked``.
+    """
+
+    qid: int
+    sector: int
+    cand: Optional[int] = None
+    cand_pos: Optional[Point] = None
+    d_q_cand: float = math.inf
+    known: Optional[tuple[int, float]] = None
+    asked: int = -1
+
+    def run(self, circ, certified: list[Optional[tuple[float, int]]]) -> None:
+        if self.cand is None:
+            circ.remove_circ(self.qid, self.sector)
+            return
+        if self.known is not None:
+            nn, nn_dist = self.known
+        else:
+            nn, nn_dist = _as_certificate(certified[self.asked], self.d_q_cand)
+        circ.set_circ(
+            self.qid, self.sector, self.cand, self.cand_pos, self.d_q_cand, nn, nn_dist
+        )
+
+
 def _resolve_affected(
     monitor: "CRNNMonitor", affected: dict[int, set[int]]
 ) -> None:
@@ -304,12 +375,31 @@ def _resolve_affected(
     inside it.
 
     Must run after *all* grid moves of the batch have been applied; every
-    decision below reads final positions from the grid.
+    decision below reads final positions from the grid.  That frozen
+    object set is what lets the searches of the whole tick be answered
+    together (two :func:`~repro.grid.cpm.nn_search_batch` calls instead
+    of one kernel call per search) without changing any answer:
+
+    * a query's classification reads only its own ``st.cand`` /
+      ``st.d_cand``, and no query writes another's;
+    * each ``(qid, sector)`` is written at most once;
+    * a certificate depends only on ``st.cand``, the demoted candidate,
+      the grid and *that sector's own* previous record — never on a circ
+      write of this phase — so the circ writes can wait for the
+      certificate searches and then run in the original order.
+
+    Queries missing from the monitor's table are skipped: on a shared
+    grid (serial sharding) the map also names sibling stripes' queries.
     """
     grid = monitor.grid
+    circ = monitor.circ
+    positions = grid.positions
+    # Pass 1: classify every affected query's updated objects.
+    plans: list[tuple[QueryState, list[int], dict[int, tuple[float, int]]]] = []
+    researches: list[NNRequest] = []
     for qid in sorted(affected):
         if qid not in monitor.qt:
-            continue  # removed earlier in the same batch
+            continue
         st = monitor.qt.get(qid)
         q = st.pos
         # sector -> tightest known re-search bound (inf = unbounded)
@@ -320,7 +410,7 @@ def _resolve_affected(
             if oid in st.exclude:
                 continue
             cand_sector = st.sector_of_candidate(oid)
-            cur = grid.positions.get(oid)
+            cur = positions.get(oid)
             if cand_sector is not None:
                 if cur is None:
                     research.setdefault(cand_sector, math.inf)
@@ -355,19 +445,58 @@ def _resolve_affected(
                 prev = contenders.get(s)
                 if prev is None or (d, oid) < prev:
                     contenders[s] = (d, oid)
-        for sector in sorted(research):
+        sectors = sorted(research)
+        for sector in sectors:
             bound = research[sector]
             contender = contenders.pop(sector, None)
             if contender is not None:
                 # Any in-sector updated object bounds the re-search too.
                 bound = min(bound, contender[0])
-            research_sector(monitor, st, sector, upper_bound=bound)
+            researches.append((q, sector, st.exclude, bound))
+        plans.append((st, sectors, contenders))
+    # Pass 2: every constrained re-search of the tick in one call.
+    found = iter(nn_search_batch(grid, researches))
+    # Pass 3: install candidates and pie cells in the per-query order of
+    # the classification.  Circ writes are queued, not run: one whose
+    # candidate no known object disproves waits for its certificate.
+    writes: list[_CircWrite] = []
+    certificates: list[NNRequest] = []
+
+    def install(
+        st: QueryState,
+        sector: int,
+        cand: int,
+        d_q_cand: float,
+        extra_known: tuple[tuple[Optional[int], Optional[Point]], ...] = (),
+    ) -> None:
+        cand_pos = positions[cand]
+        _point_pie_at(monitor, st, sector, cand, d_q_cand)
+        known = _known_disprover(
+            monitor, st, sector, cand, cand_pos, d_q_cand, extra_known
+        )
+        writes.append(
+            _CircWrite(st.qid, sector, cand, cand_pos, d_q_cand, known, len(certificates))
+        )
+        if known is None:
+            certificates.append((cand_pos, None, st.exclude | {cand}, d_q_cand))
+
+    for st, sectors, contenders in plans:
+        for sector in sectors:
+            hit = next(found)
+            if hit is None:
+                _point_pie_at(monitor, st, sector, None, math.inf)
+                writes.append(_CircWrite(st.qid, sector))
+            else:
+                install(st, sector, hit[1], hit[0])
         for sector in sorted(contenders):
             d, oid = contenders[sector]
             demoted = st.cand[sector]
             extra: tuple[tuple[Optional[int], Optional[Point]], ...] = ()
             if demoted is not None and demoted != oid:
-                extra = ((demoted, grid.positions[demoted]),)
-            set_candidate(
-                monitor, st, sector, oid, grid.positions[oid], d, extra_known=extra
-            )
+                extra = ((demoted, positions[demoted]),)
+            install(st, sector, oid, d, extra)
+    # Pass 4: every certificate search pass 3 could not avoid, in one call.
+    certified = nn_search_batch(grid, certificates)
+    # Pass 5: run the circ writes in the order they were queued.
+    for write in writes:
+        write.run(circ, certified)

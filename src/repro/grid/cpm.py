@@ -12,7 +12,9 @@ plus the grid NN searches built on it:
 
 * :func:`nn_search` — exact k-NN of a point (optionally bounded);
 * :func:`constrained_nn_search` — exact NN within one 60-degree sector,
-  the primitive behind pie-region re-computation (``updatePie`` Case 2).
+  the primitive behind pie-region re-computation (``updatePie`` Case 2);
+* :func:`nn_search_batch` — many independent ``k == 1`` searches of
+  either kind against one frozen object set (a tick's pie phase).
 
 The six-sector *concurrent* search of the CRNN initialisation lives in
 :mod:`repro.core.init_crnn`; it reuses :class:`ConceptualSpace`.
@@ -31,7 +33,7 @@ from repro.geometry.sector import sector_of
 from repro.geometry.wedge import rect_maybe_intersects_sector
 from repro.grid.cell import Cell
 from repro.grid.index import GridIndex
-from repro.perf.kernels import constrained_nn_k1_vector, nn_k1_vector
+from repro.perf.kernels import constrained_nn_k1_vector, nn_k1_multi, nn_k1_vector
 
 DIRECTIONS = ("U", "R", "D", "L")
 
@@ -361,6 +363,58 @@ def constrained_nn_search(
         grid, q, sector, k=1, exclude=exclude, max_dist=max_dist
     )
     return found[0] if found else None
+
+
+#: One search request of :func:`nn_search_batch`:
+#: ``(centre, sector | None, exclude, max_dist)``.
+NNRequest = tuple[Point, Optional[int], Iterable[int], float]
+
+
+def nn_search_batch(
+    grid: GridIndex, requests: list[NNRequest]
+) -> list[Optional[tuple[float, int]]]:
+    """Answer many independent ``k == 1`` searches against one object set.
+
+    Entry ``i`` of the result is :func:`nearest_neighbor` (``sector is
+    None``) or :func:`constrained_nn_search` of request ``i``; the grid
+    must not change between the requests' creation and this call, which
+    is what makes them independent.  ``nn_searches`` /
+    ``constrained_nn_searches`` count one per request answered.
+
+    Dispatches like its single-request siblings: the multi-query kernel
+    (:func:`repro.perf.kernels.nn_k1_multi`) when the CSR bucketing is
+    fresh, else a loop over the scalar reference twins.  The two agree
+    for objects inside ``grid.bounds`` — what the ingestion guard admits;
+    an object stored outside the data space (guard off, clamped into a
+    border cell) is outside this function's contract.
+    """
+    if not requests:
+        return []
+    constrained = sum(1 for rq in requests if rq[1] is not None)
+    grid.stats.constrained_nn_searches += constrained
+    grid.stats.nn_searches += len(requests) - constrained
+    tracer = grid.tracer
+    if tracer.enabled:
+        with tracer.span("cpm.nn_search_batch", requests=len(requests)) as sp:
+            found = _batch_dispatch(grid, requests)
+            sp.set("found", sum(1 for hit in found if hit is not None))
+            return found
+    return _batch_dispatch(grid, requests)
+
+
+def _batch_dispatch(
+    grid: GridIndex, requests: list[NNRequest]
+) -> list[Optional[tuple[float, int]]]:
+    if grid.csr_fresh and grid.vector_enabled:
+        return nn_k1_multi(grid, requests)
+    out: list[Optional[tuple[float, int]]] = []
+    for q, sector, exclude, max_dist in requests:
+        if sector is None:
+            found = _nn_search_scalar(grid, q, 1, exclude, max_dist)
+        else:
+            found = _constrained_knn_search_scalar(grid, q, sector, 1, exclude, max_dist)
+        out.append(found[0] if found else None)
+    return out
 
 
 def count_within(

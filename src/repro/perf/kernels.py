@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.geometry.sector import _BOUNDARY_DIRS, NUM_SECTORS, sector_of
+from repro.geometry.sector import _BOUNDARY_DIRS, _SIN60, NUM_SECTORS, sector_of
 
 #: Relative guard band for squared-distance candidate selection.  Hypot
 #: vs sqrt-of-squares rounding differs by at most a few ulp (~4e-16
@@ -243,6 +243,179 @@ def constrained_nn_k1_vector(
     """
     grid.stats.vector_nn_kernel_calls += 1
     return _nn_ring_expansion(grid, q, sector, exclude, max_dist)
+
+
+#: Bounding box of a unit pie per sector, as offsets from the apex; the
+#: last row (index ``-1``, "no sector") is the unit disk's.  The apex-side
+#: edges are exact — ``sector_of`` puts no point with ``vy < 0`` in
+#: sectors 0-2, none with ``vy > 0`` in 3-5, none with ``vx < 0`` in 0/5
+#: or ``vx > 0`` in 2/3 — and the arc-side edges sit a relative
+#: ``1 - _ACCEPT`` beyond anything the kernel accepts without looking
+#: further, seven orders above the cross products' rounding.
+_BOX_X0 = np.array([0.0, -0.5, -1.0, -1.0, -0.5, 0.0, -1.0])
+_BOX_X1 = np.array([1.0, 0.5, 0.0, 0.0, 0.5, 1.0, 1.0])
+_BOX_Y0 = np.array([0.0, 0.0, 0.0, -_SIN60, -1.0, -_SIN60, -1.0])
+_BOX_Y1 = np.array([_SIN60, 1.0, _SIN60, 0.0, 0.0, 0.0, 1.0])
+
+
+def nn_k1_multi(grid, requests) -> list[Optional[tuple[float, int]]]:
+    """Many independent ``k == 1`` searches from one gather per round.
+
+    ``requests`` is a sequence of ``(centre, sector | None, exclude,
+    max_dist)``; entry ``i`` of the result is exactly what
+    :func:`nn_k1_vector` (``sector is None``) or
+    :func:`constrained_nn_k1_vector` returns for request ``i`` — the
+    ``(distance, oid)`` argmin of the eligible objects, a pure function
+    of the object set, so neither the request order nor the radii tried
+    can show in an answer.
+
+    Same ring expansion, run for all open requests at once: each round
+    gathers, per request, the CSR slots of the cell *bounding box* of
+    ``disk(centre, r)`` — of the sector's pie, for a constrained request
+    — (cell indexing is monotone in each coordinate, so the box holds
+    every eligible object within ``r``), scores all of them in
+    one squared-distance pass, takes each request's minimum with
+    ``np.minimum.reduceat`` and settles the guard-banded shortlist with
+    ``math.hypot``.  A request is answered once its best lies inside the
+    gathered disk (``_ACCEPT``) or the disk reached its bound or covers
+    the data space; the rest go round again at three times the radius.
+    NumPy's fixed cost is paid per round, not per search.  Requires
+    ``grid.csr_fresh`` (the caller dispatches).
+
+    Contract: every object lies inside ``grid.bounds`` (what the
+    ingestion guard admits).  An object stored *outside* the data space
+    (guard off, kept in a border cell) is seen here only through the
+    cells a box covers, by the scalar twins only through the cells their
+    sector filter admits, and by the per-call kernel's full-cover round
+    in every slot — for such an object the three may answer differently.
+    """
+    grid.stats.vector_nn_kernel_calls += 1
+    m = len(requests)
+    out: list[Optional[tuple[float, int]]] = [None] * m
+    if not m or not grid._size:
+        return out
+    qx_l: list[float] = []
+    qy_l: list[float] = []
+    sec_l: list[int] = []
+    max_l: list[float] = []
+    excl_req: list[int] = []
+    excl_slot: list[int] = []
+    slot_of = grid._slot
+    for i, (q, sector, exclude, max_dist) in enumerate(requests):
+        qx_l.append(q[0])
+        qy_l.append(q[1])
+        sec_l.append(-1 if sector is None else sector)
+        max_l.append(max_dist)
+        for oid in exclude:
+            slot = slot_of.get(oid)
+            if slot is not None:
+                excl_req.append(i)
+                excl_slot.append(slot)
+    qx = np.array(qx_l)
+    qy = np.array(qy_l)
+    sec = np.array(sec_l)
+    any_sector = bool((sec >= 0).any())
+    # One int64 key per (request, slot) pair turns every request's own
+    # exclusion set into a single np.isin over the gathered elements.
+    stride = len(grid._oid_arr)
+    excl_keys = (
+        np.array(excl_req, dtype=np.int64) * stride + np.array(excl_slot, dtype=np.int64)
+        if excl_req
+        else None
+    )
+    bounds = grid.bounds
+    n = grid.n
+    cell_w, cell_h = grid._cell_w, grid._cell_h
+    limit_l = (np.array(max_l) * _BAND).tolist()  # inf stays inf
+    cover_l = (
+        np.hypot(
+            np.maximum(np.abs(qx - bounds.xmin), np.abs(qx - bounds.xmax)),
+            np.maximum(np.abs(qy - bounds.ymin), np.abs(qy - bounds.ymax)),
+        )
+        * _BAND
+    ).tolist()
+    r0 = _first_radius(grid, _TARGET_FIRST_RING)
+    # Same start as _nn_ring_expansion: a zero bound still reads the
+    # centre's own cell.
+    r_l = [
+        min(max(min(r0, limit), r0 * 1e-9), cover)
+        for limit, cover in zip(limit_l, cover_l)
+    ]
+    order, indptr = grid._csr_order, grid._csr_indptr
+    oid_arr, px, py = grid._oid_arr, grid._px, grid._py
+    open_l = list(range(m))
+    while open_l:
+        k = len(open_l)
+        sel = np.array(open_l)
+        oqx = qx[sel]
+        oqy = qy[sel]
+        orr = np.array([r_l[g] for g in open_l])
+        shape = sec[sel]
+        # Truncate-then-clamp exactly like GridIndex.cell_coords.
+        cx0 = np.clip(((oqx + orr * _BOX_X0[shape] - bounds.xmin) / cell_w).astype(np.int64), 0, n - 1)
+        cx1 = np.clip(((oqx + orr * _BOX_X1[shape] - bounds.xmin) / cell_w).astype(np.int64), 0, n - 1)
+        cy0 = np.clip(((oqy + orr * _BOX_Y0[shape] - bounds.ymin) / cell_h).astype(np.int64), 0, n - 1)
+        cy1 = np.clip(((oqy + orr * _BOX_Y1[shape] - bounds.ymin) / cell_h).astype(np.int64), 0, n - 1)
+        # One CSR slice per (request, box row): a row's cells are one
+        # contiguous flat-index interval.
+        nrows = cy1 - cy0 + 1
+        row_end = np.cumsum(nrows)
+        row_start = row_end - nrows
+        base = (np.arange(row_end[-1]) + np.repeat(cy0 - row_start, nrows)) * n
+        starts = indptr[base + np.repeat(cx0, nrows)]
+        lens = indptr[base + np.repeat(cx1, nrows) + 1] - starts
+        count = np.add.reduceat(lens, row_start)
+        elem_end = np.cumsum(lens)
+        total = int(elem_end[-1])
+        best: list[Optional[tuple[float, int]]] = [None] * k
+        if total:
+            slots = order[np.arange(total) + np.repeat(starts - (elem_end - lens), lens)]
+            req = np.repeat(np.arange(k), count)
+            xs = px[slots]
+            ys = py[slots]
+            eqx = oqx[req]
+            eqy = oqy[req]
+            dx = xs - eqx
+            dy = ys - eqy
+            d2 = dx * dx + dy * dy
+            if excl_keys is not None:
+                d2[np.isin(sel[req] * stride + slots, excl_keys)] = np.inf
+            if any_sector:
+                want = shape[req]
+                d2[(want >= 0) & (sector_of_vector((eqx, eqy), xs, ys) != want)] = np.inf
+            # reduceat needs non-empty segments; their starts are then
+            # strictly increasing.
+            filled = count > 0
+            m2 = np.full(k, np.inf)
+            m2[filled] = np.minimum.reduceat(d2, (np.cumsum(count) - count)[filled])
+            # An all-inf segment must shortlist nothing (inf <= inf).
+            bound = np.where(np.isfinite(m2), m2 * _BAND, -1.0)
+            short = np.nonzero(d2 <= bound[req])[0]
+            for i, x, y, oid in zip(
+                req[short].tolist(),
+                xs[short].tolist(),
+                ys[short].tolist(),
+                oid_arr[slots[short]].tolist(),
+            ):
+                g = open_l[i]
+                cand = (math.hypot(x - qx_l[g], y - qy_l[g]), oid)
+                if best[i] is None or cand < best[i]:
+                    best[i] = cand
+        still_open = []
+        for i, g in enumerate(open_l):
+            r = r_l[g]
+            hit = best[i]
+            if hit is not None and hit[0] > max_l[g]:
+                hit = None
+            if (hit is not None and hit[0] <= r * _ACCEPT) or r >= cover_l[g] or r >= limit_l[g]:
+                # Inside the gathered disk, or nothing eligible lies
+                # beyond it (bound reached / whole data space gathered).
+                out[g] = hit
+            else:
+                r_l[g] = min(max(r * 3.0, cell_w), limit_l[g], cover_l[g])
+                still_open.append(g)
+        open_l = still_open
+    return out
 
 
 #: Expected object count inside ``initCRNN``'s gathered disk.  A sector is

@@ -5,8 +5,8 @@ registrations, FUR circ store) of the queries that live in its stripe,
 wrapped around an ordinary :class:`~repro.core.monitor.CRNNMonitor`
 whose grid is either *shared* with the coordinator (serial executor) or
 a *private full replica* (process executor).  The engine drives the
-inner monitor's phases one attribution unit at a time — one query's pie
-resolution, one move's circ step — and tags every emitted
+inner monitor's phases — the stripe's whole pie resolution in one call,
+the circ steps move by move — and tags every emitted
 :class:`~repro.core.events.ResultChange` with a sort key that encodes
 where in the single-monitor execution order the event would have
 occurred.  Merging all shards' tagged streams by key therefore
@@ -92,7 +92,6 @@ class ShardEngine:
         #: emit wrapper below and by :meth:`_fill_query_tags`.
         self._tags: dict[int, tuple[int, int, int, int, int, int]] = {}
         self._phase = 0
-        self._current_qid = 0
         self._query_seq = 0
         self._install_emit_wrapper()
 
@@ -121,7 +120,7 @@ class ShardEngine:
             before = len(inner._events)
             orig(change)
             if len(inner._events) > before:
-                self._tags[before] = self._tag()
+                self._tags[before] = self._tag(change)
 
         # The circ store captured the bound method at construction;
         # rebind its emit attribute so every store-driven emission is
@@ -129,10 +128,11 @@ class ShardEngine:
         # tagged after the fact by _fill_query_tags.
         inner.circ.emit = tagged_emit
 
-    def _tag(self) -> tuple[int, int, int, int, int, int]:
-        """The sort key of the attribution unit currently executing."""
+    def _tag(self, change: ResultChange) -> tuple[int, int, int, int, int, int]:
+        """The sort key of the attribution unit ``change`` belongs to."""
         if self._phase == _PHASE_PIES:
-            return (_PHASE_PIES, self._current_qid, 0, 0, 0, 0)
+            # A pie resolution only ever changes its own query's result.
+            return (_PHASE_PIES, change.qid, 0, 0, 0, 0)
         if self._phase == _PHASE_CIRCS:
             circ = self.inner.circ
             ctx = circ.emit_ctx
@@ -195,19 +195,15 @@ class ShardEngine:
         """Pie maintenance for this shard's affected queries.
 
         ``affected`` may contain foreign qids (the serial executor
-        builds one map on the shared grid); anything not in this
-        engine's query table is skipped.  Each owned query is resolved
-        with the exact single-monitor batch logic, one query at a time
-        so its events carry a per-query tag.
+        builds one map on the shared grid); ``_resolve_affected`` skips
+        anything not in this engine's query table.  One call resolves
+        the whole stripe with the exact single-monitor batch logic — so
+        its searches share the multi-query kernel — and each event is
+        tagged by the query it reports on.
         """
-        inner = self.inner
         self._phase = _PHASE_PIES
         try:
-            for qid in sorted(affected):
-                if qid not in inner.qt:
-                    continue
-                self._current_qid = qid
-                _resolve_affected(inner, {qid: affected[qid]})
+            _resolve_affected(self.inner, affected)
         finally:
             self._phase = 0
 
@@ -277,7 +273,6 @@ class ShardEngine:
             for qid in sorted(affected):
                 if qid not in inner.qt:
                     continue
-                self._current_qid = qid
                 handle_update_pies_for_query(inner, inner.qt.get(qid), oid, new_pos)
         finally:
             self._phase = 0

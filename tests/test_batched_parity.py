@@ -18,6 +18,7 @@ materialization, and ``bulk_move_objects`` vs sequential ``move_object``.
 from __future__ import annotations
 
 import functools
+import hashlib
 import random
 
 import pytest
@@ -76,6 +77,58 @@ PINNED_COUNTERS = {
         "query_recomputations": 3,
     },
 }
+
+
+#: sha256 of the drained events and every query's monitoring region,
+#: tick by tick, **recorded at the parent of PR 18 (c6520bc) before its
+#: first edit**.  The pass-structured ``_resolve_affected`` (classify
+#: all, search all, install, certify all, replay the circ writes) has no
+#: in-tree twin to be compared with — the scalar reference monitor runs
+#: the same passes — so these pin it against the per-query, per-search
+#: loop it replaced: same events in the same order, same certificates
+#: (``CircRegion.nn`` and radius), same pies.  "golden-<seed>" are the
+#: churn streams of ``test_clean_stream_event_for_event``; "large" is
+#: ``large_tick_batches(Random(5), 600, 12, 3, 800)`` on the default
+#: 12-cell grid; "dense" is ``(Random(7), 1500, 120, 3, 1000)`` on a
+#: 32-cell grid, ~160 searches a tick.  A change here is a behaviour
+#: change of the pie phase; re-record only with that explained.
+PINNED_STREAM_DIGESTS = {
+    ("uniform", "golden-11"): "bae10ca5e6754c071cde571b72639a31fe374d40d8d118ce7371ad68826f16ca",
+    ("uniform", "golden-29"): "6c06956c59c13c7a66a670f65b2e3f4840733b082b5537f8533139f70a92886d",
+    ("uniform", "golden-404"): "2ddb09da7beb3b6560ee343341d5f7f7d2f39dbfaedbe9815505c01f61ff4cbc",
+    ("uniform", "large"): "ee7c400ea79711c2579b8d088fb3cb848b2253e6828d012458131d9d502ecb6d",
+    ("uniform", "dense"): "b9c8d171d47c4b3d520245440d4bfd932b1169ac465d9fee78e249befdcc8999",
+    ("lu-only", "golden-11"): "6634d1fb862ad6580ae73a61b4fc51c23ddfe5ae517c337cbc042930ebf18abf",
+    ("lu-only", "golden-29"): "e34d5406617b3e61d268ade3e3f7614b8350d70eac5807b96de0c1ede5b20c89",
+    ("lu-only", "golden-404"): "1837bdccfa31b68f0a26d30edb2ab53b6998b44d7344a42de7aeaf0e97bb417e",
+    ("lu-only", "large"): "ce3dd77eb43fb44de05c1f32b4154c6fadb995c2cafe43e49e3e97dce25b5b48",
+    ("lu-only", "dense"): "8e06d821ca77c3c32642c2e73e0d7775bb60997c16375852453d444c4bd435b1",
+    ("lu+pi", "golden-11"): "95b570d34e92b74ec4783e8444d044d3ddd047cf55de7d99d9d8b98436e95746",
+    ("lu+pi", "golden-29"): "3623761cfb5c7341664752ceb3d7d23f9750966489d0e29702e1ba86f5927a58",
+    ("lu+pi", "golden-404"): "51fb559d24eedc7f99d0407b170fcfca1ffd45ba495dae01fdd8304db510ad87",
+    ("lu+pi", "large"): "641c9ea7ac3dee50af44657dc7571b15062e9cc372a3109f99c45c8bb029dcdf",
+    ("lu+pi", "dense"): "a8934b9256e2d633ec432b56366aec79d6539b042c41b04ec91e5f90c7875d0c",
+}
+
+
+def _pinned_stream(name: str) -> tuple[list, int]:
+    """The batches of a pinned stream and the grid resolution it runs on."""
+    if name == "large":
+        return large_tick_batches(random.Random(5), 600, 12, 3, 800), 12
+    if name == "dense":
+        return large_tick_batches(random.Random(7), 1500, 120, 3, 1000), 32
+    seed = int(name.removeprefix("golden-"))
+    return _random_batches(random.Random(seed), timestamps=12), 12
+
+
+def _stream_digest(monitor: CRNNMonitor, batches) -> str:
+    h = hashlib.sha256()
+    for batch in batches:
+        monitor.process(batch)
+        h.update(repr(monitor.drain_events()).encode())
+        for qid in sorted(monitor.qt.ids()):
+            h.update(repr(monitor.monitoring_region(qid)).encode())
+    return h.hexdigest()
 
 
 def _as_reference(monitor: CRNNMonitor) -> CRNNMonitor:
@@ -174,6 +227,22 @@ class TestGoldenParity:
             _assert_lockstep(scalar, fast, f"{variant} large batch t={t}")
         scalar.validate()
         fast.validate()
+
+
+class TestPinnedEventStreams:
+    @pytest.mark.parametrize("variant,stream", sorted(PINNED_STREAM_DIGESTS))
+    def test_event_stream_digest_unchanged(self, variant, stream):
+        batches, cells = _pinned_stream(stream)
+        fast = make_monitor(variant, grid_cells=cells)
+        assert _stream_digest(fast, batches) == PINNED_STREAM_DIGESTS[variant, stream]
+        fast.validate()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_scalar_reference_reaches_the_same_digest(self, variant):
+        # The batch entry point's scalar-loop side, through the same passes.
+        batches, cells = _pinned_stream("dense")
+        scalar = _as_reference(make_monitor(variant, grid_cells=cells))
+        assert _stream_digest(scalar, batches) == PINNED_STREAM_DIGESTS[variant, "dense"]
 
 
 class TestDrainEventsBatched:

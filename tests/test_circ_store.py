@@ -90,6 +90,47 @@ class TestSetAndRemove:
         assert rig.events == []
 
 
+class _KeyedOnly(dict):
+    """A record table that refuses to be scanned."""
+
+    def _scan(self, *args):
+        raise AssertionError("records_of_query scanned the whole record table")
+
+    __iter__ = keys = values = items = _scan
+
+
+class TestRecordsOfQuery:
+    def test_keyed_lookups_match_the_full_scan(self):
+        # 30 queries with records scattered over the sectors (one of them
+        # with none at all): the six keyed lookups must return what the
+        # scan over every record did, in sector order, without ever
+        # iterating the table — rnn_set runs once per query in
+        # validate() and in the verified checkpoint restore.
+        rig = _Rig()
+        for qid in range(50, 80):
+            rig.query(qid, 200.0, 100.0 + qid)
+            for sector in range(6):
+                if (qid * 7 + sector) % 3 == 0 or qid == 60:
+                    continue
+                oid = qid * 10 + sector
+                pos = rig.object(oid, 10.0 * sector + 5.0, float(qid))
+                rig.store.set_circ(qid, sector, oid, pos, 50.0, None if sector % 2 else oid + 1, 20.0)
+        scanned = {
+            qid: sorted(
+                (r for (q, _s), r in rig.store._records.items() if q == qid),
+                key=lambda r: r.sector,
+            )
+            for qid in range(50, 81)
+        }
+        assert sum(map(len, scanned.values())) == len(rig.store) > 60
+        rig.store._records = _KeyedOnly(rig.store._records)
+        for qid, want in scanned.items():
+            got = rig.store.records_of_query(qid)
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+            assert rig.store.rnn_set(qid) == frozenset(r.cand for r in want if r.is_rnn)
+        assert scanned[60] == scanned[80] == []
+
+
 class TestSharedCandidates:
     def test_candidate_serving_two_queries(self):
         """One object candidate for two queries: one FUR entry, max radius."""

@@ -33,6 +33,7 @@ LOGICAL_SPANS = frozenset({
     "monitor.queries",
     "cpm.nn_search",
     "cpm.constrained_nn_search",
+    "cpm.nn_search_batch",
     "circ.recompute_certificate",
 })
 
@@ -213,6 +214,9 @@ class TestMonitorSpans:
         fast = counts(True)
         assert scalar == fast
         assert scalar["monitor.process"] == 6
+        # The pie phase asks through the batch entry: at most one span for
+        # the re-searches and one for the certificates per tick.
+        assert 1 <= scalar["cpm.nn_search_batch"] <= 12
 
     def test_disabled_monitor_emits_nothing(self):
         monitor = CRNNMonitor()  # observability=None

@@ -11,6 +11,9 @@ adversarial inputs:
 * the ring-expansion NN kernels vs the heap-based scalar searches,
   including distance ties, cell-boundary coordinates, excluded ids and
   tight ``max_dist`` bounds;
+* the multi-query kernel behind ``nn_search_batch`` vs the same scalar
+  searches, request by request — plain and constrained requests mixed
+  in one call, batches of one request up to a dozen;
 * the one-gather ``initCRNN`` kernel vs the heap traversal of Fig. 7 —
   whole ``InitResult`` equality on lattice layouts (exact ties across
   cells), sector rays, coincident and excluded objects, border queries
@@ -37,11 +40,18 @@ from repro.core.init_crnn import _init_crnn_scalar, init_crnn
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.sector import _BOUNDARY_DIRS, NUM_SECTORS, sector_of
-from repro.grid.cpm import _constrained_knn_search_scalar, _nn_search_scalar
+from repro.grid.cpm import (
+    _constrained_knn_search_scalar,
+    _nn_search_scalar,
+    nn_search_batch,
+)
 from repro.grid.index import GridIndex
 from repro.perf.kernels import (
+    _TARGET_FIRST_RING,
     EntrySnapshot,
+    _first_radius,
     constrained_nn_k1_vector,
+    nn_k1_multi,
     nn_k1_vector,
     sector_of_vector,
 )
@@ -406,6 +416,173 @@ class TestInitCRNNEquivalence:
         assert (got.cand[0], got.d_cand[0]) == (0, 400.0)
         assert (got.nn[0], got.d_nn[0]) == (1, 300.0)
         assert fast.stats.vector_nn_kernel_fallbacks >= 1
+
+
+# ----------------------------------------------------------------------
+# Multi-query k=1 kernel (nn_search_batch)
+# ----------------------------------------------------------------------
+def _scalar_answer(grid, request):
+    q, sector, exclude, max_dist = request
+    if sector is None:
+        found = _nn_search_scalar(grid, q, 1, exclude, max_dist)
+    else:
+        found = _constrained_knn_search_scalar(grid, q, sector, 1, exclude, max_dist)
+    return found[0] if found else None
+
+
+def _assert_batch_twins_agree(pts, requests, cells):
+    """Scalar twins request by request == the kernel == both entry dispatches."""
+    ref = _populated_grid(pts, cells)
+    ref.vector_enabled = False
+    fast = _populated_grid(pts, cells)
+    want = [_scalar_answer(ref, rq) for rq in requests]
+    # The kernel itself, whatever the batch size ...
+    assert nn_k1_multi(fast, requests) == want
+    # ... and the entry point, which loops the scalar twins on a grid
+    # without vector dispatch.
+    counted = (fast.stats.snapshot(), ref.stats.snapshot())
+    assert nn_search_batch(fast, requests) == want
+    assert nn_search_batch(ref, requests) == want
+    constrained = sum(1 for rq in requests if rq[1] is not None)
+    for grid, before in zip((fast, ref), counted):
+        delta = grid.stats.diff(before)
+        # One logical search per request answered, whichever twin ran.
+        assert delta["constrained_nn_searches"] == constrained
+        assert delta["nn_searches"] == len(requests) - constrained
+    return want, fast
+
+
+#: Bounds that tie exactly with lattice distances, plus the two extremes.
+batch_bounds = st.one_of(
+    st.just(math.inf),
+    st.just(0.0),
+    st.integers(min_value=1, max_value=12).map(lambda i: i * 25.0),
+    st.floats(min_value=0.0, max_value=1500.0, allow_nan=False),
+)
+
+
+@st.composite
+def batch_cases(draw, point_strategy):
+    """A layout plus mixed plain/constrained requests against it.
+
+    A request's centre is a fresh point or — one time in three — the
+    position of a live object, which is then also offered for exclusion:
+    the certificate search's shape (centre = the candidate, excluded).
+    """
+    pts = draw(st.lists(point_strategy, min_size=0, max_size=40))
+    pts = pts + pts[:3]  # coincident objects: ties broken by oid
+    size = draw(st.sampled_from([1, 2, 3, 5, 12]))
+    requests = []
+    for _ in range(size):
+        exclude = set(draw(st.lists(st.integers(min_value=0, max_value=8), max_size=3)))
+        if pts and draw(st.integers(min_value=0, max_value=2)) == 0:
+            centre_oid = draw(st.integers(min_value=0, max_value=len(pts) - 1))
+            q = pts[centre_oid]
+            if draw(st.booleans()):
+                exclude.add(centre_oid)
+        else:
+            q = draw(point_strategy)
+        sector = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=NUM_SECTORS - 1)))
+        requests.append((q, sector, frozenset(exclude), draw(batch_bounds)))
+    return pts, requests
+
+
+class TestMultiQueryKernelEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=batch_cases(lattice_points),
+        cells=init_grids,
+        crowd=st.sampled_from([0, 600]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_batch_matches_scalar_twins_on_lattice(self, case, cells, crowd, seed):
+        # Lattice layouts tie exactly — across cells, across the bound,
+        # on the two horizontal sector rays and with the centre itself;
+        # the seeded crowd makes the first ring a proper sub-disk so the
+        # expansion, and border-facing sectors' empty boxes, are walked.
+        pts, requests = case
+        rng = random.Random(seed)
+        pts = pts + [
+            Point(rng.randrange(41) * 25.0, rng.randrange(41) * 25.0)
+            for _ in range(crowd)
+        ]
+        _assert_batch_twins_agree(pts, requests, cells)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=batch_cases(mixed_points), cells=init_grids)
+    def test_batch_matches_scalar_twins_on_raw_floats(self, case, cells):
+        pts, requests = case
+        _assert_batch_twins_agree(pts, requests, cells)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        q=points,
+        dists=st.lists(
+            st.floats(min_value=1e-3, max_value=400.0, allow_nan=False),
+            min_size=1,
+            max_size=12,
+        ),
+        rays=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=12),
+        cells=init_grids,
+    )
+    def test_batch_on_sector_ray_objects(self, q, dists, rays, cells):
+        # Objects (approximately) on the boundary rays sit on the edges
+        # of the per-sector gather boxes: all six sectors plus the plain
+        # search around the same centre, in one call.
+        pts = [_ray_point(q, ray, d) for ray, d in zip(rays, dists)]
+        pts = [p for p in pts if BOUNDS.contains_point(p)] + [q]
+        requests = [(q, s, frozenset(), math.inf) for s in (None, *range(NUM_SECTORS))]
+        _assert_batch_twins_agree(pts, requests, cells)
+
+    def test_empty_grid_and_empty_batch(self):
+        for cells in (2, 5, 11, 128):
+            requests = [(Point(10.0, 10.0), s, frozenset(), math.inf) for s in (None, 0, 3, 5, None)]
+            want, fast = _assert_batch_twins_agree([], requests, cells)
+            assert want == [None] * 5
+            assert nn_search_batch(fast, []) == [] == nn_k1_multi(fast, [])
+
+    def test_border_query_with_empty_sectors(self):
+        # q in the bottom-left corner: sectors 2..5 face out of the data
+        # space and must come back empty after expanding to full cover.
+        rng = random.Random(3)
+        pts = [Point(rng.uniform(0, 1000), rng.uniform(1, 1000)) for _ in range(500)]
+        q = Point(0.0, 0.0)
+        requests = [(q, s, frozenset(), math.inf) for s in range(NUM_SECTORS)]
+        want, _ = _assert_batch_twins_agree(pts, requests, 128)
+        assert want[2:] == [None] * 4 and None not in want[:2]
+
+    def test_far_cluster_needs_three_or_more_rings(self):
+        # Every object sits in the far corner: the first radius is sized
+        # for 16 objects at the mean density, and two triplings of it
+        # still fall short of the cluster, so these requests are open for
+        # at least three rounds while their batch-mates close in the first.
+        rng = random.Random(5)
+        pts = [Point(rng.uniform(850, 1000), rng.uniform(850, 1000)) for _ in range(2000)]
+        far = Point(100.0, 100.0)
+        requests = [
+            (far, None, frozenset(), math.inf),
+            (far, 0, frozenset(), math.inf),
+            (far, 1, frozenset(), 2000.0),
+            (far, 0, frozenset(), 900.0),  # bound reached first: nothing
+            (Point(900.0, 900.0), None, frozenset(), math.inf),
+            (Point(900.0, 900.0), 4, frozenset(), math.inf),
+        ]
+        want, fast = _assert_batch_twins_agree(pts, requests, 128)
+        assert 9.0 * _first_radius(fast, _TARGET_FIRST_RING) < want[0][0]
+        assert want[3] is None and want[4][0] < 20.0
+
+    def test_one_kernel_entry_whatever_the_batch_size(self):
+        rng = random.Random(11)
+        pts = [Point(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(300)]
+        pool = [
+            (Point(rng.uniform(0, 1000), rng.uniform(0, 1000)), s, frozenset({rng.randrange(300)}), 400.0)
+            for s in (None, 0, 1, None, 2, 3, None, 4, 5)
+        ]
+        for size in (1, 3, len(pool)):
+            want, fast = _assert_batch_twins_agree(pts, pool[:size], 16)
+            before = fast.stats.vector_nn_kernel_calls
+            assert nn_search_batch(fast, pool[:size]) == want
+            assert fast.stats.vector_nn_kernel_calls - before == 1
 
 
 # ----------------------------------------------------------------------

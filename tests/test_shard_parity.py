@@ -112,6 +112,32 @@ class TestGoldenParity:
                 f"large ticks K={shards}",
             )
 
+    def test_serial_tick_enters_batch_kernel_at_most_twice_per_stripe(self):
+        # A stripe's pie phase is one _resolve_affected call, so all its
+        # re-searches share one multi-query kernel entry and all its
+        # certificate searches a second — not one entry per search, which
+        # is what resolving query by query would hand the kernel.
+        mono, sharded = _pair(2, grid_cells=32)
+        batches = large_tick_batches(random.Random(7), 1500, 120, ticks=2, moves=1000)
+        with sharded:
+            stats = sharded.executor.stats  # the shared grid's counters
+            pie_entries: list[tuple[int, int]] = []
+            for engine in sharded.executor.engines:
+                def counted(affected, resolve=engine.resolve_pies):
+                    kernel, searches = stats.vector_nn_kernel_calls, stats.constrained_nn_searches
+                    resolve(affected)
+                    pie_entries.append((
+                        stats.vector_nn_kernel_calls - kernel,
+                        stats.constrained_nn_searches - searches,
+                    ))
+                engine.resolve_pies = counted
+            _drive(mono, sharded, batches, "K=2 batch-kernel entries")
+        # The load tick inserts every object before any query exists.
+        assert pie_entries[:2] == [(0, 0)] * 2 and len(pie_entries) == 6
+        for kernel_entries, searches in pie_entries[2:]:  # 2 stripes x 2 move ticks
+            assert searches >= 10  # many searches, yet ...
+            assert 1 <= kernel_entries <= 2
+
     def test_scalar_api_parity(self):
         # The non-batched facade surface: add/update/remove for both
         # objects and queries, one call at a time.  The drop policy
