@@ -11,13 +11,15 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # The core of what CI runs: the static-analysis suite, the tier-1 suite,
-# the fault-injection smoke job, and the seeded worker-kill loop. CI's
-# `bench` job also runs `pytest bench` and `bench/run.py --quick`, so
-# the yardstick itself is executed on every PR.
+# the fault-injection smoke job, the seeded worker-kill loop, and the
+# benchmark at smoke scale with one traced pass (as CI's `bench` job,
+# which also runs `pytest bench`), so the yardstick and its layer-table
+# hooks are executed on every PR.
 check: lint
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m repro.robustness.smoke --quick
 	PYTHONPATH=src $(PYTHON) -m repro.shard.chaos --seconds 60
+	$(PYTHON) bench/run.py --quick --seed 1 --trace 1
 
 # The full static-analysis gate (DESIGN §14, what the CI lint job
 # runs): the crnnlint project-invariant rules (CRNN001-005), ruff and

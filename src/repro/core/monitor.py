@@ -273,10 +273,20 @@ class CRNNMonitor:
             return
         self._insert_object(oid, checked)
 
+    def _object_updated(
+        self, oid: int, old_pos: Optional[Point], new_pos: Optional[Point]
+    ) -> None:
+        """Region maintenance for one update the grid already holds.
+
+        The tail every single-object method shares: pies (the batch of
+        one through ``_resolve_affected``), then the circ store.
+        """
+        handle_update_pies(self, oid, old_pos, new_pos)
+        self.circ.handle_update(oid, old_pos, new_pos)
+
     def _insert_object(self, oid: int, pos: Point) -> None:
         self.grid.insert_object(oid, pos)
-        handle_update_pies(self, oid, None, pos)
-        self.circ.handle_update(oid, None, pos)
+        self._object_updated(oid, None, pos)
 
     def update_object(self, oid: int, new_pos: Point) -> None:
         """Process a location report; unknown ids are inserted."""
@@ -287,10 +297,8 @@ class CRNNMonitor:
             self._insert_object(oid, checked)
             return
         old_pos, _, _ = self.grid.move_object(oid, checked)
-        if old_pos == checked:
-            return
-        handle_update_pies(self, oid, old_pos, checked)
-        self.circ.handle_update(oid, old_pos, checked)
+        if old_pos != checked:
+            self._object_updated(oid, old_pos, checked)
 
     def remove_object(self, oid: int) -> bool:
         """Remove an object from monitoring entirely.
@@ -303,8 +311,7 @@ class CRNNMonitor:
         if not self.guard.check_delete("object", oid in self.grid, oid):
             return False
         old_pos, _ = self.grid.delete_object(oid)
-        handle_update_pies(self, oid, old_pos, None)
-        self.circ.handle_update(oid, old_pos, None)
+        self._object_updated(oid, old_pos, None)
         return True
 
     # ------------------------------------------------------------------
@@ -365,7 +372,7 @@ class CRNNMonitor:
         return True
 
     def update_query(self, qid: int, new_pos: Point, *, cause: str = "query_moved") -> None:
-        """Move a query point.
+        """Move a query point; an unknown id is registered there.
 
         Following the paper (and [Yu et al. 05, Mouratidis et al. 05]),
         a moving query is re-computed at its new location rather than
@@ -374,6 +381,9 @@ class CRNNMonitor:
         health record (``"query_moved"``, ``"audit_repair"``,
         ``"rebuild"``) — diagnostics only, never behaviour.
         """
+        if qid not in self.qt:
+            self.add_query(qid, new_pos)
+            return
         checked = self.guard.check_point(new_pos, f"query {qid} update")
         if checked is None:
             return

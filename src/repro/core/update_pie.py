@@ -13,10 +13,15 @@ touches a pie-region:
 3. a candidate moves within its pie-region (same sector, not farther) —
    it stays the constrained NN; only the radius and circ-region change.
 
-Every candidate change flows into the circ-region store through
-:func:`set_candidate`, which determines the new circ-region by first
-trying known disprovers (the query's other candidates, the demoted
-candidate, the previous certificate) and only falling back to an NN
+There is one implementation, :func:`_resolve_affected` — the paper's
+multiple-update extension (Fig. 10), which subsumes Fig. 9.  A
+``process()`` tick feeds it :func:`build_affected_map_vector`'s map of
+the whole batch; the single-object API (:func:`handle_update_pies`)
+feeds it the one-object map, so a single update *is* the batch of one:
+same events, same regions, same logical counters (DESIGN §6).  Every
+candidate change determines its circ-region by first trying known
+disprovers (the query's other candidates, the demoted candidate, the
+previous certificate — :func:`_known_disprover`) and only asks for an NN
 search when none of them proves the candidate a false positive.
 """
 
@@ -28,15 +33,8 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 import numpy as np
 
 from repro.geometry.point import Point, dist
-from repro.geometry.rect import Rect
 from repro.geometry.sector import NUM_SECTORS, sector_of
-from repro.geometry.wedge import mindist_rect_in_sector
-from repro.grid.cpm import (
-    NNRequest,
-    constrained_nn_search,
-    nearest_neighbor,
-    nn_search_batch,
-)
+from repro.grid.cpm import NNRequest, nn_search_batch
 from repro.core.query_table import QueryState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -118,32 +116,6 @@ def _known_disprover(
     return (best, best_d) if best is not None else None
 
 
-def determine_certificate(
-    monitor: "CRNNMonitor",
-    st: QueryState,
-    sector: int,
-    cand: int,
-    cand_pos: Point,
-    d_q_cand: float,
-    extra_known: tuple[tuple[Optional[int], Optional[Point]], ...] = (),
-) -> tuple[Optional[int], float]:
-    """Find a disprover for a (new) candidate, cheaply if possible.
-
-    Returns ``(nn, nn_dist)``; ``nn is None`` means no object is strictly
-    nearer to the candidate than the query — the candidate is an RNN.
-
-    The first attempt is :func:`_known_disprover`; a full bounded NN
-    search runs only when no known object disproves the candidate.
-    """
-    known = _known_disprover(monitor, st, sector, cand, cand_pos, d_q_cand, extra_known)
-    if known is not None:
-        return known
-    found = nearest_neighbor(
-        monitor.grid, cand_pos, exclude=st.exclude | {cand}, max_dist=d_q_cand
-    )
-    return _as_certificate(found, d_q_cand)
-
-
 def _as_certificate(
     found: Optional[tuple[float, int]], d_q_cand: float
 ) -> tuple[Optional[int], float]:
@@ -166,48 +138,6 @@ def _point_pie_at(
     register_pie_cells(monitor, st, sector)
 
 
-def set_candidate(
-    monitor: "CRNNMonitor",
-    st: QueryState,
-    sector: int,
-    cand: int,
-    cand_pos: Point,
-    d_q_cand: float,
-    extra_known: tuple[tuple[Optional[int], Optional[Point]], ...] = (),
-) -> None:
-    """Install ``cand`` as the sector's candidate: pie cells + circ-region."""
-    _point_pie_at(monitor, st, sector, cand, d_q_cand)
-    nn, nn_dist = determine_certificate(
-        monitor, st, sector, cand, cand_pos, d_q_cand, extra_known
-    )
-    monitor.circ.set_circ(st.qid, sector, cand, cand_pos, d_q_cand, nn, nn_dist)
-
-
-def clear_candidate(monitor: "CRNNMonitor", st: QueryState, sector: int) -> None:
-    """Empty sector: unbounded pie-region, no circ-region."""
-    _point_pie_at(monitor, st, sector, None, math.inf)
-    monitor.circ.remove_circ(st.qid, sector)
-
-
-def research_sector(
-    monitor: "CRNNMonitor", st: QueryState, sector: int, upper_bound: float = math.inf
-) -> None:
-    """Case 2: re-compute the constrained NN of one sector from scratch.
-
-    ``upper_bound`` is an optional known constrained-NN distance (e.g.
-    the departing candidate's own new distance when it stayed in the
-    sector); the search never needs to look beyond it.
-    """
-    found = constrained_nn_search(
-        monitor.grid, st.pos, sector, exclude=st.exclude, max_dist=upper_bound
-    )
-    if found is None:
-        clear_candidate(monitor, st, sector)
-    else:
-        d_q_cand, cand = found
-        set_candidate(monitor, st, sector, cand, monitor.grid.positions[cand], d_q_cand)
-
-
 def handle_update_pies(
     monitor: "CRNNMonitor",
     oid: int,
@@ -216,72 +146,18 @@ def handle_update_pies(
 ) -> None:
     """Apply one object update to every affected query's pie-regions.
 
+    The single update is the batch of one: the affected map is read off
+    the two endpoint cells and handed to :func:`_resolve_affected`.
     Must run *after* the grid has been updated (searches see the current
     world) and *before* the circ-region store processes the update.
     """
-    affected: set[int] = set()
-    if old_pos is not None:
-        affected.update(monitor.grid.cell_at(old_pos).pie_queries)
-    if new_pos is not None:
-        affected.update(monitor.grid.cell_at(new_pos).pie_queries)
-    for qid in sorted(affected):
-        st = monitor.qt.get(qid)
-        handle_update_pies_for_query(monitor, st, oid, new_pos)
-
-
-def handle_update_pies_for_query(
-    monitor: "CRNNMonitor",
-    st: QueryState,
-    oid: int,
-    new_pos: Optional[Point],
-) -> None:
-    """The per-query body of :func:`handle_update_pies`.
-
-    Applies one object's (already grid-applied) update to a single
-    query's pie-regions — the scalar case-1/2/3 dispatch of *updatePie*.
-    Split out so a sharded engine can drive one owned query at a time
-    while attributing the resulting events; semantics and counters are
-    exactly those of the single-monitor loop.
-    """
-    if oid in st.exclude:
-        return
-    q = st.pos
-    cand_sector = st.sector_of_candidate(oid)
-    if cand_sector is not None:
-        if new_pos is None:
-            monitor.stats.pie_case2 += 1
-            research_sector(monitor, st, cand_sector)
-        else:
-            s_new = sector_of(q, new_pos)
-            d_new = dist(q, new_pos)
-            if s_new == cand_sector and d_new <= st.d_cand[cand_sector]:
-                # Case 3: the candidate moved within its own pie.
-                monitor.stats.pie_case3 += 1
-                set_candidate(monitor, st, cand_sector, oid, new_pos, d_new)
-            else:
-                # Case 2: the candidate left its pie (different
-                # sector, or outward past the old radius).  If it
-                # stayed in the sector its new distance bounds the
-                # re-search.
-                monitor.stats.pie_case2 += 1
-                bound = d_new if s_new == cand_sector else math.inf
-                research_sector(monitor, st, cand_sector, upper_bound=bound)
-    if new_pos is None:
-        return
-    s_new = sector_of(q, new_pos)
-    if st.cand[s_new] == oid:
-        return
-    d_new = dist(q, new_pos)
-    if d_new < st.d_cand[s_new]:
-        # Case 1: the object entered a pie-region; being strictly
-        # nearer than the previous candidate it is the new
-        # constrained NN of this sector.
-        monitor.stats.pie_case1 += 1
-        demoted = st.cand[s_new]
-        extra: tuple[tuple[Optional[int], Optional[Point]], ...] = ()
-        if demoted is not None:
-            extra = ((demoted, monitor.grid.positions[demoted]),)
-        set_candidate(monitor, st, s_new, oid, new_pos, d_new, extra_known=extra)
+    affected: dict[int, set[int]] = {}
+    for pos in (old_pos, new_pos):
+        if pos is not None:
+            for qid in monitor.grid.cell_at(pos).pie_queries:
+                affected[qid] = {oid}
+    if affected:
+        _resolve_affected(monitor, affected)
 
 
 def build_affected_map_vector(
@@ -335,8 +211,8 @@ def build_affected_map_vector(
 class _CircWrite(NamedTuple):
     """One deferred circ-store write of :func:`_resolve_affected`.
 
-    The circ half of :func:`set_candidate` / :func:`clear_candidate`:
-    queued by pass 3, run by pass 5.  ``cand is None`` removes the
+    The circ half of installing or clearing a candidate: queued by
+    pass 3, run by pass 5.  ``cand is None`` removes the
     sector's circ-region.  Otherwise the certificate is ``known`` (a
     disprover pass 3 already had) or, when that is ``None``, the answer
     to certificate request number ``asked``.

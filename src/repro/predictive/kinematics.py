@@ -12,7 +12,7 @@ quadratic on an interval.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from repro.geometry.point import Point
 
@@ -78,15 +78,3 @@ def difference(f: Quadratic, g: Quadratic) -> Quadratic:
 def sign_change_times(q: Quadratic, t0: float, t1: float) -> list[float]:
     """Times in ``(t0, t1)`` where the quadratic's sign can change."""
     return [t for t in q.roots() if t0 + EPS < t < t1 - EPS]
-
-
-def negative_intervals(q: Quadratic, t0: float, t1: float) -> Iterator[tuple[float, float]]:
-    """Maximal sub-intervals of ``[t0, t1]`` where ``q(t) < 0``.
-
-    Used for "p is strictly nearer to a than to b during ..." analyses.
-    """
-    cuts = [t0, *sign_change_times(q, t0, t1), t1]
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = (lo + hi) / 2.0
-        if q(mid) < 0.0:
-            yield (lo, hi)

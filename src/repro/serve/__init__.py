@@ -17,8 +17,8 @@ The three legs:
   graceful drain, and checkpoint-on-shutdown, plus the
   :class:`ServerThread` harness that hosts it on a background thread;
 * :mod:`repro.serve.client` — the sans-io :class:`ClientSession`
-  state machine, the blocking :class:`ServeClient` convenience wrapper,
-  and the :class:`AsyncServeClient` asyncio twin.
+  state machine and the blocking :class:`ServeClient` convenience
+  wrapper.
 
 The wire path is *bit-identical* to the in-process path: a seeded
 workload replayed through TCP yields the same sorted event stream and
@@ -26,7 +26,7 @@ the same logical counters as direct ``process()`` calls (enforced by
 ``tests/test_serve_parity.py`` and ``make serve-smoke``).
 """
 
-from repro.serve.client import AsyncServeClient, ClientSession, ServeClient
+from repro.serve.client import ClientSession, ServeClient
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -51,5 +51,4 @@ __all__ = [
     "ServerThread",
     "ClientSession",
     "ServeClient",
-    "AsyncServeClient",
 ]

@@ -1,23 +1,20 @@
 """Client-side access to a :class:`~repro.serve.server.CRNNServer`.
 
-Three layers, outermost first:
+Two layers, outermost first:
 
 * :class:`ServeClient` — a blocking convenience wrapper over a plain
   ``socket``: the one-liner interface examples, tests, and benches use
   (``add_object`` / ``send_updates`` / ``tick`` / ``results`` / ...).
-* :class:`AsyncServeClient` — the same surface over asyncio streams,
-  for callers already living on an event loop.
 * :class:`ClientSession` — the shared sans-io state machine: it builds
   request frames (assigning correlation ids), decodes received bytes
   into messages, and routes them into *replies* (matched by ``seq``)
-  versus asynchronously delivered *event* frames.  Both wrappers are
-  thin I/O shims around it, so the protocol logic is tested once,
-  without sockets.
+  versus asynchronously delivered *event* frames.  The wrapper is a
+  thin I/O shim around it, so the protocol logic is tested without
+  sockets.
 """
 
 from __future__ import annotations
 
-import asyncio
 import socket
 from collections import deque
 from typing import Iterable, Optional, Sequence, Union
@@ -45,7 +42,7 @@ from repro.serve.protocol import (
     to_wire,
 )
 
-__all__ = ["ServerError", "ClientSession", "ServeClient", "AsyncServeClient"]
+__all__ = ["ServerError", "ClientSession", "ServeClient"]
 
 Update = Union[ObjectUpdate, QueryUpdate]
 
@@ -311,100 +308,3 @@ class ServeClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class AsyncServeClient:
-    """The asyncio twin of :class:`ServeClient` (same method surface).
-
-    Create with :meth:`connect`; every request coroutine awaits its
-    reply, stashing interleaved event frames in the shared session.
-    """
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        session: ClientSession,
-    ):
-        self._reader = reader
-        self._writer = writer
-        self.session = session
-        self.hello: Optional[proto.HelloAck] = None
-
-    @classmethod
-    async def connect(
-        cls,
-        host: str,
-        port: int,
-        *,
-        client_name: str = "repro.serve.client",
-        max_frame: int = proto.DEFAULT_MAX_FRAME,
-    ) -> "AsyncServeClient":
-        """Open a connection and perform the ``hello`` handshake."""
-        reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer, ClientSession(max_frame))
-        client.hello = await client._request(
-            Hello(client=client_name, seq=client.session.next_seq())
-        )
-        return client
-
-    async def _request(self, msg: proto.Message) -> proto.Message:
-        assert msg.seq is not None
-        self._writer.write(self.session.encode(msg))
-        await self._writer.drain()
-        while True:
-            data = await self._reader.read(65536)
-            if not data:
-                raise ConnectionError("server closed the connection")
-            got = _route_replies(self.session, self.session.feed(data), msg.seq)
-            if got is not None:
-                return got
-
-    async def send_updates(
-        self, updates: Sequence[Union[Update, WireUpdate]]
-    ) -> None:
-        """Fire-and-forget: enqueue updates on the server (chunked)."""
-        core = _as_core_updates(updates)
-        for lo in range(0, len(core), BATCH_CHUNK):
-            chunk = tuple(core[lo : lo + BATCH_CHUNK])
-            self._writer.write(
-                self.session.encode(Batch(updates=chunk, seq=self.session.next_seq()))
-            )
-        await self._writer.drain()
-
-    async def tick(self, trace: Optional[tuple] = None) -> proto.TickAck:
-        """Flush everything enqueued so far through one ``process()``.
-
-        ``trace`` is the same optional ``(trace_id, parent_span_id)``
-        context as :meth:`ServeClient.tick`.
-        """
-        return await self._request(Tick(trace=trace, seq=self.session.next_seq()))
-
-    async def subscribe(self, qid: Optional[int] = None) -> None:
-        """Receive result deltas for ``qid`` (``None`` = every query)."""
-        await self._request(Subscribe(qid=qid, seq=self.session.next_seq()))
-
-    async def results(self, qid: int) -> tuple[int, ...]:
-        """The query's current RNN set (sorted object ids)."""
-        reply = await self._request(GetResults(qid=qid, seq=self.session.next_seq()))
-        return reply.rnn
-
-    async def stats(self) -> proto.StatsReply:
-        """Logical counters + serve-layer gauges, straight off the wire."""
-        return await self._request(GetStats(seq=self.session.next_seq()))
-
-    async def shutdown(self, drain: bool = True) -> proto.ShutdownAck:
-        """Stop the server (drains first unless ``drain=False``)."""
-        return await self._request(Shutdown(drain=drain, seq=self.session.next_seq()))
-
-    def take_events(self) -> list[EventBatch]:
-        """Event frames collected while awaiting replies."""
-        return self.session.take_events()
-
-    async def close(self) -> None:
-        """Close the connection."""
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass

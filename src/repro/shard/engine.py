@@ -36,7 +36,7 @@ from repro.core.monitor import CRNNMonitor, apply_grid_updates
 from repro.core.update_pie import (
     _resolve_affected,
     build_affected_map_vector,
-    handle_update_pies_for_query,
+    handle_update_pies,
 )
 from repro.geometry.point import Point
 from repro.grid.index import GridIndex
@@ -225,7 +225,7 @@ class ShardEngine:
             self._phase = 0
 
     # ------------------------------------------------------------------
-    # Scalar object ops (single-call API parity)
+    # Single-object ops (the batch of one)
     # ------------------------------------------------------------------
     def apply_scalar(
         self,
@@ -234,17 +234,20 @@ class ShardEngine:
         new_pos: Optional[Point],
         old_pos: Optional[Point] = None,
     ) -> bool:
-        """One object insert/move/delete through the scalar code path.
+        """One object insert/move/delete: the single monitor's API tail.
 
-        Mirrors the single monitor's ``add_object`` / ``update_object``
-        / ``remove_object`` internals (which count pie cases differently
-        from the batched path, so the facade must not funnel scalar API
-        calls through ``process()``).  When this engine owns its grid
-        the primitive is applied to the replica first and ``old_pos`` is
-        derived; a shared-grid engine receives ``old_pos`` from the
-        coordinator, which already applied the primitive.  Returns
-        whether the update had any effect (a move to the same position
-        does not).
+        Runs what ``CRNNMonitor.add_object`` / ``update_object`` /
+        ``remove_object`` run after the grid primitive —
+        ``handle_update_pies`` (the batch of one; foreign qids in the
+        endpoint cells are skipped) then ``circ.handle_update`` — under
+        this engine's event tagging.  The op exists beside ``tick`` for
+        cost, not semantics: a one-element tick rebuilds the CSR
+        bucketing on every call (DESIGN §9).  When this engine owns its
+        grid the primitive is applied to the replica first and
+        ``old_pos`` is derived; a shared-grid engine receives ``old_pos``
+        from the coordinator, which already applied the primitive.
+        Returns whether the update had any effect (a move to the same
+        position does not).
         """
         inner = self.inner
         grid = inner.grid
@@ -263,17 +266,9 @@ class ShardEngine:
                 raise ValueError(f"unknown scalar op {kind!r}")
         elif kind == "delete":
             new_pos = None
-        affected: set[int] = set()
-        if old_pos is not None:
-            affected.update(grid.cell_at(old_pos).pie_queries)
-        if new_pos is not None:
-            affected.update(grid.cell_at(new_pos).pie_queries)
         self._phase = _PHASE_PIES
         try:
-            for qid in sorted(affected):
-                if qid not in inner.qt:
-                    continue
-                handle_update_pies_for_query(inner, inner.qt.get(qid), oid, new_pos)
+            handle_update_pies(inner, oid, old_pos, new_pos)
         finally:
             self._phase = 0
         self._phase = _PHASE_CIRCS

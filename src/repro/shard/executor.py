@@ -164,7 +164,9 @@ class SerialExecutor:
     def scalar(
         self, kind: str, oid: int, new_pos: Optional[Point]
     ) -> tuple[bool, list[TaggedEvent]]:
-        """Apply one insert/move/delete primitive everywhere relevant."""
+        """Apply one insert/move/delete primitive to the shared grid, then
+        every engine's :meth:`ShardEngine.apply_scalar` (the batch of one
+        without a tick's CSR rebuild)."""
         if kind == "insert":
             self.grid.insert_object(oid, new_pos)
             old_pos: Optional[Point] = None

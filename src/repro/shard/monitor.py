@@ -329,7 +329,7 @@ class ShardedCRNNMonitor:
                     self._m_events.labels(str(shard)).inc()
 
     # ------------------------------------------------------------------
-    # Object maintenance (scalar API)
+    # Object maintenance (single-object API)
     # ------------------------------------------------------------------
     def add_object(self, oid: int, pos: Point) -> None:
         """Register a new object (same guard semantics as the single
@@ -363,6 +363,13 @@ class ShardedCRNNMonitor:
         return True
 
     def _scalar(self, kind: str, oid: int, new_pos: Optional[Point]) -> None:
+        """One object primitive through the executor's ``scalar`` op.
+
+        Semantically the one-element ``process()`` batch (same events,
+        regions and logical counters); a separate op only because a
+        ``tick`` re-buckets every replica's CSR, which a load or a
+        restore of N single calls cannot afford (DESIGN §9).
+        """
         applied, tagged = self.executor.scalar(kind, oid, new_pos)
         if kind == "insert":
             self._objects.add(oid)
@@ -410,7 +417,8 @@ class ShardedCRNNMonitor:
     def update_query(
         self, qid: int, new_pos: Point, *, cause: str = "query_moved"
     ) -> None:
-        """Move a query point (recompute-at-new-location semantics).
+        """Move a query point (recompute-at-new-location semantics); an
+        unknown id is registered there, as ``process()`` would.
 
         Within its stripe this runs the owner shard's ordinary
         recomputation; crossing a stripe boundary migrates the query —
@@ -418,6 +426,9 @@ class ShardedCRNNMonitor:
         new one — and the coordinator emits the same net result diff
         (sorted losses, then sorted gains) the single monitor would.
         """
+        if qid not in self._owner:
+            self.add_query(qid, new_pos)
+            return
         checked = self.guard.check_point(new_pos, f"query {qid} update")
         if checked is None:
             return

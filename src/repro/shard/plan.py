@@ -117,20 +117,6 @@ class StripePlan:
     # ------------------------------------------------------------------
     # Halo accounting
     # ------------------------------------------------------------------
-    def crosses_stripe(
-        self, old_pos: Optional[Point], new_pos: Optional[Point]
-    ) -> bool:
-        """Whether a move's endpoints land in different stripes.
-
-        Such a move is *halo traffic*: both endpoint shards' query sets
-        can be affected, so under the replicated-plane protocol it must
-        be visible to (at least) both of them.  Inserts and deletes
-        (one endpoint) are never halo traffic by themselves.
-        """
-        if old_pos is None or new_pos is None:
-            return False
-        return self.owner_of(old_pos) != self.owner_of(new_pos)
-
     def halo_counts(
         self, moves: list[tuple[int, Optional[Point], Optional[Point]]]
     ) -> dict[int, int]:

@@ -21,7 +21,9 @@ import functools
 import hashlib
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.circ_store import CircStoreBase
 from repro.core.config import MonitorConfig
@@ -32,6 +34,8 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.grid.index import GridIndex
 from repro.robustness.faults import FaultInjector, FaultSpec
+from repro.robustness.guard import IngestionError
+from repro.shard.monitor import ShardedCRNNMonitor
 
 from .conftest import TEST_BOUNDS, VARIANTS, large_tick_batches, make_monitor, random_point
 from .test_robustness_fuzz import _random_batches
@@ -287,6 +291,112 @@ class TestDrainEventsBatched:
                 _assert_lockstep(scalar, fast, f"singleton t={t}")
         scalar.validate()
         fast.validate()
+
+
+# ----------------------------------------------------------------------
+# The single-object API is the batch of one
+# ----------------------------------------------------------------------
+# Objects sit on a 50-unit lattice (distance ties, coincident objects) and
+# queries on the same rows half a step over, so lattice objects land on a
+# query's horizontal sector-boundary rays but never on the query itself;
+# a minority of free points keeps the streams off the lattice too.
+_lattice = st.integers(0, 20).map(lambda i: 50.0 * i)
+_free = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False, width=64)
+_object_points = st.one_of(
+    st.tuples(_lattice, _lattice), st.tuples(_lattice, _lattice), st.tuples(_free, _free)
+).map(lambda t: Point(*t))
+_query_points = st.one_of(
+    st.tuples(st.integers(0, 19).map(lambda i: 50.0 * i + 25.0), _lattice),
+    st.tuples(_free, _free),
+).map(lambda t: Point(*t))
+_single_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("object"), st.integers(0, 9), _object_points, st.booleans()),
+        st.tuples(st.just("object"), st.integers(0, 9), st.none(), st.booleans()),
+        st.tuples(st.just("query"), st.integers(100, 103), _query_points, st.booleans()),
+        st.tuples(st.just("query"), st.integers(100, 103), st.none(), st.booleans()),
+    ),
+    max_size=40,
+)
+#: Every stream starts from the same small world, itself loaded through
+#: the two APIs under comparison.
+_SINGLE_PREFIX = [
+    ("object", oid, Point(50.0 * (3 + 2 * (oid % 4)), 50.0 * (4 + 3 * (oid // 4))), False)
+    for oid in range(8)
+] + [
+    ("query", 100, Point(325.0, 350.0), False),
+    ("query", 101, Point(475.0, 200.0), True),
+]
+
+
+def _logical(monitor) -> dict[str, int]:
+    stats = (
+        monitor.aggregated_stats()
+        if isinstance(monitor, ShardedCRNNMonitor)
+        else monitor.stats
+    )
+    return logical_subset(stats.snapshot())
+
+
+def _assert_single_is_batch_of_one(single, batched, ops) -> None:
+    """Drive ``single`` through the single-object methods and ``batched``
+    through one-element ``process()`` batches; everything observable must
+    agree after every step."""
+    updates = {"object": ObjectUpdate, "query": QueryUpdate}
+    known: dict[str, set[int]] = {"object": set(), "query": set()}
+    for step, (kind, ident, pos, via_add) in enumerate(_SINGLE_PREFIX + ops):
+        live = known[kind]
+        if pos is None:
+            if ident not in live:
+                continue  # the strict guard rejects an unknown delete
+            getattr(single, f"remove_{kind}")(ident)
+            live.discard(ident)
+        else:
+            # update_* on an unknown id inserts / registers it.
+            verb = "add" if via_add and ident not in live else "update"
+            getattr(single, f"{verb}_{kind}")(ident, pos)
+            live.add(ident)
+        batched.process([updates[kind](ident, pos)])
+        context = f"step {step}: {kind} {ident} -> {pos}"
+        _assert_lockstep(single, batched, context)
+        assert _logical(single) == _logical(batched), context
+    single.validate()
+    batched.validate()
+
+
+class TestSingleUpdateIsBatchOfOne:
+    """The contract of DESIGN §6: for objects and queries, a single-object
+    call is the one-element ``process()`` batch — events, results, regions
+    and ``LOGICAL_COUNTERS`` — on both facades."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_single_ops)
+    def test_single_monitor(self, variant, ops):
+        _assert_single_is_batch_of_one(
+            make_monitor(variant, grid_cells=8), make_monitor(variant, grid_cells=8), ops
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(ops=_single_ops)
+    def test_sharded_facade(self, ops):
+        config = MonitorConfig(variant="lu+pi", grid_cells=8, bounds=TEST_BOUNDS)
+        _assert_single_is_batch_of_one(
+            ShardedCRNNMonitor(config, shards=2), CRNNMonitor(config), ops
+        )
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_update_query_registers_an_unknown_id(self, sharded):
+        config = MonitorConfig(variant="lu+pi", grid_cells=8, bounds=TEST_BOUNDS)
+        monitor = ShardedCRNNMonitor(config, shards=2) if sharded else CRNNMonitor(config)
+        monitor.add_object(1, Point(300.0, 300.0))
+        monitor.update_query(5, Point(325.0, 300.0))
+        assert monitor.rnn(5) == frozenset({1})
+        assert _logical(monitor)["query_recomputations"] == 0
+        with pytest.raises(IngestionError):  # rejected before any counter moves
+            monitor.update_query(6, Point(-5.0, 300.0))
+        assert _logical(monitor)["query_recomputations"] == 0
+        assert monitor.query_count() == 1
 
 
 class TestLazyCells:

@@ -403,8 +403,10 @@ class TestFacadeSurface:
             assert sharded.rnn(10) == frozenset({1, 2})
             with pytest.raises(KeyError):
                 sharded.rnn(999)
-            with pytest.raises(KeyError):
-                sharded.update_query(999, Point(5.0, 5.0))
+            # An unknown query id is registered, as process() would.
+            sharded.update_query(999, Point(5.0, 5.0))
+            assert sharded.query_count() == 2
+            assert sharded.rnn(999) == frozenset({1, 2})
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_imbalance_ratio_is_max_over_mean_of_last_tick(self, executor, monkeypatch):

@@ -91,14 +91,11 @@ class TestHalo:
     def test_crossing_move_charged_to_both_shards(self):
         plan = StripePlan(TEST_BOUNDS, 12, 4)
         a, b = Point(10.0, 10.0), Point(990.0, 10.0)
-        assert plan.crosses_stripe(a, b)
         counts = plan.halo_counts([(1, a, b)])
         assert counts == {0: 1, 3: 1}
 
     def test_insert_and_delete_are_not_halo_traffic(self):
         plan = StripePlan(TEST_BOUNDS, 12, 4)
-        assert not plan.crosses_stripe(None, Point(10.0, 10.0))
-        assert not plan.crosses_stripe(Point(10.0, 10.0), None)
         assert plan.halo_counts(
             [(1, None, Point(10.0, 10.0)), (2, Point(990.0, 0.0), None)]
         ) == {}

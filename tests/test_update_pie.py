@@ -6,13 +6,7 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.update_pie import (
-    build_affected_map_vector,
-    determine_certificate,
-    register_pie_cells,
-    research_sector,
-    set_candidate,
-)
+from repro.core.update_pie import _known_disprover, build_affected_map_vector
 from repro.geometry.point import Point, dist
 from repro.geometry.sector import sector_of
 
@@ -81,47 +75,57 @@ class TestRegistrationHysteresis:
 
 
 class TestDetermineCertificate:
+    """How a (re)installed candidate gets its certificate, driven through
+    the single-object API (the batch of one)."""
+
+    # o1 in sector 0 of q, o2 in sector 1 near the shared boundary ray:
+    # both are candidates, and o2 is nearer to o1 than q is.
+    O1, O1_MOVED, O2 = Point(600.0, 501.0), Point(595.0, 501.0), Point(530.0, 552.0)
+    Q = Point(500.0, 500.0)
+
+    def _two_candidates(self, variant):
+        mon = _setup(variant)
+        mon.add_object(1, self.O1)
+        mon.add_object(2, self.O2)
+        mon.add_query(50, self.Q)
+        return mon, mon.qt.get(50), sector_of(self.Q, self.O1)
+
     def test_known_candidate_shortcut_avoids_search(self):
-        mon = _setup("lu+pi")
-        # two candidates of the same query in adjacent sectors (o1 in
-        # sector 0, o2 in sector 1 near the shared boundary ray), close
-        # enough that the sibling candidate disproves the new one.
-        mon.add_object(1, Point(600.0, 501.0))   # sector 0 of q
-        mon.add_object(2, Point(530.0, 552.0))   # sector 1 of q, near o1
-        mon.add_query(50, Point(500.0, 500.0))
-        st = mon.qt.get(50)
+        mon, st, sector = self._two_candidates("lu+pi")
+        assert st.cand[sector] == 1
+        assert _known_disprover(
+            mon, st, sector, 1, self.O1, dist(self.Q, self.O1)
+        ) == (2, dist(self.O1, self.O2))
         searches = mon.stats.nn_searches
-        sector = sector_of(st.pos, Point(600.0, 501.0))
-        nn, nn_dist = determine_certificate(
-            mon, st, sector, 1, Point(600.0, 501.0), dist(st.pos, Point(600.0, 501.0))
-        )
-        assert nn == 2
-        assert nn_dist == dist(Point(600.0, 501.0), Point(530.0, 552.0))
+        mon.update_object(1, self.O1_MOVED)  # case 3: re-certified in place
+        rec = mon.circ.record(50, sector)
+        assert rec.cand == 1 and rec.nn == 2
+        assert rec.radius == dist(self.O1_MOVED, self.O2)
+        assert mon.stats.pie_case3 == 1
         assert mon.stats.nn_searches == searches  # no search needed
+        mon.validate()
 
     def test_eager_mode_always_searches(self):
-        mon = _setup("uniform")
-        mon.add_object(1, Point(600.0, 501.0))
-        mon.add_object(2, Point(530.0, 552.0))
-        mon.add_query(50, Point(500.0, 500.0))
-        st = mon.qt.get(50)
+        mon, st, sector = self._two_candidates("uniform")
+        assert _known_disprover(
+            mon, st, sector, 1, self.O1, dist(self.Q, self.O1)
+        ) is None
         searches = mon.stats.nn_searches
-        sector = sector_of(st.pos, Point(600.0, 501.0))
-        determine_certificate(
-            mon, st, sector, 1, Point(600.0, 501.0), dist(st.pos, Point(600.0, 501.0))
-        )
+        mon.update_object(1, self.O1_MOVED)
+        assert mon.circ.record(50, sector).nn == 2
         assert mon.stats.nn_searches == searches + 1
+        mon.validate()
 
     def test_rnn_when_no_disprover(self, variant):
         mon = _setup(variant)
-        mon.add_object(1, Point(600.0, 501.0))
-        mon.add_query(50, Point(500.0, 500.0))
-        st = mon.qt.get(50)
-        sector = sector_of(st.pos, Point(600.0, 501.0))
-        nn, nn_dist = determine_certificate(
-            mon, st, sector, 1, Point(600.0, 501.0), dist(st.pos, Point(600.0, 501.0))
-        )
-        assert nn is None and math.isinf(nn_dist)
+        mon.add_object(1, self.O1)
+        mon.add_query(50, self.Q)
+        sector = sector_of(self.Q, self.O1)
+        mon.update_object(1, self.O1_MOVED)
+        rec = mon.circ.record(50, sector)
+        assert rec.nn is None and rec.radius == dist(self.Q, self.O1_MOVED)
+        assert mon.rnn(50) == frozenset({1})
+        mon.validate()
 
 
 class TestResearchSector:
@@ -133,9 +137,16 @@ class TestResearchSector:
         mon.add_query(50, Point(500.0, 500.0))
         st = mon.qt.get(50)
         sector = sector_of(st.pos, Point(700.0, 510.0))
-        bound = dist(st.pos, Point(700.0, 510.0))
-        research_sector(mon, st, sector, upper_bound=bound)
+        # The candidate moves outward within its sector: case 2, the
+        # re-search bounded by its own new distance.
+        moved = Point(800.0, 515.0)
+        assert sector_of(st.pos, moved) == sector
+        constrained = mon.stats.constrained_nn_searches
+        mon.update_object(1, moved)
+        assert mon.stats.pie_case2 == 1
+        assert mon.stats.constrained_nn_searches == constrained + 1
         assert st.cand[sector] == 1
+        assert st.d_cand[sector] == dist(st.pos, moved)
         mon.validate()
 
     def test_empty_sector_clears(self, variant):
@@ -144,11 +155,12 @@ class TestResearchSector:
         mon.add_query(50, Point(500.0, 500.0))
         st = mon.qt.get(50)
         sector = sector_of(st.pos, Point(700.0, 510.0))
-        mon.grid.delete_object(1)  # bypass monitor: force a stale sector
-        research_sector(mon, st, sector)
+        assert mon.circ.record(50, sector) is not None
+        mon.remove_object(1)
         assert st.cand[sector] is None
         assert math.isinf(st.d_cand[sector])
         assert mon.circ.record(50, sector) is None
+        mon.validate()
 
 
 # Endpoints reach past the data space on every side (they clamp to the
