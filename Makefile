@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test check lint smoke obs-smoke obs-dist-smoke chaos-smoke chaos-heavy serve-smoke serve-soak bench bench-pairs bench-paper docs docs-lint experiments experiments-quick examples clean
+.PHONY: install test check lint mutants smoke obs-smoke obs-dist-smoke chaos-smoke chaos-heavy serve-smoke serve-soak bench bench-pairs bench-paper docs docs-lint experiments experiments-quick examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -10,12 +10,12 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# The core of what CI runs: the static-analysis suite, the tier-1 suite,
-# the fault-injection smoke job, the seeded worker-kill loop, and the
+# The core of what CI runs: the static-analysis suite, the listed
+# mutants, the tier-1 suite, the fault-injection smoke job, the seeded worker-kill loop, and the
 # benchmark at smoke scale with one traced pass (as CI's `bench` job,
 # which also runs `pytest bench`), so the yardstick and its layer-table
 # hooks are executed on every PR.
-check: lint
+check: lint mutants
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m repro.robustness.smoke --quick
 	PYTHONPATH=src $(PYTHON) -m repro.shard.chaos --seconds 60
@@ -30,6 +30,12 @@ lint:
 	$(PYTHON) tools/run_ruff.py
 	$(PYTHON) tools/run_mypy.py
 	$(PYTHON) tools/docstring_coverage.py --fail-under 85 src/repro
+
+# Each source patch in tools/mutants.json, applied alone to a temporary
+# copy of src/ + tests/, must fail every test it names (which must pass
+# unmutated).  Seconds: only the named tests run.
+mutants:
+	$(PYTHON) tools/mutants.py
 
 smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.robustness.smoke

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.obs.config import ObsConfig
@@ -128,12 +128,7 @@ def apply_grid_updates(
 class CRNNMonitor:
     """Continuously monitors the reverse nearest neighbors of query points."""
 
-    def __init__(
-        self,
-        config: Optional[MonitorConfig] = None,
-        *,
-        grid: Optional[GridIndex] = None,
-    ):
+    def __init__(self, config: Optional[MonitorConfig] = None):
         self.config = config if config is not None else MonitorConfig()
         self.stats = StatCounters()
         #: Wall-clock attribution of ``process()`` batches by stage.
@@ -142,20 +137,10 @@ class CRNNMonitor:
         #: registry, per-query health.  Disabled (null tracer, no hooks)
         #: unless ``config.observability`` switches it on.
         self.obs = Observability(self.config.observability)
-        #: Whether this monitor owns its grid.  A sharded deployment
-        #: (:mod:`repro.shard`) injects one shared grid into several
-        #: per-shard monitors; the sharing coordinator then drives grid
-        #: maintenance and keeps control of the grid's tracer hookup.
-        self.owns_grid = grid is None
-        self.grid = (
-            grid
-            if grid is not None
-            else GridIndex(self.config.bounds, self.config.grid_cells, self.stats)
-        )
-        if self.owns_grid:
-            #: Searches dispatched through the grid emit spans to the same
-            #: tracer as the monitor's phases (null tracer when disabled).
-            self.grid.tracer = self.obs.tracer
+        self.grid = GridIndex(self.config.bounds, self.config.grid_cells, self.stats)
+        #: Searches dispatched through the grid emit spans to the same
+        #: tracer as the monitor's phases (null tracer when disabled).
+        self.grid.tracer = self.obs.tracer
         self.qt = QueryTable()
         self._results: dict[int, set[int]] = {}
         # Per-query reference counts behind the result sets.  An object
@@ -588,21 +573,8 @@ class CRNNMonitor:
     # ------------------------------------------------------------------
     # Validation (tests)
     # ------------------------------------------------------------------
-    def validate(
-        self, *, foreign_qid_ok: Optional[Callable[[int], bool]] = None
-    ) -> None:
-        """Cross-structure consistency checks; raises ``AssertionError``.
-
-        Parameters
-        ----------
-        foreign_qid_ok:
-            Optional predicate for grid pie registrations whose qid this
-            monitor does not know.  A sharded deployment shares one grid
-            between several per-shard monitors, so sibling shards'
-            registrations are expected; the predicate returns ``True``
-            for qids owned elsewhere.  Default: every unknown qid is a
-            dead-query violation (the single-monitor invariant).
-        """
+    def validate(self) -> None:
+        """Cross-structure consistency checks; raises ``AssertionError``."""
         self.circ.validate()  # type: ignore[attr-defined]
         for st in self.qt:
             for sector in range(NUM_SECTORS):
@@ -643,9 +615,6 @@ class CRNNMonitor:
         # keeps validate() from defeating the grid's lazy allocation.
         for cell in self.grid.materialized_cells():
             for qid, mask in cell.pie_queries.items():
-                if qid not in self.qt and foreign_qid_ok is not None:
-                    if foreign_qid_ok(qid):
-                        continue
                 assert qid in self.qt, "registration for dead query"
                 for sector in range(NUM_SECTORS):
                     if mask & (1 << sector):

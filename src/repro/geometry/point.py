@@ -25,12 +25,6 @@ class Point(NamedTuple):
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def dist_sq_to(self, other: "Point") -> float:
-        """Squared Euclidean distance to ``other`` (no sqrt)."""
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return dx * dx + dy * dy
-
 
 def dist(a: Point, b: Point) -> float:
     """Euclidean distance between two points."""

@@ -141,7 +141,6 @@ def run(quick: bool = False) -> int:
     serve_cfg = ServeConfig(
         backend="sharded",
         shards=SHARDS,
-        executor="process",
         monitor=replace(
             base, observability=ObsConfig(sample_rate=1.0, ring_capacity=8192)
         ),

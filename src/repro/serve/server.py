@@ -2,9 +2,10 @@
 
 :class:`CRNNServer` fronts one monitor — a
 :class:`~repro.core.monitor.CRNNMonitor` (``backend="serial"``) or a
-:class:`~repro.shard.monitor.ShardedCRNNMonitor` (``backend="sharded"``)
-— behind the wire protocol of :mod:`repro.serve.protocol`.  The design
-keeps the wire path *bit-identical* to the in-process path:
+:class:`~repro.shard.monitor.ShardedCRNNMonitor` on its worker-process
+executor (``backend="sharded"``) — behind the wire protocol of
+:mod:`repro.serve.protocol`.  The design keeps the wire path
+*bit-identical* to the in-process path:
 
 * **Ingestion** — every connection's reader coroutine validates frames
   and appends updates to one global bounded queue in arrival order.
@@ -103,9 +104,6 @@ BACKEND_SERIAL = "serial"
 BACKEND_SHARDED = "sharded"
 BACKENDS = (BACKEND_SERIAL, BACKEND_SHARDED)
 
-#: Executors of the sharded backend (ignored by the serial backend).
-EXECUTORS = ("serial", "process")
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -116,12 +114,11 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0
     #: ``"serial"`` fronts a single :class:`CRNNMonitor`; ``"sharded"``
-    #: fronts a :class:`~repro.shard.monitor.ShardedCRNNMonitor`.
+    #: fronts a :class:`~repro.shard.monitor.ShardedCRNNMonitor` with one
+    #: worker process per stripe.
     backend: str = BACKEND_SERIAL
     #: Stripe count of the sharded backend.
     shards: int = 2
-    #: Executor of the sharded backend (``"serial"`` or ``"process"``).
-    executor: str = "serial"
     #: Monitor configuration; defaults to ``MonitorConfig.lu_pi()``.
     monitor: Optional[MonitorConfig] = None
     #: Auto-tick period in seconds; ``None`` processes only on explicit
@@ -152,8 +149,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {self.executor!r}")
         if self.overload not in POLICIES:
             raise ValueError(f"overload must be one of {POLICIES}, got {self.overload!r}")
         if self.fanout_policy is not None and self.fanout_policy not in POLICIES:
@@ -222,7 +217,7 @@ class CRNNServer:
             self.monitor: Union[CRNNMonitor, "ShardedCRNNMonitor"] = ShardedCRNNMonitor(
                 mc,
                 shards=self.config.shards,
-                executor=self.config.executor,
+                executor="process",
             )
         else:
             self.monitor = CRNNMonitor(mc)
@@ -251,7 +246,7 @@ class CRNNServer:
         self._tick_task: Optional[asyncio.Task] = None
         self._tick_lock = asyncio.Lock()
         self._draining = False
-        self._stopped = asyncio.Event()
+        self._stopped = False
 
     # ------------------------------------------------------------------
     # Metrics
@@ -356,10 +351,6 @@ class CRNNServer:
         host, port = self._server.sockets[0].getsockname()[:2]
         return host, port
 
-    async def wait_stopped(self) -> None:
-        """Block until :meth:`shutdown` has completed."""
-        await self._stopped.wait()
-
     async def shutdown(self, drain: bool = True) -> None:
         """Stop serving: drain, flush, checkpoint, close.
 
@@ -367,7 +358,7 @@ class CRNNServer:
         through one final tick and every subscriber outbox is flushed
         before sockets close; ``drain=False`` abandons queued work.
         """
-        if self._stopped.is_set():
+        if self._stopped:
             return
         self._draining = True
         if self._server is not None:
@@ -390,7 +381,7 @@ class CRNNServer:
         close = getattr(self.monitor, "close", None)
         if close is not None:
             close()
-        self._stopped.set()
+        self._stopped = True
         log.info("repro.serve stopped after %d ticks", self._tick)
 
     def _write_checkpoint(self, path: str) -> int:
@@ -1022,8 +1013,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--backend", choices=BACKENDS, default=BACKEND_SERIAL)
     parser.add_argument("--shards", type=int, default=2,
                         help="stripe count of the sharded backend")
-    parser.add_argument("--executor", choices=EXECUTORS, default="serial",
-                        help="executor of the sharded backend")
     parser.add_argument("--tick-interval", type=float, default=0.1,
                         help="seconds between automatic ticks (0 = explicit ticks only)")
     parser.add_argument("--max-pending", type=int, default=100_000)
@@ -1037,7 +1026,6 @@ def main(argv: Optional[list] = None) -> int:
         port=args.port,
         backend=args.backend,
         shards=args.shards,
-        executor=args.executor,
         tick_interval=args.tick_interval or None,
         max_pending=args.max_pending,
         overload=args.overload,

@@ -6,7 +6,8 @@ the layer makes:
 1. **Wire parity** — a seeded mixed workload replayed through the
    server (batch frames + explicit ticks) produces a per-tick event
    stream and logical counters bit-identical to direct ``process()``
-   calls, for both the serial backend and the sharded backend (K=2).
+   calls, for both the serial backend and the sharded backend (K=2
+   worker processes).
 2. **Subscription fanout** — a firehose subscriber receives exactly the
    events each tick emitted, in order.
 3. **Load shedding** — the ``reject`` policy answers a burst with a
@@ -193,7 +194,7 @@ def check_parity(quick: bool) -> int:
                 f"{backend}: logical counters diverged: "
                 f"wire={wire_counters} direct={direct_counters}"
             )
-    print(f"[serve-smoke] parity ok over {ticks} ticks (serial + sharded K=2)")
+    print(f"[serve-smoke] parity ok over {ticks} ticks (serial + sharded K=2 workers)")
     return 0
 
 

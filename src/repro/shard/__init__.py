@@ -1,9 +1,10 @@
 """Space-partitioned parallel execution for CRNN monitoring.
 
 The grid is cut into ``K`` column stripes (:class:`StripePlan`); each
-stripe's queries run on their own :class:`ShardEngine`, driven either by
-the deterministic in-process :class:`SerialExecutor` or by a
-``multiprocessing`` pool (:class:`ProcessExecutor`).  The public entry
+stripe's queries run on their own :class:`ShardEngine` over a full grid
+replica, driven by one request protocol — in worker processes
+(:class:`ProcessExecutor`) or in-process, deterministically
+(:class:`SerialExecutor`).  The public entry
 point is :class:`ShardedCRNNMonitor`, a drop-in for
 :class:`~repro.core.monitor.CRNNMonitor` whose event stream and logical
 counters are bit-identical to the single-shard monitor's.

@@ -3,10 +3,10 @@
 A :class:`ShardEngine` owns the monitoring state (query table, pie
 registrations, FUR circ store) of the queries that live in its stripe,
 wrapped around an ordinary :class:`~repro.core.monitor.CRNNMonitor`
-whose grid is either *shared* with the coordinator (serial executor) or
-a *private full replica* (process executor).  The engine drives the
-inner monitor's phases — the stripe's whole pie resolution in one call,
-the circ steps move by move — and tags every emitted
+over a *private full replica* of the object grid (under either
+executor).  The engine drives the inner monitor's phases — the
+stripe's whole pie resolution in one call, the circ steps move by
+move — and tags every emitted
 :class:`~repro.core.events.ResultChange` with a sort key that encodes
 where in the single-monitor execution order the event would have
 occurred.  Merging all shards' tagged streams by key therefore
@@ -39,7 +39,6 @@ from repro.core.update_pie import (
     handle_update_pies,
 )
 from repro.geometry.point import Point
-from repro.grid.index import GridIndex
 from repro.shard.plan import StripePlan
 
 __all__ = ["ShardEngine", "TaggedEvent", "dispatch_op"]
@@ -65,18 +64,9 @@ class ShardEngine:
         The stripe plan this engine participates in.
     shard:
         This engine's shard index in ``[0, plan.shards)``.
-    grid:
-        A shared grid index to attach to (serial executor), or ``None``
-        to own a private replica (process executor).
     """
 
-    def __init__(
-        self,
-        config: MonitorConfig,
-        plan: StripePlan,
-        shard: int,
-        grid: Optional[GridIndex] = None,
-    ):
+    def __init__(self, config: MonitorConfig, plan: StripePlan, shard: int):
         if not config.uses_fur_store:
             raise ValueError(
                 "sharding requires a FUR-store variant ('lu-only' or 'lu+pi'); "
@@ -86,8 +76,7 @@ class ShardEngine:
             config = replace(config, observability=None)
         self.plan = plan
         self.shard = shard
-        self.inner = CRNNMonitor(config, grid=grid)
-        self.owns_grid = grid is None
+        self.inner = CRNNMonitor(config)
         #: Event index in ``inner._events`` -> sort tag, filled by the
         #: emit wrapper below and by :meth:`_fill_query_tags`.
         self._tags: dict[int, tuple[int, int, int, int, int, int]] = {}
@@ -100,11 +89,10 @@ class ShardEngine:
 
         Used by :func:`repro.shard.journal.rehydrate_engine` after an
         exact restore: the engine keeps its shard identity and tag
-        machinery but adopts the rebuilt monitor (which owns a private
-        grid) and re-installs the emit wrapper on its circ store.
+        machinery but adopts the rebuilt monitor and re-installs the
+        emit wrapper on its circ store.
         """
         self.inner = monitor
-        self.owns_grid = True
         self._tags = {}
         self._phase = 0
         self._install_emit_wrapper()
@@ -167,7 +155,7 @@ class ShardEngine:
     def tick_object_phases(
         self, sanitized: list, want_halo: bool = False
     ) -> tuple[int, int, Optional[dict[int, int]]]:
-        """Process-mode tick: grid replica + pies + circs in one call.
+        """One tick: grid replica + pies + circs in one call.
 
         Applies the batch's object updates to the private grid replica,
         then runs this shard's pie and circ maintenance over the full
@@ -176,10 +164,8 @@ class ShardEngine:
         single-monitor containment-query count the coordinator needs
         for counter aggregation), and ``halo`` is the per-shard
         boundary-crossing count (computed from the move list, only when
-        ``want_halo`` — one worker reporting for the fleet is enough).
-        Only valid when this engine owns its grid.
+        ``want_halo`` — one shard reporting for the fleet is enough).
         """
-        assert self.owns_grid, "serial engines receive grid state from outside"
         inner = self.inner
         moves: list[tuple[int, Optional[Point], Optional[Point]]] = []
         query_updates: list = []
@@ -194,9 +180,8 @@ class ShardEngine:
     def resolve_pies(self, affected: dict[int, set[int]]) -> None:
         """Pie maintenance for this shard's affected queries.
 
-        ``affected`` may contain foreign qids (the serial executor
-        builds one map on the shared grid); ``_resolve_affected`` skips
-        anything not in this engine's query table.  One call resolves
+        ``affected`` is built on this engine's own replica, whose cells
+        carry only its own queries' registrations.  One call resolves
         the whole stripe with the exact single-monitor batch logic — so
         its searches share the multi-query kernel — and each event is
         tagged by the query it reports on.
@@ -227,45 +212,33 @@ class ShardEngine:
     # ------------------------------------------------------------------
     # Single-object ops (the batch of one)
     # ------------------------------------------------------------------
-    def apply_scalar(
-        self,
-        kind: str,
-        oid: int,
-        new_pos: Optional[Point],
-        old_pos: Optional[Point] = None,
-    ) -> bool:
+    def apply_scalar(self, kind: str, oid: int, new_pos: Optional[Point]) -> bool:
         """One object insert/move/delete: the single monitor's API tail.
 
         Runs what ``CRNNMonitor.add_object`` / ``update_object`` /
         ``remove_object`` run after the grid primitive —
-        ``handle_update_pies`` (the batch of one; foreign qids in the
-        endpoint cells are skipped) then ``circ.handle_update`` — under
-        this engine's event tagging.  The op exists beside ``tick`` for
-        cost, not semantics: a one-element tick rebuilds the CSR
-        bucketing on every call (DESIGN §9).  When this engine owns its
-        grid the primitive is applied to the replica first and
-        ``old_pos`` is derived; a shared-grid engine receives ``old_pos``
-        from the coordinator, which already applied the primitive.
-        Returns whether the update had any effect (a move to the same
-        position does not).
+        ``handle_update_pies`` (the batch of one) then
+        ``circ.handle_update`` — under this engine's event tagging,
+        after applying the primitive to the replica.  The op exists
+        beside ``tick`` for cost, not semantics: a one-element tick
+        rebuilds the CSR bucketing on every call (DESIGN §9).  Returns
+        whether the update had any effect (a move to the same position
+        does not).
         """
         inner = self.inner
         grid = inner.grid
-        if self.owns_grid:
-            if kind == "insert":
-                grid.insert_object(oid, new_pos)
-                old_pos = None
-            elif kind == "move":
-                old_pos, _, _ = grid.move_object(oid, new_pos)
-                if old_pos == new_pos:
-                    return False
-            elif kind == "delete":
-                old_pos, _ = grid.delete_object(oid)
-                new_pos = None
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown scalar op {kind!r}")
+        old_pos: Optional[Point] = None
+        if kind == "insert":
+            grid.insert_object(oid, new_pos)
+        elif kind == "move":
+            old_pos, _, _ = grid.move_object(oid, new_pos)
+            if old_pos == new_pos:
+                return False
         elif kind == "delete":
+            old_pos, _ = grid.delete_object(oid)
             new_pos = None
+        else:  # pragma: no cover - defensive
+            raise ValueError(f"unknown scalar op {kind!r}")
         self._phase = _PHASE_PIES
         try:
             handle_update_pies(inner, oid, old_pos, new_pos)
@@ -341,20 +314,10 @@ class ShardEngine:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def validate(self, foreign_qid_ok=None) -> None:
-        """Run the inner monitor's invariant checks for this shard.
-
-        With a shared grid, sibling shards' pie registrations appear in
-        shared cells; the coordinator supplies ``foreign_qid_ok`` (a
-        predicate confirming the qid is live on another shard) so dead
-        registrations still fail.  With a private grid every
-        registration must be owned and no predicate is accepted.
-        """
-        if self.owns_grid:
-            assert foreign_qid_ok is None, "private-grid shards own every registration"
-            self.inner.validate()
-        else:
-            self.inner.validate(foreign_qid_ok=foreign_qid_ok)
+    def validate(self) -> None:
+        """Run the inner monitor's invariant checks for this shard, and
+        check that every owned query lies in this shard's stripe."""
+        self.inner.validate()
         for st in self.inner.qt:
             assert self.plan.owner_of(st.pos) == self.shard, (
                 f"query q{st.qid} at {st.pos} is misplaced on shard {self.shard}"
@@ -368,10 +331,11 @@ def dispatch_op(engine: ShardEngine, op: str, args: tuple) -> object:
     """Execute one executor-protocol request against ``engine``.
 
     The single source of truth for the coordinator↔shard op set, shared
-    by the worker-process loop (:func:`repro.shard.executor._worker_main`)
-    and the degraded in-process channel
-    (:class:`repro.shard.supervisor._LocalShard`), so a stripe behaves
-    identically whether it runs in a worker or in the coordinator.
+    by the worker-process loop (:func:`repro.shard.executor._worker_main`),
+    the in-process :class:`repro.shard.executor.SerialExecutor` and the
+    degraded in-process channel (:class:`repro.shard.supervisor._LocalShard`),
+    so a stripe behaves identically whether it runs in a worker or in the
+    coordinator.
     Lifecycle ops (``close``, ``restore``, ``arm``, ``checkpoint``) are
     the channel's concern and are *not* handled here.  Raises
     ``ValueError`` for unknown ops.

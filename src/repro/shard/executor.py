@@ -1,15 +1,17 @@
-"""Shard executors: the serial twin and the supervised multiprocessing pool.
+"""Shard executors: one shard protocol, run in-process or in a worker pool.
 
-Both executors present the same coordinator-facing API (tick the object
-phases, run one query op on an owner shard, introspect), so
-:class:`~repro.shard.monitor.ShardedCRNNMonitor` has a single code
-path.  :class:`SerialExecutor` runs every engine in-process against
-**one shared grid** — deterministic, debuggable, zero IPC — while
-:class:`ProcessExecutor` runs each engine in its own worker process
-against a **private full grid replica**, broadcasting the sanitized
-batch to all workers (scatter) and collecting tagged event streams
-(gather).  The two modes produce identical event streams and logical
-counters by construction; the differential tests lock that down.
+Both executors drive K :class:`~repro.shard.engine.ShardEngine`\\ s, each
+owning a **private full grid replica**, with the op set of
+:func:`~repro.shard.engine.dispatch_op`: the sanitized batch is
+broadcast to every shard (scatter), query ops go to the owner, and
+tagged event streams come back (gather).  The coordinator-facing API
+(tick the object phases, run one query op on an owner shard,
+introspect) is written once, in :class:`ShardExecutor`, over two
+transport methods.  :class:`SerialExecutor` calls ``dispatch_op`` in-process —
+deterministic, debuggable, zero IPC — and :class:`ProcessExecutor`
+sends the same requests to one worker process per shard.  Same
+requests, same engine code: the two produce identical event streams
+and counters, and the differential tests lock that down.
 
 Every process-executor exchange flows through a
 :class:`~repro.shard.supervisor.ShardSupervisor`: worker failures
@@ -33,14 +35,10 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from repro.core.config import MonitorConfig
-from repro.core.monitor import apply_grid_updates
 from repro.core.stats import StatCounters
-from repro.core.update_pie import build_affected_map_vector
 from repro.geometry.point import Point
-from repro.grid.index import GridIndex
 from repro.obs.config import SINK_MEMORY, ObsConfig
 from repro.obs.dist import TraceContext, WorkerObs, current_context
-from repro.obs.explain import explain_query
 from repro.obs.logutil import RateLimitedLogger
 from repro.shard.engine import ShardEngine, TaggedEvent, dispatch_op
 from repro.shard.plan import StripePlan
@@ -54,6 +52,7 @@ from repro.shard.supervisor import (
 _log = RateLimitedLogger(logging.getLogger("repro.shard.executor"), burst=1)
 
 __all__ = [
+    "ShardExecutor",
     "SerialExecutor",
     "ProcessExecutor",
     "TickReport",
@@ -79,181 +78,175 @@ class TickReport:
     shard_seconds: list[float] = field(default_factory=list)
 
 
-class _MapShim:
-    """Duck-typed stand-in for the ``monitor`` argument of
-    :func:`build_affected_map_vector` (it only reads ``.grid`` and
-    ``.stats``), letting the coordinator build the affected map on
-    the shared grid without owning a full monitor."""
+class ShardExecutor:
+    """The coordinator-facing executor API, written once.
 
-    __slots__ = ("grid", "stats")
-
-    def __init__(self, grid: GridIndex, stats: StatCounters):
-        self.grid = grid
-        self.stats = stats
-
-
-class SerialExecutor:
-    """Deterministic in-process executor over one shared grid.
-
-    The coordinator applies grid maintenance exactly once (the shared
-    position plane), builds the affected-query map once, and drives each
-    engine's pie/circ phases sequentially.  This is the reference
-    against which the process pool is tested, and the right choice on a
-    single core (no IPC, no replication).
+    Every method is one :func:`~repro.shard.engine.dispatch_op` request
+    carried by the subclass's transport: ``_call(shard, op, *args)``
+    runs it on one shard and returns the payload, ``_broadcast(op,
+    *args)`` on every shard, payloads in shard order.  Object updates
+    are broadcast and checked for replica agreement; query ops go to
+    the owner shard only.
     """
 
-    mode = "serial"
+    plan: StripePlan
 
-    def __init__(
-        self,
-        config: MonitorConfig,
-        plan: StripePlan,
-        stats: StatCounters,
-        tracer: Any = None,
-        health: Any = None,
-    ):
-        self.config = config
-        self.plan = plan
-        self.stats = stats
-        self.grid = GridIndex(config.bounds, config.grid_cells, stats)
-        if tracer is not None:
-            self.grid.tracer = tracer
-        self.engines = [
-            ShardEngine(config, plan, k, grid=self.grid) for k in range(plan.shards)
-        ]
-        if health is not None:
-            # Wire the coordinator's per-query health tracker into every
-            # engine (qids are disjoint across stripes, so one shared
-            # tracker is exact); the batch clock advances coordinator-
-            # side via Observability.observe_batch().
-            for engine in self.engines:
-                engine.inner.obs.health = health
-                engine.inner.circ.health = health
-        self._shim = _MapShim(self.grid, stats)
+    def _call(self, shard: int, op: str, *args) -> Any:
+        raise NotImplementedError
+
+    def _broadcast(self, op: str, *args) -> list[Any]:
+        raise NotImplementedError
+
+    def _mutated(self) -> None:
+        """Hook run after each mutating public op (no-op by default)."""
 
     # -- object phases --------------------------------------------------
     def tick(self, sanitized: list) -> TickReport:
-        """Grid + pies + circs for one sanitized batch."""
-        from time import perf_counter
-
+        """Broadcast one sanitized batch; merge replies, assert replica agreement."""
         report = TickReport()
-        report.shard_seconds = [0.0] * len(self.engines)
-        moves: list[tuple[int, Optional[Point], Optional[Point]]] = []
-        query_updates: list = []
-        apply_grid_updates(self.grid, sanitized, moves, query_updates)
-        report.n_moves = len(moves)
-        if moves:
-            affected = build_affected_map_vector(self._shim, moves)
-            for k, engine in enumerate(self.engines):
-                t0 = perf_counter()
-                engine.resolve_pies(affected)
-                report.shard_seconds[k] += perf_counter() - t0
-            for k, engine in enumerate(self.engines):
-                t0 = perf_counter()
-                engine.run_circs(moves)
-                report.shard_seconds[k] += perf_counter() - t0
-            report.n_circ_moves = sum(
-                1 for _oid, _old, new in moves if new is not None
-            )
-            report.halo = self.plan.halo_counts(moves)
-        for engine in self.engines:
-            report.tagged.extend(engine.drain_tagged())
+        replies = self._broadcast("tick", sanitized)
+        n_moves = {r[1] for r in replies}
+        n_circ = {r[2] for r in replies}
+        assert len(n_moves) == 1 and len(n_circ) == 1, (
+            "shard replicas diverged on the applied move list"
+        )
+        report.n_moves = n_moves.pop()
+        report.n_circ_moves = n_circ.pop()
+        for reply in replies:
+            report.tagged.extend(reply[0])
+        if replies[0][3] is not None:
+            report.halo = replies[0][3]
+        report.shard_seconds = [r[4] for r in replies]
+        self._mutated()
         return report
 
     # -- scalar object ops ----------------------------------------------
     def scalar(
         self, kind: str, oid: int, new_pos: Optional[Point]
     ) -> tuple[bool, list[TaggedEvent]]:
-        """Apply one insert/move/delete primitive to the shared grid, then
-        every engine's :meth:`ShardEngine.apply_scalar` (the batch of one
-        without a tick's CSR rebuild)."""
-        if kind == "insert":
-            self.grid.insert_object(oid, new_pos)
-            old_pos: Optional[Point] = None
-        elif kind == "move":
-            old_pos, _, _ = self.grid.move_object(oid, new_pos)
-            if old_pos == new_pos:
-                return False, []
-        elif kind == "delete":
-            old_pos, _ = self.grid.delete_object(oid)
-            new_pos = None
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown scalar op {kind!r}")
-        for engine in self.engines:
-            engine.apply_scalar(kind, oid, new_pos, old_pos=old_pos)
+        """Broadcast one insert/move/delete primitive to every shard."""
+        replies = self._broadcast("scalar", kind, oid, new_pos)
+        applied = {r[0] for r in replies}
+        assert len(applied) == 1, "shard replicas diverged on a scalar update"
         tagged: list[TaggedEvent] = []
-        for engine in self.engines:
-            tagged.extend(engine.drain_tagged())
-        return True, tagged
+        for reply in replies:
+            tagged.extend(reply[1])
+        self._mutated()
+        return applied.pop(), tagged
 
     # -- query ops (owner-side) ------------------------------------------
     def add_query(
         self, shard: int, qid: int, pos: Point, exclude: frozenset[int], seq: int = 0
     ) -> tuple[frozenset[int], list[TaggedEvent]]:
         """Register ``qid`` on shard ``shard``; returns (result, tagged events)."""
-        result = self.engines[shard].add_query(qid, pos, exclude, seq)
-        return result, self.engines[shard].drain_tagged()
+        reply = self._call(shard, "add_query", qid, pos, exclude, seq)
+        self._mutated()
+        return reply
 
     def remove_query(
         self, shard: int, qid: int, seq: int = 0
     ) -> tuple[bool, list[TaggedEvent]]:
         """Remove ``qid`` from its owner shard; returns (removed, tagged events)."""
-        removed = self.engines[shard].remove_query(qid, seq)
-        return removed, self.engines[shard].drain_tagged()
+        reply = self._call(shard, "remove_query", qid, seq)
+        self._mutated()
+        return reply
 
     def update_query(
         self, shard: int, qid: int, pos: Point, seq: int = 0
     ) -> list[TaggedEvent]:
         """Recompute ``qid`` at ``pos`` on its owner; returns tagged events."""
-        self.engines[shard].update_query(qid, pos, seq)
-        return self.engines[shard].drain_tagged()
+        reply = self._call(shard, "update_query", qid, pos, seq)
+        self._mutated()
+        return reply
 
     def remove_query_silent(self, shard: int, qid: int) -> None:
         """Migration helper: remove ``qid`` without emitting events."""
-        self.engines[shard].remove_query_silent(qid)
+        self._call(shard, "remove_silent", qid)
 
     def add_query_silent(
         self, shard: int, qid: int, pos: Point, exclude: frozenset[int]
     ) -> frozenset[int]:
         """Migration helper: re-register ``qid`` without events; returns its result."""
-        return self.engines[shard].add_query_silent(qid, pos, exclude)
+        return self._call(shard, "add_silent", qid, pos, exclude)
 
     # -- introspection ---------------------------------------------------
     def monitoring_region(self, shard: int, qid: int):
         """The owner engine's pie/circ view of ``qid``."""
-        return self.engines[shard].inner.monitoring_region(qid)
+        return self._call(shard, "region", qid)
 
     def explain(self, shard: int, qid: int):
         """Per-query diagnostics from ``qid``'s owner engine."""
-        return explain_query(self.engines[shard].inner, qid)
+        return self._call(shard, "explain", qid)
 
     def shard_results(self, shard: int) -> dict[int, frozenset[int]]:
         """Results of every query owned by shard ``shard``."""
-        return self.engines[shard].inner.results()
+        return self._call(shard, "results")
 
     def shard_stats(self) -> list[StatCounters]:
-        """Each shard engine's counter object, in shard order."""
-        return [engine.inner.stats for engine in self.engines]
+        """Each shard engine's counters, in shard order."""
+        return self._broadcast("stats")
 
     def shard_queries(self, shard: int) -> list[tuple[int, Point, frozenset[int]]]:
         """``(qid, pos, exclude)`` of every query on shard ``shard``."""
-        return [
-            (st.qid, st.pos, frozenset(st.exclude))
-            for st in sorted(self.engines[shard].inner.qt, key=lambda s: s.qid)
-        ]
+        return self._call(shard, "queries")
 
     def object_positions(self) -> dict[int, Point]:
-        """Ground-truth object positions (checkpoint support)."""
-        return dict(self.grid.positions)
+        """Ground-truth object positions from shard 0's replica."""
+        return self._call(0, "positions")
 
-    def validate(self, foreign_qid_ok: Callable[[int], bool]) -> None:
-        """Run every engine's invariants (``foreign_qid_ok`` excuses sibling pies)."""
-        for engine in self.engines:
-            engine.validate(foreign_qid_ok=foreign_qid_ok)
+    def validate(self) -> None:
+        """Run every shard's invariants over its private replica."""
+        self._broadcast("validate")
 
     def object_count(self) -> int:
-        """Objects in the shared grid."""
-        return len(self.grid)
+        """Objects in shard 0's grid replica."""
+        return self._call(0, "object_count")
+
+    def supervision_report(self) -> dict:
+        """Restart/degradation snapshot; nothing to supervise in-process."""
+        return {
+            "restarts_total": 0,
+            "restarts_by_shard": {},
+            "degraded_shards": set(),
+            "incarnations": [0] * self.plan.shards,
+            "journal_depths": [0] * self.plan.shards,
+            "recovery_seconds": [],
+        }
+
+
+class SerialExecutor(ShardExecutor):
+    """Deterministic in-process executor: the workers' protocol, no workers.
+
+    K engines, each owning a private grid replica, driven one after the
+    other through :func:`~repro.shard.engine.dispatch_op` — the code a
+    worker process runs, minus the pipe.  The test and debug double of
+    :class:`ProcessExecutor`; never faster than one plain monitor.
+    """
+
+    mode = "serial"
+
+    def __init__(
+        self, config: MonitorConfig, plan: StripePlan, tracer: Any = None, health: Any = None
+    ):
+        self.config = config
+        self.plan = plan
+        self.engines = [ShardEngine(config, plan, k) for k in range(plan.shards)]
+        for engine in self.engines:
+            if tracer is not None:
+                engine.inner.grid.tracer = tracer
+            if health is not None:
+                # The coordinator's per-query health tracker (qids are
+                # disjoint across stripes, so one shared tracker is
+                # exact); its batch clock advances coordinator-side via
+                # Observability.observe_batch().
+                engine.inner.obs.health = health
+                engine.inner.circ.health = health
+
+    def _call(self, shard: int, op: str, *args) -> Any:
+        return dispatch_op(self.engines[shard], op, args)
+
+    def _broadcast(self, op: str, *args) -> list[Any]:
+        return [dispatch_op(engine, op, args) for engine in self.engines]
 
     def close(self) -> None:
         """Nothing to tear down in-process."""
@@ -298,7 +291,7 @@ def _worker_main(
     from repro.shard.journal import engine_snapshot, rehydrate_engine
 
     plan = StripePlan.from_args(plan_args)
-    engine = ShardEngine(config, plan, shard, grid=None)
+    engine = ShardEngine(config, plan, shard)
     obs_cfg = config.observability
     wobs = None
     if obs_cfg is not None:
@@ -386,14 +379,12 @@ def _spawn_worker(ctx, worker_config, plan_args, shard, chaos, incarnation):
 def _worker_obs_config(config: MonitorConfig) -> tuple[MonitorConfig, bool]:
     """Derive a shard worker's monitor config from the coordinator's.
 
-    PR 4 silently stripped ``observability`` from worker configs, making
-    every worker-side CPM/circ operation invisible.  Now an enabled
-    coordinator config yields a *worker-safe* :class:`ObsConfig`: the
-    trace sink is forced to the in-memory ring (piggybacked on op
-    replies — a ``jsonl``/``null`` sink cannot usefully cross the
-    process boundary, and asking for one earns a one-time rate-limited
-    warning), and flight recording stays coordinator-side.  Returns
-    ``(worker_config, worker_obs_on)``.
+    An enabled coordinator config yields a *worker-safe*
+    :class:`ObsConfig`: the trace sink is forced to the in-memory ring
+    (piggybacked on op replies — a ``jsonl``/``null`` sink cannot
+    usefully cross the process boundary, and asking for one earns a
+    one-time rate-limited warning), and flight recording stays
+    coordinator-side.  Returns ``(worker_config, worker_obs_on)``.
     """
     obs = config.observability
     if obs is None:
@@ -424,23 +415,21 @@ def _finalize_supervisor(supervisor) -> None:
         pass
 
 
-class ProcessExecutor:
+class ProcessExecutor(ShardExecutor):
     """Supervised multiprocessing executor: one worker process per shard.
 
-    Each worker holds a full private grid replica; object updates are
-    broadcast to everyone (the replicated-plane protocol, DESIGN §9)
-    while query ops go to the owner only.  A tick is one scatter (send
-    the sanitized batch to all workers, who then compute concurrently)
-    followed by one gather (collect tagged events).  Determinism: each
-    worker's computation depends only on the broadcast stream, and the
-    tag merge is order-insensitive, so results are bit-identical to the
-    serial executor.
+    The :class:`SerialExecutor`'s requests, sent over pipes (DESIGN §9):
+    a tick is one scatter to all workers, who compute concurrently, and
+    one gather.  Each worker's computation depends only on its request
+    stream and the tag merge is order-insensitive, so results are
+    bit-identical to the serial executor's.
 
     Parameters
     ----------
-    config, plan, stats, tracer, mp_context:
-        As before (PR 4): monitor config, stripe plan, coordinator
-        counters, optional tracer, multiprocessing start method.
+    config, plan, tracer, mp_context:
+        Monitor config, stripe plan, optional coordinator tracer (its
+        current span's context rides each request), multiprocessing
+        start method.
     supervision:
         The :class:`~repro.shard.supervisor.SupervisionConfig`
         (``None`` means its defaults).  Exchanges carry an op deadline,
@@ -473,7 +462,6 @@ class ProcessExecutor:
         self,
         config: MonitorConfig,
         plan: StripePlan,
-        stats: StatCounters,
         tracer: Any = None,
         mp_context: str = "fork",
         supervision: Optional[SupervisionConfig] = None,
@@ -552,109 +540,9 @@ class ProcessExecutor:
         """Send to all workers first, then collect — workers overlap."""
         return self.supervisor.broadcast(self._request(op, args))
 
-    # -- object phases --------------------------------------------------
-    def tick(self, sanitized: list) -> TickReport:
-        """Broadcast one sanitized batch; merge replies, assert replica agreement."""
-        report = TickReport()
-        replies = self._broadcast("tick", sanitized)
-        n_moves = {r[1] for r in replies}
-        n_circ = {r[2] for r in replies}
-        assert len(n_moves) == 1 and len(n_circ) == 1, (
-            "shard replicas diverged on the applied move list"
-        )
-        report.n_moves = n_moves.pop()
-        report.n_circ_moves = n_circ.pop()
-        for reply in replies:
-            report.tagged.extend(reply[0])
-        if replies[0][3] is not None:
-            report.halo = replies[0][3]
-        report.shard_seconds = [r[4] for r in replies]
+    def _mutated(self) -> None:
+        """Refresh any shard checkpoint whose journal hit the interval."""
         self.supervisor.maybe_checkpoint()
-        return report
-
-    # -- scalar object ops ----------------------------------------------
-    def scalar(
-        self, kind: str, oid: int, new_pos: Optional[Point]
-    ) -> tuple[bool, list[TaggedEvent]]:
-        """Broadcast one insert/move/delete primitive to every worker."""
-        replies = self._broadcast("scalar", kind, oid, new_pos)
-        applied = {r[0] for r in replies}
-        assert len(applied) == 1, "shard replicas diverged on a scalar update"
-        tagged: list[TaggedEvent] = []
-        for reply in replies:
-            tagged.extend(reply[1])
-        self.supervisor.maybe_checkpoint()
-        return applied.pop(), tagged
-
-    # -- query ops (owner-side) ------------------------------------------
-    def add_query(
-        self, shard: int, qid: int, pos: Point, exclude: frozenset[int], seq: int = 0
-    ) -> tuple[frozenset[int], list[TaggedEvent]]:
-        """Owner-side RPC of :meth:`SerialExecutor.add_query`."""
-        reply = self._call(shard, "add_query", qid, pos, exclude, seq)
-        self.supervisor.maybe_checkpoint()
-        return reply
-
-    def remove_query(
-        self, shard: int, qid: int, seq: int = 0
-    ) -> tuple[bool, list[TaggedEvent]]:
-        """Owner-side RPC of :meth:`SerialExecutor.remove_query`."""
-        reply = self._call(shard, "remove_query", qid, seq)
-        self.supervisor.maybe_checkpoint()
-        return reply
-
-    def update_query(
-        self, shard: int, qid: int, pos: Point, seq: int = 0
-    ) -> list[TaggedEvent]:
-        """Owner-side RPC of :meth:`SerialExecutor.update_query`."""
-        reply = self._call(shard, "update_query", qid, pos, seq)
-        self.supervisor.maybe_checkpoint()
-        return reply
-
-    def remove_query_silent(self, shard: int, qid: int) -> None:
-        """Owner-side RPC of the silent-remove migration helper."""
-        self._call(shard, "remove_silent", qid)
-
-    def add_query_silent(
-        self, shard: int, qid: int, pos: Point, exclude: frozenset[int]
-    ) -> frozenset[int]:
-        """Owner-side RPC of the silent-add migration helper."""
-        return self._call(shard, "add_silent", qid, pos, exclude)
-
-    # -- introspection ---------------------------------------------------
-    def monitoring_region(self, shard: int, qid: int):
-        """Owner-side RPC: the worker's pie/circ view of ``qid``."""
-        return self._call(shard, "region", qid)
-
-    def explain(self, shard: int, qid: int):
-        """Owner-side RPC: per-query diagnostics from the worker."""
-        return self._call(shard, "explain", qid)
-
-    def shard_results(self, shard: int) -> dict[int, frozenset[int]]:
-        """Owner-side RPC: results owned by shard ``shard``."""
-        return self._call(shard, "results")
-
-    def shard_stats(self) -> list[StatCounters]:
-        """Every worker's counter snapshot, in shard order."""
-        return self._broadcast("stats")
-
-    def shard_queries(self, shard: int) -> list[tuple[int, Point, frozenset[int]]]:
-        """``(qid, pos, exclude)`` of every query on shard ``shard``."""
-        return self._call(shard, "queries")
-
-    def object_positions(self) -> dict[int, Point]:
-        """Ground-truth object positions from worker 0's replica."""
-        return self._call(0, "positions")
-
-    def validate(self, foreign_qid_ok: Callable[[int], bool]) -> None:
-        # Private replicas carry no foreign registrations; the predicate
-        # is a shared-grid concern and is intentionally unused here.
-        """Run every worker's invariants over its private replica."""
-        self._broadcast("validate")
-
-    def object_count(self) -> int:
-        """Objects in worker 0's grid replica."""
-        return self._call(0, "object_count")
 
     def supervision_report(self) -> dict:
         """The supervisor's operational snapshot (restarts, degradation)."""
@@ -670,9 +558,3 @@ class ProcessExecutor:
         finalizer = getattr(self, "_finalizer", None)
         if finalizer is not None:
             finalizer()
-
-    def __del__(self):  # pragma: no cover - GC-time best effort
-        try:
-            self.close()
-        except Exception:  # crnnlint: disable=CRNN005 -- __del__ must never raise into the collector
-            pass

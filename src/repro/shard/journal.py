@@ -165,6 +165,6 @@ def rehydrate_engine(
         raise CheckpointError(
             f"shard checkpoint belongs to shard {recorded}, not {shard}"
         )
-    engine = ShardEngine(config, plan, shard, grid=None)
+    engine = ShardEngine(config, plan, shard)
     engine.adopt_inner(restore_exact(snap, verify=True))
     return engine

@@ -15,8 +15,8 @@ One tick (the scatter/halo/gather dataflow, diagrammed in
 
 1. **sanitize** — the coordinator's ingestion guard validates the batch
    once (same counters as the single monitor's guard).
-2. **scatter** — object updates reach the position plane: applied once
-   to the shared grid (serial) or broadcast to every replica (process).
+2. **scatter** — the batch is broadcast to every shard, and each
+   applies its object updates to its own full grid replica.
 3. **pies + circs** — each shard maintains its own queries' regions;
    every emitted event carries a global-order tag.
 4. **halo** — boundary-crossing moves are counted per shard (metrics;
@@ -68,9 +68,11 @@ class ShardedCRNNMonitor:
     shards:
         Number of column stripes ``K`` (``1 <= K <= grid_cells``).
     executor:
-        ``"serial"`` — deterministic in-process twin over one shared
-        grid (the right choice on a single core) — or ``"process"`` —
-        one worker process per shard with a private grid replica.
+        ``"process"`` — one worker process per shard, the production
+        setting — or ``"serial"`` — the same shard protocol run
+        in-process, one engine after another (deterministic; the test
+        and debug double, never faster than one plain monitor).  Either
+        way every shard owns a private full grid replica.
     mp_context:
         Multiprocessing start method for the process executor
         (``"fork"`` where available, else ``"spawn"``).
@@ -113,13 +115,12 @@ class ShardedCRNNMonitor:
                 "supervision/chaos apply to the process executor only "
                 "(the serial executor has no workers to supervise)"
             )
-        #: Coordinator-side counters: guard violations, and in serial
-        #: mode every search/grid counter of the shared grid.  Summed
-        #: with the shards' counters by :meth:`aggregated_stats`.
+        #: Coordinator-side counters (guard violations, migrations,
+        #: checkpoints); every search/grid counter lives on the shards.
+        #: Summed with the shards' counters by :meth:`aggregated_stats`.
         self.stats = StatCounters()
-        #: Coordinator wall-clock phase attribution (grid/pies/circs in
-        #: serial mode; scatter-to-gather as ``shard_tick`` in process
-        #: mode; always ``queries`` and ``merge``).
+        #: Coordinator wall-clock phase attribution: scatter-to-gather
+        #: as ``shard_tick``, then ``merge`` and ``queries``.
         self.timers = PhaseTimers()
         self.obs = Observability(self.config.observability)
         self.plan = StripePlan(self.config.bounds, self.config.grid_cells, shards)
@@ -132,12 +133,12 @@ class ShardedCRNNMonitor:
         self._shard_obs: Optional[ShardObsMerger] = None
         if executor == "serial":
             self.executor: Union[SerialExecutor, ProcessExecutor] = SerialExecutor(
-                self.config, self.plan, self.stats,
+                self.config, self.plan,
                 tracer=self.obs.tracer, health=self.obs.health,
             )
         elif executor == "process":
             self.executor = ProcessExecutor(
-                self.config, self.plan, self.stats,
+                self.config, self.plan,
                 tracer=self.obs.tracer, mp_context=mp_context,
                 supervision=supervision, chaos=chaos,
                 hooks=self._make_supervisor_hooks(),
@@ -150,8 +151,7 @@ class ShardedCRNNMonitor:
         self._owner: dict[int, int] = {}
         #: qid -> its exclude set (needed to re-add on migration).
         self._exclude: dict[int, frozenset[int]] = {}
-        #: Known object ids (authoritative in process mode; matches the
-        #: shared grid in serial mode).
+        #: Known object ids (the guard's view; equals every replica's).
         self._objects: set[int] = set()
         #: Result mirror maintained from the merged event stream.
         self._results: dict[int, set[int]] = {}
@@ -614,16 +614,7 @@ class ShardedCRNNMonitor:
         Serial deployments (no workers) report zero restarts, so
         callers need not branch on the executor.
         """
-        if hasattr(self.executor, "supervision_report"):
-            return self.executor.supervision_report()
-        return {
-            "restarts_total": 0,
-            "restarts_by_shard": {},
-            "degraded_shards": set(),
-            "incarnations": [0] * self.plan.shards,
-            "journal_depths": [0] * self.plan.shards,
-            "recovery_seconds": [],
-        }
+        return self.executor.supervision_report()
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -694,12 +685,11 @@ class ShardedCRNNMonitor:
     def validate(self) -> None:
         """Cross-shard consistency checks; raises ``AssertionError``.
 
-        Runs every shard's inner invariants (shared-grid mode tolerates
-        sibling registrations only for qids the coordinator knows are
-        alive elsewhere), then checks the coordinator's ownership map
-        and result mirror against the shards' ground truth.
+        Runs every shard's inner invariants over its private replica,
+        then checks the coordinator's ownership map and result mirror
+        against the shards' ground truth.
         """
-        self.executor.validate(self._owner.__contains__)
+        self.executor.validate()
         seen: dict[int, frozenset[int]] = {}
         for shard in range(self.plan.shards):
             for qid, result in self.executor.shard_results(shard).items():

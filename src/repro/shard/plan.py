@@ -5,10 +5,10 @@ stripes*; each stripe is one shard's territory.  A query is owned by
 the shard whose stripe contains its query point — computed with exactly
 the grid's own truncate-then-clamp cell mapping, so a point sitting
 precisely on a stripe boundary is owned by the same shard whose cells
-it would register in.  Objects are *not* partitioned: the position
-plane is shared (serial executor) or replicated (process executor),
-because a constrained-NN re-search triggered by a single update may
-read objects arbitrarily far away (DESIGN §9).
+it would register in.  Objects are *not* partitioned: every shard holds
+a full replica of the position plane, because a constrained-NN
+re-search triggered by a single update may read objects arbitrarily
+far away (DESIGN §9).
 """
 
 from __future__ import annotations

@@ -27,10 +27,11 @@ weakening the parity contract:
   attempts or the per-shard lifetime cap), ``on_shard_failure`` decides:
   ``"raise"`` propagates the typed error; ``"degrade"`` rebuilds the
   stripe *in the coordinator process* — the same checkpoint + journal
-  replay, executed through the serial in-process path
-  (:class:`_LocalShard` drives :func:`~repro.shard.engine.dispatch_op`
-  directly, like :class:`~repro.shard.executor.SerialExecutor` does) —
-  and the monitor keeps serving exact answers at reduced parallelism.
+  replay, then the same requests: :class:`_LocalShard` hands them to
+  :func:`~repro.shard.engine.dispatch_op` on a private-replica engine,
+  which is what :class:`~repro.shard.executor.SerialExecutor` does for
+  every stripe — and the monitor keeps serving exact answers at reduced
+  parallelism.
 
 Every transition is reported through rate-limited logs and optional
 :class:`SupervisorHooks` (the sharded monitor wires these to the

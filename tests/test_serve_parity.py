@@ -118,19 +118,17 @@ def test_wire_parity_against_direct_backend(stream, backend, shards):
 
 
 @pytest.mark.parametrize(
-    "shards, executor, kill_worker_at",
-    [(4, "serial", None), (2, "process", 15)],
+    "shards, kill_worker_at",
+    [(4, None), (2, 15)],
     ids=["K4", "K2-process-worker-killed"],
 )
-def test_sharded_wire_matches_single_monitor(stream, direct, shards, executor, kill_worker_at):
-    """The sharded wire path is also bit-identical to ONE plain monitor —
-    the process executor's even when a worker dies mid-run."""
+def test_sharded_wire_matches_single_monitor(stream, direct, shards, kill_worker_at):
+    """The sharded wire path (worker processes) is also bit-identical to
+    ONE plain monitor — even when a worker dies mid-run."""
     initial, tick_batches = stream
     want_events, want_counters, want_results = direct
     got_events, got_counters, got_results = replay_wire(
-        ServeConfig(
-            monitor=monitor_config(), backend="sharded", shards=shards, executor=executor
-        ),
+        ServeConfig(monitor=monitor_config(), backend="sharded", shards=shards),
         initial,
         tick_batches,
         kill_worker_at,
@@ -164,7 +162,7 @@ def test_selective_subscription_sees_only_its_query(stream, direct):
 
 
 @pytest.mark.parametrize(
-    "field", ["backend", "executor", "overload", "fanout_policy"]
+    "field", ["backend", "overload", "fanout_policy"]
 )
 def test_serve_config_rejects_bad_enums(field):
     """Every enum field refuses a typo at construction, on any backend."""

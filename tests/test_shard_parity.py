@@ -120,10 +120,9 @@ class TestGoldenParity:
         mono, sharded = _pair(2, grid_cells=32)
         batches = large_tick_batches(random.Random(7), 1500, 120, ticks=2, moves=1000)
         with sharded:
-            stats = sharded.executor.stats  # the shared grid's counters
             pie_entries: list[tuple[int, int]] = []
             for engine in sharded.executor.engines:
-                def counted(affected, resolve=engine.resolve_pies):
+                def counted(affected, resolve=engine.resolve_pies, stats=engine.inner.stats):
                     kernel, searches = stats.vector_nn_kernel_calls, stats.constrained_nn_searches
                     resolve(affected)
                     pie_entries.append((
@@ -210,6 +209,12 @@ class TestProcessExecutor:
             mono.update_query(500, Point(990.0, 500.0))
             sharded.update_query(500, Point(990.0, 500.0))
             assert mono.remove_query(501) == sharded.remove_query(501)
+            # Single-object moves with queries live: the scalar op's
+            # pie and circ tail on every worker's replica.
+            for oid in range(0, 30, 2):
+                p = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
+                mono.update_object(oid, p)
+                sharded.update_object(oid, p)
             _assert_lockstep(mono, sharded, "process scalar ops")
             _assert_logical_counters(mono, sharded, "process scalar ops")
             sharded.validate()
@@ -218,6 +223,32 @@ class TestProcessExecutor:
         _, sharded = _pair(2, executor="process")
         sharded.close()
         sharded.close()
+
+
+def test_serial_and_process_executors_are_one_protocol():
+    # Both executors hand the same requests to the same engine code,
+    # so every shard's full counter set and each tick's tagged events
+    # agree — physical counters included, not just LOGICAL_COUNTERS.
+    batches = list(_random_batches(random.Random(61), timestamps=12))
+    ticks: dict[str, list] = {"serial": [], "process": []}
+    stats = {}
+    for executor, tagged in ticks.items():
+        with ShardedCRNNMonitor(_config(), shards=2, executor=executor) as sharded:
+            tick = sharded.executor.tick
+
+            def recording(batch, tick=tick, tagged=tagged):
+                report = tick(batch)
+                tagged.append(report.tagged)
+                return report
+
+            sharded.executor.tick = recording
+            for batch in batches:
+                sharded.process(batch)
+            stats[executor] = [s.snapshot() for s in sharded.executor.shard_stats()]
+    assert ticks["serial"] == ticks["process"]
+    for snap in stats["process"]:
+        snap["checkpoints_saved"] -= 1  # the supervisor's recovery base
+    assert stats["serial"] == stats["process"]
 
 
 class TestKnifeEdges:
@@ -346,7 +377,8 @@ class TestPerShardInvariants:
     def test_auditor_runs_clean_per_shard(self):
         # The invariant auditor, pointed at each shard engine's inner
         # monitor: every owned query's result must match the brute-force
-        # oracle over the full (shared) position plane.
+        # oracle over the engine's full replica, and the deep structural
+        # pass must find no registration the engine does not own.
         _, sharded = _pair(4)
         rng = random.Random(53)
         with sharded:
@@ -368,11 +400,23 @@ class TestPerShardInvariants:
                 auditor = InvariantAuditor(
                     engine.inner, AuditPolicy(sample_queries=100, deep_every=0)
                 )
-                # deep=False: the structural pass is the coordinator's
-                # job (shared-grid cells carry sibling registrations).
-                report = auditor.audit(deep=False)
+                report = auditor.audit(deep=True)
                 assert report.clean, report
             sharded.validate()
+
+    def test_validate_rejects_a_sibling_registration(self):
+        # A replica's cells carry only its own engine's pie registrations:
+        # one for a query the other stripe owns is a dead registration
+        # there, with no "alive elsewhere" excuse.
+        _, sharded = _pair(2)
+        with sharded:
+            sharded.add_object(1, Point(100.0, 100.0))
+            sharded.add_query(10, Point(900.0, 100.0))
+            assert sharded.shard_of(10) == 1
+            sharded.validate()
+            sharded.executor.engines[0].inner.grid.cell(0, 0).add_pie_query(10, 0)
+            with pytest.raises(AssertionError, match="dead query"):
+                sharded.validate()
 
     def test_validate_catches_mirror_divergence(self):
         _, sharded = _pair(2)

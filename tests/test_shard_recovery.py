@@ -152,8 +152,8 @@ class TestExactCheckpoint:
         # events and full counters must stay identical through the end.
         cfg = _config(grid_cells=12)
         plan = StripePlan(TEST_BOUNDS, cfg.grid_cells, 2)
-        witness = ShardEngine(cfg, plan, 0, grid=None)
-        subject = ShardEngine(cfg, plan, 0, grid=None)
+        witness = ShardEngine(cfg, plan, 0)
+        subject = ShardEngine(cfg, plan, 0)
         rng = random.Random(11)
         ops: list[tuple] = []
         for qid in (400, 401, 402):
@@ -187,7 +187,7 @@ class TestExactCheckpoint:
     def test_rehydrate_rejects_foreign_shard(self):
         cfg = _config()
         plan = StripePlan(TEST_BOUNDS, cfg.grid_cells, 2)
-        engine = ShardEngine(cfg, plan, 0, grid=None)
+        engine = ShardEngine(cfg, plan, 0)
         snap = engine_snapshot(engine)
         with pytest.raises(CheckpointError, match="shard"):
             rehydrate_engine(cfg, plan, 1, snap)
