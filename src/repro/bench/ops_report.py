@@ -8,10 +8,8 @@ bit) and directly express *why* the paper's optimisations win:
   circ-region touch and lazy-update mostly avoids;
 * ``circ_lazy_radius_updates`` — certificate moves absorbed by a radius
   adjustment alone;
-* ``fur_bottom_up_updates`` / ``fur_topdown_reinserts`` — how the
-  FUR-tree handles candidate motion;
-* ``partial_insert_hash_hits`` — circles kept out of the tree by the
-  partial-insert threshold.
+* ``partial_insert_hash_hits`` — circles kept out of the circle table
+  by the partial-insert threshold.
 
 Used by ``run_all`` (the ``opsreport`` experiment) and quotable in
 EXPERIMENTS.md as noise-free evidence for Figures 15-16.
@@ -37,8 +35,6 @@ REPORT_COUNTERS = (
     "circ_nn_searches_triggered",
     "circ_lazy_radius_updates",
     "partial_insert_hash_hits",
-    "fur_bottom_up_updates",
-    "fur_topdown_reinserts",
     "constrained_nn_searches",
     "result_changes",
 )

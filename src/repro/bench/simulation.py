@@ -65,7 +65,6 @@ class SimulationResult:
 def make_target(
     method: str,
     grid_cells: int = 64,
-    fur_fanout: int = 20,
     tpl_fanout: int = 50,
     config: Optional[MonitorConfig] = None,
 ):
@@ -85,9 +84,7 @@ def make_target(
     if method not in variants:
         raise ValueError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
     if config is None:
-        config = MonitorConfig(
-            variant=variants[method], grid_cells=grid_cells, fur_fanout=fur_fanout
-        )
+        config = MonitorConfig(variant=variants[method], grid_cells=grid_cells)
     elif config.variant != variants[method]:
         raise ValueError(
             f"config variant {config.variant!r} does not match method {method!r}"

@@ -11,8 +11,10 @@ centred at that sector's candidate whose perimeter carries either
 
 This module provides the base bookkeeping shared by all variants
 (:class:`CircStoreBase`: records, result-change events) and the paper's
-store (:class:`FurCircStore`): a single global in-memory FUR-tree over
-all candidates, augmented Rdnn-style with per-entry max radius, an
+store (:class:`FurCircStore`): one global circle table over all
+candidates, each circle carrying the max radius of the candidate's
+memberships (the paper keeps these circles in a FUR-tree; DESIGN §2
+"Substitutions" says why a persistent array table replaces it here), an
 **NN-Hash** from each certificate object to the circ-regions it
 supports, and the **partial-insert** side hash for circles whose radius
 is below the threshold fraction of the candidate-query distance.
@@ -40,14 +42,17 @@ from repro.geometry.sector import NUM_SECTORS
 from repro.grid.cpm import nearest_neighbor
 from repro.grid.index import GridIndex
 from repro.perf.kernels import EntrySnapshot
-from repro.rtree.furtree import FURTree
-from repro.rtree.node import LeafEntry
 
 EmitFn = Callable[[ResultChange], None]
 
 
 class CircRecord:
-    """Live state of one circ-region."""
+    """Live state of one circ-region.
+
+    ``in_fur`` says whether the circle is in the store's containment
+    index (the paper's FUR-tree, here :class:`FurCircStore`'s circle
+    table); partial-insert keeps small circles out of it.
+    """
 
     __slots__ = ("qid", "sector", "cand", "d_q_cand", "nn", "radius", "in_fur")
 
@@ -251,10 +256,10 @@ class CircStoreBase:
 
 
 class FurCircStore(CircStoreBase):
-    """The paper's circ-region store: FUR-tree + NN-Hash (+ partial-insert).
+    """The paper's circ-region store: circle table + NN-Hash (+ partial-insert).
 
     ``threshold`` is the partial-insert fraction: a circ-region enters
-    the FUR-tree only when its radius is at least ``threshold *
+    the circle table only when its radius is at least ``threshold *
     d(q, cand)``; smaller circles live only in the record hash and are
     invisible to containment queries (which is safe — a missed
     containment hit could only have *shrunk* an already-valid false
@@ -268,21 +273,23 @@ class FurCircStore(CircStoreBase):
         query_table: QueryTable,
         stats: StatCounters,
         emit: EmitFn,
-        fanout: int = 20,
         threshold: float = 0.0,
     ):
         super().__init__(grid, query_table, stats, emit)
         self.threshold = threshold
-        self.fur = FURTree(max_entries=fanout, stats=stats)
+        #: The containment index: one circle per candidate with at least
+        #: one membership in the table, its radius the max over those
+        #: memberships, patched in place by :meth:`_refresh_candidate`.
+        self.circles = EntrySnapshot()
         #: NN-Hash: certificate object id -> circ-regions it supports.
         self.nn_hash: dict[int, set[tuple[int, int]]] = {}
         #: candidate object id -> its circ-region keys (a candidate may
-        #: serve several queries; the FUR-tree holds one entry per
-        #: candidate whose radius aggregates the in-tree memberships).
+        #: serve several queries; the circle table holds one circle per
+        #: candidate whose radius aggregates the in-table memberships).
         self.by_cand: dict[int, set[tuple[int, int]]] = {}
         #: While a batched ``process_moves`` chunk is running, candidates
-        #: whose FUR entry changed after the chunk's array snapshot was
-        #: taken; ``None`` outside a batch.
+        #: whose circle changed after the chunk's prefilter was computed;
+        #: ``None`` outside a batch.
         self._dirty_cands: Optional[set[int]] = None
 
     # ------------------------------------------------------------------
@@ -318,16 +325,18 @@ class FurCircStore(CircStoreBase):
         else:
             self._records.pop(key, None)
         # Sorted for a deterministic refresh order: the scalar and
-        # batched update paths must build identical FUR/hash histories.
+        # batched update paths must build identical table/hash histories.
         for cand in sorted(touched_cands):
             pos = cand_pos if (new is not None and cand == new.cand) else None
             self._refresh_candidate(cand, pos)
 
     def _refresh_candidate(self, cand: int, cand_pos: Optional[Point]) -> None:
-        """Synchronise the FUR-tree entry of ``cand`` with its memberships.
+        """Synchronise the circle of ``cand`` with its memberships.
 
-        Recomputes which memberships qualify for the tree (partial
-        insert), the aggregated entry radius, and the entry position.
+        Recomputes which memberships qualify for the circle table
+        (partial insert), the aggregated radius and the centre, then
+        patches ``cand``'s slot in place — or drops it when no
+        membership qualifies.
         """
         if self._dirty_cands is not None:
             self._dirty_cands.add(cand)
@@ -343,30 +352,21 @@ class FurCircStore(CircStoreBase):
                     max_radius = rec.radius
             else:
                 self.stats.partial_insert_hash_hits += 1
-        in_tree = cand in self.fur
+        circles = self.circles
         if not any_in_fur:
-            if in_tree:
-                self.fur.delete_by_id(cand)
+            circles.remove(cand)
             return
         if cand_pos is None:
-            known = self.grid.positions.get(cand)
-            if known is not None:
-                cand_pos = known
-            elif in_tree:
+            cand_pos = self.grid.positions.get(cand)
+            if cand_pos is None:
                 # Transient state while a deleted candidate's remaining
                 # memberships are being re-assigned: keep the stale
-                # position, the entry disappears once they are gone.
-                cand_pos = self.fur.get_entry(cand).pos
-            else:
-                return
-        if in_tree:
-            entry = self.fur.get_entry(cand)
-            if entry.pos != cand_pos:
-                self.fur.update(cand, cand_pos, max_radius)
-            elif entry.radius != max_radius:
-                self.fur.update_radius(cand, max_radius)
-        else:
-            self.fur.insert(LeafEntry(cand, cand_pos, radius=max_radius))
+                # centre, the circle disappears once they are gone.
+                known = circles.get(cand)
+                if known is None:
+                    return
+                cand_pos = known[0]
+        circles.put(cand, cand_pos, max_radius)
 
     # ------------------------------------------------------------------
     # updateCirc (Fig. 13) with lazy-update
@@ -377,17 +377,16 @@ class FurCircStore(CircStoreBase):
         """updateCirc for one object update (Fig. 13, steps 1 and 2)."""
         self._step1(oid, new_pos)
         # Step 2: circ-regions the new location has entered (containment
-        # query on the FUR-tree; shrinks circles, may kill RNN status).
+        # query on the circle table; shrinks circles, may kill RNN status).
         if new_pos is None:
             return
+        self.stats.containment_queries += 1
         # Ascending candidate order — the batched path discovers the
-        # same hits from an array prefilter and must replay them in the
-        # same order to emit an identical event stream.
-        hits = sorted(self.fur.containment_search(new_pos), key=lambda e: e.oid)
-        for entry in hits:
-            if entry.oid == oid:
-                continue
-            self._step2_entry(oid, new_pos, entry)
+        # same hits from a chunk-wide prefilter and must replay them in
+        # the same order to emit an identical event stream.
+        for cand, cand_pos in self.circles.containment_search(new_pos):
+            if cand != oid:
+                self._step2_entry(oid, new_pos, cand, cand_pos)
 
     def _step1(self, oid: int, new_pos: Optional[Point]) -> None:
         """Circ-regions whose certificate is the moving object."""
@@ -418,10 +417,10 @@ class FurCircStore(CircStoreBase):
                 ),
             )
 
-    def _step2_entry(self, oid: int, new_pos: Point, entry: LeafEntry) -> None:
-        """Shrink the circ-regions of one FUR entry that ``oid`` entered."""
-        for key in sorted(self.by_cand.get(entry.oid, ())):
-            self.emit_ctx = (1, entry.oid, key[0], key[1])
+    def _step2_entry(self, oid: int, new_pos: Point, cand: int, cand_pos: Point) -> None:
+        """Shrink the circ-regions of one candidate circle that ``oid`` entered."""
+        for key in sorted(self.by_cand.get(cand, ())):
+            self.emit_ctx = (1, cand, key[0], key[1])
             rec = self._records.get(key)
             if rec is None:
                 continue
@@ -429,12 +428,12 @@ class FurCircStore(CircStoreBase):
                 continue
             if oid in self.qt.get(rec.qid).exclude:
                 continue
-            new_d = dist(new_pos, entry.pos)
+            new_d = dist(new_pos, cand_pos)
             if new_d < rec.radius:
                 if self.health is not None:
                     self.health.record_containment_shrink(rec.qid)
                 self.set_circ(
-                    rec.qid, rec.sector, rec.cand, entry.pos,
+                    rec.qid, rec.sector, rec.cand, cand_pos,
                     rec.d_q_cand, oid, new_d,
                 )
 
@@ -447,19 +446,19 @@ class FurCircStore(CircStoreBase):
 
         Each move runs step 1 and step 2 in order exactly as
         :meth:`handle_update` would, but step 2's candidate discovery is
-        a squared-distance prefilter over a chunk-level array snapshot of
-        the FUR entries instead of a tree descent per move.  Snapshot
-        staleness is repaired by unioning in every candidate refreshed
-        since the snapshot (``_dirty_cands``) and re-verifying each hit
-        against the *current* entry with the exact scalar predicate — so
-        the hit set, the processing order, and therefore the emitted
+        one squared-distance prefilter per chunk of moves, computed from
+        the live circle table at the chunk's start, instead of a
+        containment search per move.  Circles patched after that
+        (``_dirty_cands``) are unioned in, and every hit is re-verified
+        against the *current* circle with the exact scalar predicate —
+        so the hit set, the processing order, and therefore the emitted
         events are identical to the scalar path.
         """
+        circles = self.circles
         chunk = 256
         for start in range(0, len(moves), chunk):
             part = moves[start : start + chunk]
-            snapshot = EntrySnapshot(self.fur.entries())
-            prefiltered = snapshot.batch_containment_candidates(
+            prefiltered = circles.batch_containment_candidates(
                 [new_pos for _, _, new_pos in part if new_pos is not None]
             )
             self.stats.vector_containment_batches += 1
@@ -483,12 +482,10 @@ class FurCircStore(CircStoreBase):
                     cands.update(dirty)
                     cands.discard(oid)
                     self.stats.vector_containment_candidates += len(cands)
-                    for cand_oid in sorted(cands):
-                        if cand_oid not in self.fur:
-                            continue
-                        entry = self.fur.get_entry(cand_oid)
-                        if dist(new_pos, entry.pos) < entry.radius:
-                            self._step2_entry(oid, new_pos, entry)
+                    for cand in sorted(cands):
+                        circle = circles.get(cand)
+                        if circle is not None and dist(new_pos, circle[0]) < circle[1]:
+                            self._step2_entry(oid, new_pos, cand, circle[0])
             finally:
                 self._dirty_cands = None
 
@@ -501,10 +498,10 @@ class FurCircStore(CircStoreBase):
     # Validation (used by tests)
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Structural invariants of store vs FUR-tree; raises ``AssertionError``."""
-        self.fur.validate()
-        tree_ids = {e.oid for e in self.fur.entries()}
-        expected_in_tree: set[int] = set()
+        """Structural invariants of records vs circle table; raises ``AssertionError``."""
+        circles = self.circles
+        circles.validate()
+        expected_in_table: set[int] = set()
         for key, rec in self._records.items():
             assert key == (rec.qid, rec.sector), "record key mismatch"
             assert rec.radius <= rec.d_q_cand + 1e-9
@@ -515,19 +512,19 @@ class FurCircStore(CircStoreBase):
                 assert key in self.nn_hash.get(rec.nn, set())
             assert key in self.by_cand.get(rec.cand, set())
             if rec.in_fur:
-                expected_in_tree.add(rec.cand)
-        assert expected_in_tree == tree_ids, (
-            f"FUR-tree contents diverge: {expected_in_tree ^ tree_ids}"
+                expected_in_table.add(rec.cand)
+        table_ids = set(circles.slot)
+        assert expected_in_table == table_ids, (
+            f"circle table contents diverge: {expected_in_table ^ table_ids}"
         )
-        for cand in tree_ids:
-            entry = self.fur.get_entry(cand)
-            assert entry.pos == self.grid.positions[cand]
+        for cand, i in circles.slot.items():
+            assert circles.pos[i] == self.grid.positions[cand], "stale circle centre"
             radii = [
                 self._records[k].radius
                 for k in self.by_cand[cand]
                 if self._records[k].in_fur
             ]
-            assert math.isclose(entry.radius, max(radii)), "stale aggregated radius"
+            assert circles.radii[i] == max(radii), "stale aggregated radius"
         for nn, keys in self.nn_hash.items():
             for key in keys:
                 assert self._records[key].nn == nn

@@ -37,15 +37,16 @@ class MonitorConfig:
     * ``"uniform"`` — book-keep circ-regions in grid cells, keep each
       region tight with an eager NN search on every change (the paper's
       straw-man);
-    * ``"lu-only"`` — store circ-regions in a global FUR-tree plus
-      NN-Hash, apply only the lazy-update optimisation;
+    * ``"lu-only"`` — store circ-regions in one global circle table
+      (the paper's FUR-tree, kept as a persistent array table: DESIGN §2
+      "Substitutions") plus NN-Hash, apply only the lazy-update
+      optimisation;
     * ``"lu+pi"`` — the paper's complete method: lazy-update plus
       partial-insert with the given threshold.
     """
 
     bounds: Rect = field(default=DEFAULT_BOUNDS)
     grid_cells: int = 128
-    fur_fanout: int = 20
     variant: str = LU_PI
     partial_insert_threshold: float = 0.8
     #: How the ingestion guard treats malformed updates (non-finite or
@@ -81,7 +82,8 @@ class MonitorConfig:
 
     @property
     def uses_fur_store(self) -> bool:
-        """Whether the variant keeps circ-regions in a FUR-tree."""
+        """Whether the variant keeps circ-regions in the global circle table
+        (the paper's FUR-tree) with an NN-Hash, i.e. uses :class:`FurCircStore`."""
         return self.variant in (LU_ONLY, LU_PI)
 
     @property
@@ -91,15 +93,15 @@ class MonitorConfig:
 
     @classmethod
     def uniform(cls, **kwargs) -> "MonitorConfig":
-        """Config for the uniform-grid circ store (no FUR-tree)."""
+        """Config for the uniform-grid circ store (no circle table)."""
         return cls(variant=UNIFORM, **kwargs)
 
     @classmethod
     def lu_only(cls, **kwargs) -> "MonitorConfig":
-        """Config for the FUR-tree store with lazy updates only."""
+        """Config for the circle-table store with lazy updates only."""
         return cls(variant=LU_ONLY, **kwargs)
 
     @classmethod
     def lu_pi(cls, **kwargs) -> "MonitorConfig":
-        """Config for the FUR-tree store with lazy updates + partial insert."""
+        """Config for the circle-table store with lazy updates + partial insert."""
         return cls(variant=LU_PI, **kwargs)

@@ -168,7 +168,6 @@ class CRNNMonitor:
                 self.qt,
                 self.stats,
                 self._on_result_change,
-                fanout=self.config.fur_fanout,
                 threshold=self.config.effective_threshold,
             )
         else:

@@ -1,8 +1,8 @@
 """Operation counters shared by the index structures and the monitor.
 
 The paper evaluates CPU time, but the *reasons* one variant beats another
-are operation counts: NN searches avoided by lazy-update, FUR-tree
-touches avoided by partial-insert, cells visited by the filter step.
+are operation counts: NN searches avoided by lazy-update, circle-table
+entries avoided by partial-insert, cells visited by the filter step.
 Every structure in the library increments a shared :class:`StatCounters`
 so benchmarks and ablations can report both time and work.
 """

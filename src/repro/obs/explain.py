@@ -45,8 +45,9 @@ class SectorDiagnostics:
     certificate: Optional[int]
     #: Whether the candidate currently counts as an RNN of the query.
     is_rnn: Optional[bool]
-    #: Whether the circ is in the FUR-tree (False: parked in the
-    #: partial-insert side hash, invisible to containment queries).
+    #: Whether the circ is in the circle table, the paper's FUR-tree
+    #: (False: parked in the partial-insert side hash, invisible to
+    #: containment queries).
     in_fur: Optional[bool]
     #: ``d_cand - circ_radius``: how much certificate drift lazy-update
     #: can still absorb before the next forced NN search.

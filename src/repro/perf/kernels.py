@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.geometry.point import Point
+from repro.geometry.point import Point, dist
 from repro.geometry.sector import _BOUNDARY_DIRS, _SIN60, NUM_SECTORS, sector_of
 
 #: Relative guard band for squared-distance candidate selection.  Hypot
@@ -543,47 +543,118 @@ def init_crnn_vector(grid, q: Point, exclude: frozenset[int] = frozenset()):
 
 
 class EntrySnapshot:
-    """Array snapshot of the FUR-tree's leaf entries for one batch chunk.
+    """The circ store's circles as one live structure of arrays.
 
-    Entries that mutate after the snapshot (lazy radius growth, record
-    replacement, insert/delete) are tracked separately by the store in a
-    dirty set; a containment prefilter hit is always re-verified against
-    the *current* entry with the exact scalar predicate, so staleness
-    can only cost a wasted check, never a wrong result.
+    Slot ``i < len(self)`` holds the circle of object ``oids[i]``: centre
+    ``(xs[i], ys[i])``, radius ``radii[i]``.  ``slot`` maps an oid to its
+    slot, and ``pos`` keeps each centre as the caller's ``Point`` so the
+    exact scalar predicate never reads a NumPy scalar.  :meth:`put`
+    appends a new circle or patches its slot in place; :meth:`remove`
+    moves the last slot into the hole.  So ``[:len(self)]`` is always
+    dense and the prefilters scan live circles only.  The buffers double
+    when full and never shrink.
+
+    A batch caller that prefilters many points at once sees the table as
+    of that call: circles patched afterwards must be re-checked by the
+    caller (the circ store tracks them in a dirty set), and every
+    prefilter hit is re-verified against the current circle with the
+    exact open predicate, so staleness can only cost a wasted check.
+
+    The class name dates from when each chunk built a fresh snapshot; it
+    is kept because ``bench/tracing.py`` resolves its methods by name.
     """
 
-    __slots__ = ("oids", "xs", "ys", "radii")
+    __slots__ = ("oids", "xs", "ys", "radii", "pos", "slot")
 
-    def __init__(self, entries):
-        oids = []
-        xs = []
-        ys = []
-        radii = []
+    def __init__(self, entries: Iterable = ()):
+        self.oids = np.empty(64, dtype=np.int64)
+        self.xs = np.empty(64, dtype=np.float64)
+        self.ys = np.empty(64, dtype=np.float64)
+        self.radii = np.empty(64, dtype=np.float64)
+        self.pos: list[Point] = []
+        self.slot: dict[int, int] = {}
         for e in entries:
-            oids.append(e.oid)
-            xs.append(e.pos[0])
-            ys.append(e.pos[1])
-            radii.append(e.radius)
-        self.oids = np.asarray(oids, dtype=np.int64)
-        self.xs = np.asarray(xs, dtype=np.float64)
-        self.ys = np.asarray(ys, dtype=np.float64)
-        self.radii = np.asarray(radii, dtype=np.float64)
+            self.put(e.oid, e.pos, e.radius)
 
     def __len__(self) -> int:
-        return len(self.oids)
+        return len(self.pos)
+
+    def __contains__(self, oid: int) -> bool:
+        return oid in self.slot
+
+    def get(self, oid: int) -> Optional[tuple[Point, float]]:
+        """``(centre, radius)`` of ``oid``'s circle, or ``None`` if absent."""
+        i = self.slot.get(oid)
+        if i is None:
+            return None
+        return self.pos[i], float(self.radii[i])
+
+    def put(self, oid: int, pos: Point, radius: float) -> None:
+        """Set ``oid``'s circle: patch its slot, or append a new one."""
+        i = self.slot.get(oid)
+        if i is None:
+            i = len(self.pos)
+            if i == len(self.oids):
+                self.oids, self.xs, self.ys, self.radii = (
+                    np.concatenate((a, np.empty_like(a)))
+                    for a in (self.oids, self.xs, self.ys, self.radii)
+                )
+            self.slot[oid] = i
+            self.oids[i] = oid
+            self.pos.append(pos)
+        else:
+            self.pos[i] = pos
+        self.xs[i] = pos[0]
+        self.ys[i] = pos[1]
+        self.radii[i] = radius
+
+    def remove(self, oid: int) -> None:
+        """Drop ``oid``'s circle (a no-op if absent); the last slot fills the hole."""
+        i = self.slot.pop(oid, None)
+        if i is None:
+            return
+        last = len(self.pos) - 1
+        tail = self.pos.pop()
+        if i != last:
+            moved = int(self.oids[last])
+            self.slot[moved] = i
+            self.oids[i] = moved
+            self.xs[i] = self.xs[last]
+            self.ys[i] = self.ys[last]
+            self.radii[i] = self.radii[last]
+            self.pos[i] = tail
+
+    def _banded(self, p: Point):
+        """Slots whose guard-banded circle may contain ``p``."""
+        n = len(self.pos)
+        dx = self.xs[:n] - p[0]
+        dy = self.ys[:n] - p[1]
+        d2 = dx * dx + dy * dy
+        return np.nonzero(d2 <= (self.radii[:n] * _BAND) ** 2)[0]
 
     def containment_candidates(self, p: Point) -> list[int]:
-        """Entry oids whose (guard-banded) circle may contain ``p``.
+        """Oids whose (guard-banded) circle may contain ``p``.
 
-        Squared-distance prefilter twin of the FUR-tree's
-        ``containment_search`` leaf predicate ``dist(p, pos) < radius``;
-        the guard band makes it a strict superset of the exact open test.
+        Squared-distance prefilter twin of the exact open test
+        ``dist(p, centre) < radius``; the guard band makes it a strict
+        superset of that test.
         """
-        dx = self.xs - p[0]
-        dy = self.ys - p[1]
-        d2 = dx * dx + dy * dy
-        hits = np.nonzero(d2 <= (self.radii * _BAND) ** 2)[0]
-        return [int(self.oids[i]) for i in hits]
+        return self.oids[self._banded(p)].tolist()
+
+    def containment_search(self, p: Point) -> list[tuple[int, Point]]:
+        """``(oid, centre)`` of every circle whose open disc contains ``p``,
+        ascending by oid.
+
+        The exact ``dist(p, centre) < radius`` test over
+        :meth:`containment_candidates` — the answer *updateCirc* step 2
+        reads for one moved object.
+        """
+        pos, radii = self.pos, self.radii
+        return sorted(
+            (int(self.oids[i]), pos[i])
+            for i in self._banded(p).tolist()
+            if dist(p, pos[i]) < radii[i]
+        )
 
     def batch_containment_candidates(self, pts: list[Point]) -> list[list[int]]:
         """:meth:`containment_candidates` for many points in one pass.
@@ -592,17 +663,27 @@ class EntrySnapshot:
         round-trip per point; row ``i`` of the result is exactly
         ``containment_candidates(pts[i])``.
         """
-        if not len(self.oids) or not pts:
+        n = len(self.pos)
+        if not n or not pts:
             return [[] for _ in pts]
         xs = np.fromiter((p[0] for p in pts), dtype=np.float64, count=len(pts))
         ys = np.fromiter((p[1] for p in pts), dtype=np.float64, count=len(pts))
-        dx = self.xs[None, :] - xs[:, None]
-        dy = self.ys[None, :] - ys[:, None]
+        dx = self.xs[None, :n] - xs[:, None]
+        dy = self.ys[None, :n] - ys[:, None]
         d2 = dx * dx + dy * dy
-        hits = d2 <= ((self.radii * _BAND) ** 2)[None, :]
+        hits = d2 <= ((self.radii[:n] * _BAND) ** 2)[None, :]
         rows, cols = np.nonzero(hits)
-        splits = np.searchsorted(rows, np.arange(len(pts) + 1))
-        return [
-            [int(self.oids[j]) for j in cols[splits[i] : splits[i + 1]]]
-            for i in range(len(pts))
-        ]
+        splits = np.searchsorted(rows, np.arange(len(pts) + 1)).tolist()
+        oids = self.oids[cols].tolist()
+        return [oids[splits[i] : splits[i + 1]] for i in range(len(pts))]
+
+    def validate(self) -> None:
+        """The slot map and the arrays agree and ``[:len(self)]`` has no hole."""
+        n = len(self.pos)
+        assert len(self.slot) == n, "slot map and table length disagree"
+        for oid, i in self.slot.items():
+            # len(slot) == n and oids[i] == oid for every entry make the
+            # map a bijection onto range(n): the live prefix is dense.
+            assert 0 <= i < n and self.oids[i] == oid, f"slot of o{oid} is stale"
+            p = self.pos[i]
+            assert self.xs[i] == p[0] and self.ys[i] == p[1], f"centre of o{oid} is stale"

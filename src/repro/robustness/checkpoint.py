@@ -12,7 +12,7 @@ the restored results are *recomputed*, then verified against the
 recorded ones: a corrupt or stale snapshot fails loudly at restore time
 instead of silently serving wrong answers.
 
-Derived state (FUR-tree shape, per-sector certificates) is deliberately
+Derived state (the circle table, per-sector certificates) is deliberately
 not serialized — it is reproducible, and re-deriving it is the proof
 that the snapshot is consistent.
 
@@ -31,7 +31,7 @@ diverge from the original on future ticks even though its answers are
 identical.  Exact restore rebuilds canonically (proving the ground
 truth consistent), then replaces the record map outright with the
 recorded one, resynchronises the derived indexes (NN-Hash, candidate
-index, FUR-tree entries, pie cell registrations), checks that the
+index, circle table, pie cell registrations), checks that the
 recorded records reproduce exactly the verified RNN results (RNN status
 *is* ground truth — anything else is corruption), and overwrites the
 counters with the recorded values.  The result continues bit-identically
@@ -100,7 +100,6 @@ def build_snapshot_dict(
         "config": {
             "variant": cfg.variant,
             "grid_cells": cfg.grid_cells,
-            "fur_fanout": cfg.fur_fanout,
             "partial_insert_threshold": cfg.partial_insert_threshold,
             "guard_policy": cfg.guard_policy,
             "bounds": [cfg.bounds.xmin, cfg.bounds.ymin, cfg.bounds.xmax, cfg.bounds.ymax],
@@ -126,7 +125,11 @@ def _build_snapshot(monitor: "CRNNMonitor", cfg: MonitorConfig) -> dict[str, Any
 
 
 def parse_config(snap: dict[str, Any]) -> MonitorConfig:
-    """Validate a checkpoint's header and rebuild its :class:`MonitorConfig`."""
+    """Validate a checkpoint's header and rebuild its :class:`MonitorConfig`.
+
+    Config keys the monitor no longer has are ignored: snapshots written
+    while the circ store was a FUR-tree still carry that tree's fanout.
+    """
     if not isinstance(snap, dict) or snap.get("format") != FORMAT:
         raise CheckpointError("not a CRNN checkpoint")
     if snap.get("version") != VERSION:
@@ -136,7 +139,6 @@ def parse_config(snap: dict[str, Any]) -> MonitorConfig:
         return MonitorConfig(
             bounds=Rect(*(float(v) for v in c["bounds"])),
             grid_cells=int(c["grid_cells"]),
-            fur_fanout=int(c["fur_fanout"]),
             variant=c["variant"],
             partial_insert_threshold=float(c["partial_insert_threshold"]),
             guard_policy=c.get("guard_policy", "strict"),
@@ -256,7 +258,7 @@ def restore_exact(snap: dict[str, Any], verify: bool = True) -> "CRNNMonitor":
     records cannot be patched in place — re-points the query table's
     candidates at them, re-registers the pie cells at the recorded
     hysteretic radii, and resynchronises the derived indexes: NN-Hash,
-    the per-candidate index, and the FUR-tree entries.
+    the per-candidate index, and the circle table.
     No events are emitted: the recorded records must reproduce exactly
     the already-verified RNN results (RNN status is a pure function of
     the ground truth), and any divergence means corruption.  Counters
@@ -289,8 +291,8 @@ def restore_exact(snap: dict[str, Any], verify: bool = True) -> "CRNNMonitor":
         circ.by_cand.setdefault(rec.cand, set()).add(key)
         if rec.nn is not None:
             circ.nn_hash.setdefault(rec.nn, set()).add(key)
-    # Deterministic refresh order; drops FUR entries of candidates the
-    # recorded map no longer references, inserts/updates the rest.
+    # Deterministic refresh order; drops the circles of candidates the
+    # recorded map no longer references, puts the rest.
     for cand in sorted(old_cands | set(circ.by_cand)):
         circ._refresh_candidate(cand, None)
     # The query table mirrors the candidates and keeps the hysteretic

@@ -14,10 +14,13 @@ modified in place; if it stays inside the parent MBR the entry either
 moves to the best sibling leaf or the leaf MBR is enlarged; otherwise the
 standard top-down reinsertion applies.
 
-The CRNN monitor stores all candidate circ-regions in one global
-in-memory FUR-tree (Section 5.2 of the paper); candidates being
-constrained NNs of their queries, their updates are highly local, which
-is exactly the workload this structure is built for.
+The paper stores all candidate circ-regions in one global in-memory
+FUR-tree (Section 5.2); candidates being constrained NNs of their
+queries, their updates are highly local, which is exactly the workload
+this structure is built for.  This library's monitor keeps those
+circles in a persistent array table instead (DESIGN §2
+"Substitutions"); the FUR-tree indexes the TPL-FUR baseline's objects,
+the Rdnn-tree and the bichromatic monitor's assignment circles.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 This is the substrate for two pieces of the paper:
 
-* the **FUR-tree** (:mod:`repro.rtree.furtree`) that stores circ-regions,
-  which extends it with a secondary hash table and bottom-up updates; and
+* the **FUR-tree** (:mod:`repro.rtree.furtree`), the paper's circ-region
+  index, which extends it with a secondary hash table and bottom-up
+  updates; and
 * the **TPL baseline** (:mod:`repro.rnn.tpl`), which runs the static RNN
   algorithm of Tao et al. over an (FUR-)tree of objects.
 

@@ -1,7 +1,7 @@
 """One shard's compute engine: an inner monitor plus event attribution.
 
 A :class:`ShardEngine` owns the monitoring state (query table, pie
-registrations, FUR circ store) of the queries that live in its stripe,
+registrations, circle-table circ store) of the queries that live in its stripe,
 wrapped around an ordinary :class:`~repro.core.monitor.CRNNMonitor`
 over a *private full replica* of the object grid (under either
 executor).  The engine drives the inner monitor's phases — the
@@ -20,7 +20,7 @@ Tag layout (6-tuple of ints, lexicographic):
 ``(2, m, 0, 0, qid, sec)``  circs phase, move ``m``, step 1 on record
                             ``(qid, sec)``
 ``(2, m, 1, cand, qid, sec)`` circs phase, move ``m``, step 2 shrink of
-                            ``(qid, sec)`` via FUR entry ``cand``
+                            ``(qid, sec)`` via the circle of ``cand``
 ``(3, j, 0, 0, 0, 0)``      queries phase / API query op ``j``
 ==========================  ==========================================
 """
@@ -198,7 +198,7 @@ class ShardEngine:
         """Circ maintenance over the full batch move list.
 
         Every shard scans all moves: a move far from this stripe is a
-        cheap no-op against the shard's small FUR tree / NN-hash, and
+        cheap no-op against the shard's small circle table / NN-hash, and
         scanning everything is what makes in-batch circle growth (a
         re-search may install a certificate anywhere) sound — see
         DESIGN §9 for why pre-routing circ moves by region is not.

@@ -77,6 +77,19 @@ class TestRoundTrip:
         assert restored.results() == mon.results()
         restored.validate()
 
+    def test_fur_fanout_of_an_older_snapshot_is_ignored(self, variant):
+        # Snapshots written while the circ store was a FUR-tree carry its
+        # fanout: such a snapshot restores and verifies, and the key is
+        # not written back.
+        mon = _busy_monitor(variant, seed=7)
+        snap = mon.checkpoint()
+        snap["config"]["fur_fanout"] = 20
+        restored = restore(snap)
+        assert restored.results() == mon.results()
+        assert restored.config == mon.config
+        assert "fur_fanout" not in restored.checkpoint()["config"]
+        restored.validate()
+
     def test_exclude_sets_survive(self, variant):
         mon = make_monitor(variant)
         mon.add_object(1, Point(100.0, 100.0))

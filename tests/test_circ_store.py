@@ -1,16 +1,22 @@
-"""Unit tests for the FUR-backed circ-region store (NN-Hash, partial-insert)."""
+"""Unit tests for the circle-table circ-region store (NN-Hash, partial-insert)."""
 
 import math
+import random
 
 import pytest
 
 from repro.core.circ_store import FurCircStore
-from repro.core.events import ResultChange
+from repro.core.events import ObjectUpdate, ResultChange
+from repro.core.oracle import BruteForceMonitor
 from repro.core.query_table import QueryTable
 from repro.core.stats import StatCounters
 from repro.geometry.point import Point, dist
 from repro.geometry.rect import Rect
 from repro.grid.index import GridIndex
+from repro.rtree.furtree import FURTree
+
+from .conftest import make_monitor
+from .test_robustness_fuzz import _random_batches
 
 BOUNDS = Rect(0.0, 0.0, 1000.0, 1000.0)
 
@@ -133,7 +139,7 @@ class TestRecordsOfQuery:
 
 class TestSharedCandidates:
     def test_candidate_serving_two_queries(self):
-        """One object candidate for two queries: one FUR entry, max radius."""
+        """One object candidate for two queries: one circle, max radius."""
         rig = _Rig()
         rig.query(50, 200.0, 100.0)
         rig.query(51, 100.0, 180.0)
@@ -141,12 +147,11 @@ class TestSharedCandidates:
         rig.object(2, 130.0, 100.0)
         rig.store.set_circ(50, 0, 1, pos, 100.0, 2, 30.0)
         rig.store.set_circ(51, 4, 1, pos, 80.0, None)
-        entry = rig.store.fur.get_entry(1)
-        assert entry.radius == 80.0  # max(30, 80)
+        assert rig.store.circles.get(1) == (pos, 80.0)  # max(30, 80)
         rig.store.remove_circ(51, 4)
-        assert rig.store.fur.get_entry(1).radius == 30.0
+        assert rig.store.circles.get(1) == (pos, 30.0)
         rig.store.remove_circ(50, 0)
-        assert 1 not in rig.store.fur
+        assert 1 not in rig.store.circles
         rig.store.validate()
 
 
@@ -215,6 +220,30 @@ class TestContainmentStep:
         assert rig.events == [ResultChange(50, 1, gained=False)]
         rig.store.validate()
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_object_enters_lazily_grown_circle(self, batched):
+        """A lazy radius grow patches the circle table: an object landing
+        in the grown part only is found by the containment step."""
+        rig = _Rig()
+        rig.query(50, 200.0, 100.0)
+        p1 = rig.object(1, 100.0, 100.0)
+        rig.object(2, 110.0, 100.0)
+        rig.store.set_circ(50, 0, 1, p1, 100.0, 2, 10.0)
+        old = rig.grid.positions[2]
+        new = Point(160.0, 100.0)
+        rig.grid.move_object(2, new)
+        entering = rig.object(3, 100.0, 140.0)  # 40 from o1: inside 60, not 10
+        moves = [(2, old, new), (3, None, entering)]
+        if batched:
+            rig.store.process_moves(moves)
+        else:
+            for move in moves:
+                rig.store.handle_update(*move)
+        assert rig.stats.circ_lazy_radius_updates == 1
+        rec = rig.store.record(50, 0)
+        assert rec.nn == 3 and rec.radius == 40.0
+        rig.store.validate()
+
     def test_object_on_perimeter_does_not_flip(self):
         """Strictness: landing exactly at distance d(q, cand) is no disproof."""
         rig = _Rig()
@@ -237,7 +266,7 @@ class TestPartialInsert:
         rig.object(2, 110.0, 100.0)
         # radius 10 < 0.8 * 100: hash only
         rig.store.set_circ(50, 0, 1, p1, 100.0, 2, 10.0)
-        assert 1 not in rig.store.fur
+        assert 1 not in rig.store.circles
         assert not rig.store.record(50, 0).in_fur
         rig.store.validate()
 
@@ -247,7 +276,7 @@ class TestPartialInsert:
         p1 = rig.object(1, 100.0, 100.0)
         rig.object(2, 185.0, 100.0)
         rig.store.set_circ(50, 0, 1, p1, 100.0, 2, 85.0)
-        assert 1 in rig.store.fur
+        assert 1 in rig.store.circles
         rig.store.validate()
 
     def test_threshold_crossing_migrates(self):
@@ -256,21 +285,21 @@ class TestPartialInsert:
         p1 = rig.object(1, 100.0, 100.0)
         rig.object(2, 110.0, 100.0)
         rig.store.set_circ(50, 0, 1, p1, 100.0, 2, 10.0)
-        assert 1 not in rig.store.fur
+        assert 1 not in rig.store.circles
         # certificate drifts outward: radius grows past the threshold
         old = rig.grid.positions[2]
         new = Point(190.0, 100.0)
         rig.grid.move_object(2, new)
         rig.store.handle_update(2, old, new)
         assert rig.store.record(50, 0).radius == 90.0
-        assert 1 in rig.store.fur
+        assert 1 in rig.store.circles
         # and back down
         old = rig.grid.positions[2]
         new = Point(105.0, 100.0)
         rig.grid.move_object(2, new)
         rig.store.handle_update(2, old, new)
         assert rig.store.record(50, 0).radius == 5.0
-        assert 1 not in rig.store.fur
+        assert 1 not in rig.store.circles
         rig.store.validate()
 
     def test_rnn_circles_always_in_tree(self):
@@ -279,5 +308,36 @@ class TestPartialInsert:
         rig.query(50, 200.0, 100.0)
         p1 = rig.object(1, 100.0, 100.0)
         rig.store.set_circ(50, 0, 1, p1, 100.0, None)
-        assert 1 in rig.store.fur
+        assert 1 in rig.store.circles
         rig.store.validate()
+
+
+class TestMonitorBuildsNoFurTree:
+    """DESIGN §2 "Substitutions": the monitor keeps its circles in the
+    circle table.  With ``FURTree`` made unconstructible, both FUR-store
+    variants still run a churning stream — through ``process()`` and
+    through the single-object API — and match the oracle after every
+    batch."""
+
+    @pytest.mark.parametrize("variant", ["lu-only", "lu+pi"])
+    def test_streams_match_the_oracle_without_a_fur_tree(self, variant, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the monitor built a FURTree")
+
+        monkeypatch.setattr(FURTree, "__init__", refuse)
+        batched, single, oracle = make_monitor(variant), make_monitor(variant), BruteForceMonitor()
+        for t, batch in enumerate(_random_batches(random.Random(29), timestamps=12)):
+            batched.process(batch)
+            oracle.process(batch)
+            for update in batch:
+                kind = "object" if isinstance(update, ObjectUpdate) else "query"
+                ident = update.oid if kind == "object" else update.qid
+                if update.pos is None:
+                    getattr(single, f"remove_{kind}")(ident)
+                else:
+                    getattr(single, f"update_{kind}")(ident, update.pos)
+            want = oracle.results()
+            assert batched.results() == want, f"process() t={t}"
+            assert single.results() == want, f"single-object API t={t}"
+        batched.validate()
+        single.validate()

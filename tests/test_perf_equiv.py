@@ -18,8 +18,10 @@ adversarial inputs:
   whole ``InitResult`` equality on lattice layouts (exact ties across
   cells), sector rays, coincident and excluded objects, border queries
   with empty sectors, and the certificate fallback;
-* ``EntrySnapshot`` containment prefilters vs the exact FUR predicate
-  (superset property + batch/per-point agreement).
+* ``EntrySnapshot`` — the circ store's live circle table — against a
+  plain dict of circles: exact containment search, prefilter superset
+  property, batch/per-point agreement, and the slot map through
+  insert / move / radius change / swap-remove.
 
 Adversarial inputs deliberately target the classic failure modes of a
 vectorization: points on cell boundaries (truncation vs rounding),
@@ -35,9 +37,10 @@ import random
 import numpy as np
 import hypothesis.strategies as st
 from hypothesis import given, settings
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.init_crnn import _init_crnn_scalar, init_crnn
-from repro.geometry.point import Point
+from repro.geometry.point import Point, dist
 from repro.geometry.rect import Rect
 from repro.geometry.sector import _BOUNDARY_DIRS, NUM_SECTORS, sector_of
 from repro.grid.cpm import (
@@ -626,9 +629,116 @@ class TestEntrySnapshot:
                 assert e.oid in cands
 
     def test_zero_radius_entries_never_match(self):
-        snap = EntrySnapshot([_Entry(0, Point(10.0, 10.0), 0.0)])
-        assert snap.containment_candidates(Point(10.0, 10.0)) == [0] or True
         # The exact predicate is open (d < r), so a zero-radius circle
-        # contains nothing; prefilter may report the coincident point,
-        # but must report nothing for any other point.
-        assert snap.containment_candidates(Point(11.0, 10.0)) == []
+        # contains nothing: the banded prefilter may report its centre,
+        # the exact search reports nothing, and both report nothing for
+        # any other point.
+        centre = Point(10.0, 10.0)
+        snap = EntrySnapshot([_Entry(0, centre, 0.0)])
+        assert snap.containment_candidates(centre) in ([], [0])
+        assert snap.containment_search(centre) == []
+        for p in (Point(11.0, 10.0), Point(10.0, 10.0 + 1e-9), Point(900.0, 10.0)):
+            assert snap.containment_candidates(p) == []
+            assert snap.containment_search(p) == []
+
+
+# Lattice centres and radii make coincident centres, zero radii and
+# probes exactly on a perimeter (centre + radius along an axis, exact in
+# binary floating point) common rather than measure-zero.
+_table_coords = st.one_of(
+    st.integers(0, 8).map(lambda i: 25.0 * i),
+    st.floats(min_value=0.0, max_value=200.0, allow_nan=False, width=64),
+)
+_table_points = st.builds(Point, _table_coords, _table_coords)
+_table_radii = st.one_of(
+    st.just(0.0),
+    st.integers(1, 6).map(lambda i: 25.0 * i),
+    st.floats(min_value=0.0, max_value=150.0, allow_nan=False, width=64),
+)
+
+
+class CircleTableMachine(RuleBasedStateMachine):
+    """The live circle table against a plain dict of circles.
+
+    After every step the exact ``containment_search`` equals brute force,
+    every batched prefilter row is a superset of it, and ``validate()``
+    holds (slot map and arrays agree, no holes).  Probes are each
+    circle's centre and its four axis perimeter points, plus a few
+    drawn points.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.table = EntrySnapshot()
+        self.model: dict[int, tuple[Point, float]] = {}
+        self.drawn: list[Point] = []
+        self.next_oid = 0
+
+    def _pick(self, data):
+        return data.draw(st.sampled_from(sorted(self.model)))
+
+    @rule(p=_table_points, r=_table_radii)
+    def insert(self, p, r):
+        self.table.put(self.next_oid, p, r)
+        self.model[self.next_oid] = (p, r)
+        self.next_oid += 1
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), p=_table_points)
+    def move(self, data, p):
+        oid = self._pick(data)
+        self.table.put(oid, p, self.model[oid][1])
+        self.model[oid] = (p, self.model[oid][1])
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), r=_table_radii)
+    def change_radius(self, data, r):
+        oid = self._pick(data)
+        self.table.put(oid, self.model[oid][0], r)
+        self.model[oid] = (self.model[oid][0], r)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def delete(self, data):
+        oid = self._pick(data)
+        self.table.remove(oid)
+        del self.model[oid]
+
+    @precondition(lambda self: len(self.model) > 1)
+    @rule(data=st.data())
+    def delete_by_slot(self, data):
+        # Slot 0, a middle slot or the last slot: the swap-remove cases.
+        n = len(self.table)
+        i = data.draw(st.sampled_from(sorted({0, n // 2, n - 1})))
+        oid = int(self.table.oids[i])
+        self.table.remove(oid)
+        del self.model[oid]
+
+    @rule(p=_table_points)
+    def probe(self, p):
+        self.drawn = (self.drawn + [p])[-4:]
+
+    @invariant()
+    def matches_brute_force(self):
+        self.table.validate()
+        assert len(self.table) == len(self.model)
+        probes = list(self.drawn)
+        for oid, (c, r) in self.model.items():
+            assert self.table.get(oid) == (c, r)
+            probes += [c, Point(c.x + r, c.y), Point(c.x - r, c.y),
+                       Point(c.x, c.y + r), Point(c.x, c.y - r)]
+        want = [
+            sorted(oid for oid, (c, r) in self.model.items() if dist(p, c) < r)
+            for p in probes
+        ]
+        got = [[oid for oid, _ in self.table.containment_search(p)] for p in probes]
+        assert got == want
+        rows = self.table.batch_containment_candidates(probes)
+        for p, row, exact in zip(probes, rows, want):
+            assert set(exact) <= set(row), f"prefilter dropped a hit at {p}"
+
+
+TestCircleTableMachine = CircleTableMachine.TestCase
+TestCircleTableMachine.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
