@@ -16,10 +16,12 @@ Two storage layers coexist:
   arrays plus a CSR bucketing of object slots by cell) feeds the
   vectorized kernels in :mod:`repro.perf.kernels`.
 
-Every vectorized geometric enumeration keeps its original scalar loop as
-a ``_scalar``-suffixed twin; the public methods dispatch between the two
-on the row count and differential tests assert the twins agree
-bit-for-bit.
+The geometric enumerations are one scalar walk each, O(1) work per grid
+row: a pie or a disk is convex, so it meets every row in one contiguous
+run of cells.  They have no NumPy twin: an array version costs more per
+call than the walk below some 30 (disk) to 50 (pie) rows, and the pies
+and disks the monitor enumerates span a handful (DESIGN.md §6, "Dual
+kernels").
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.sector import sector_boundary_dirs
 from repro.grid.cell import Cell
-
-#: Minimum number of grid rows for which the vectorized row-interval
-#: kernels beat the scalar loops (array setup costs a few microseconds).
-_VECTOR_MIN_ROWS = 5
 
 _EMPTY_SET: frozenset[int] = frozenset()
 
@@ -361,15 +359,21 @@ class GridIndex:
     def ensure_csr(self) -> None:
         """(Re)build the cell -> object-slot CSR bucketing if stale.
 
-        O(n log n) in the object count — call once per batch, not per
-        update; the single-update paths simply leave it stale and the
-        searches fall back to the scalar kernels.
+        O(n) in the object count up to 256 cells per axis: the slots are
+        stable-sorted by cell id cast to the narrowest unsigned type that
+        holds every id — ``uint8`` or ``uint16`` there, where NumPy's
+        stable sort is a radix sort; wider grids get ``uint32`` and a
+        comparison sort.  A stable sort is unique, so the order is the
+        one an ``int64`` sort gives at any width.  Call once per batch,
+        not per update; the single-update paths simply leave it stale
+        and the searches fall back to the scalar kernels.
         """
         if self.csr_fresh:
             return
         with self.tracer.span("grid.csr_rebuild", objects=self._size):
             flats = self._flat_arr[: self._size]
-            self._csr_order = _np.argsort(flats, kind="stable")
+            key = flats.astype(_np.min_scalar_type(self.n * self.n - 1))
+            self._csr_order = _np.argsort(key, kind="stable")
             counts = _np.bincount(flats, minlength=self.n * self.n)
             indptr = _np.empty(self.n * self.n + 1, dtype=_np.int64)
             indptr[0] = 0
@@ -405,15 +409,11 @@ class GridIndex:
         sector clipped to the data space (the paper's unbounded
         pie-region for an empty partition).
 
-        The pie (wedge ∩ disk) is convex, so every grid row meets it in
-        one contiguous x-interval; the enumeration is O(cells yielded)
-        with O(1) work per row, instead of clipping every cell in the
-        bounding box.  The interval is padded by a hair so borderline
-        cells are over- rather than under-registered (over-registration
-        is always safe for monitoring).
-
-        Dispatches between a scalar per-row loop and a NumPy row-interval
-        kernel; the two are bit-identical (differential-tested).
+        Walks :meth:`pie_row_intervals`: O(cells yielded) with O(1) work
+        per row, instead of clipping every cell in the bounding box.  The
+        intervals are padded by a hair so borderline cells are over-
+        rather than under-registered (over-registration is always safe
+        for monitoring).
 
         The yielded cells are meant for pie-region bookkeeping
         (``pie_queries``); their ``objects`` sets are synchronized
@@ -425,70 +425,63 @@ class GridIndex:
             for cx in range(cx0, cx1 + 1):
                 yield self._materialize(base + cx)
 
-    def pie_row_intervals(self, q: Point, sector: int, radius: float):
+    def pie_row_intervals(
+        self, q: Point, sector: int, radius: float
+    ) -> Iterator[tuple[int, int, int]]:
         """Row intervals ``(cy, cx0, cx1)`` of cells meeting the pie.
 
-        The pie twin of :meth:`circle_row_intervals`: what
-        :meth:`cells_intersecting_pie` walks, and what the vectorized
-        ``initCRNN`` kernel gathers CSR slices from without
+        What :meth:`cells_intersecting_pie` walks, and what the
+        vectorized ``initCRNN`` kernel gathers CSR slices from without
         materializing any ``Cell``.
-        """
-        prep = self._prep_pie(q, sector, radius)
-        if prep is None:
-            return iter(())
-        radius, cy0, cy1, dirs, extremes, pad = prep
-        if self.vector_enabled and cy1 - cy0 + 1 >= _VECTOR_MIN_ROWS:
-            return self._pie_row_intervals_vector(q, radius, cy0, cy1, dirs, extremes, pad)
-        return self._pie_row_intervals_scalar(q, radius, cy0, cy1, dirs, extremes, pad)
 
-    def _prep_pie(self, q: Point, sector: int, radius: float):
-        """Shared setup of the pie enumeration (extremes, row range, pad)."""
+        The pie (wedge ∩ disk) is convex, so every grid row meets it in
+        one contiguous x-interval.  Its ends are the extremes of what
+        falls in the row's strip: the pie's extreme points, the boundary
+        rays' crossings of the strip borders, and the arc's crossings of
+        the strip borders inside the closed wedge.
+        """
+        bounds = self.bounds
         if math.isinf(radius):
-            radius = self.bounds.maxdist(q)
+            radius = bounds.maxdist(q)
         qx, qy = q
-        dirs = sector_boundary_dirs(sector)
-        (d0x, d0y), (d1x, d1y) = dirs
-        tip0 = (qx + radius * d0x, qy + radius * d0y)
-        tip1 = (qx + radius * d1x, qy + radius * d1y)
+        (d0x, d0y), (d1x, d1y) = sector_boundary_dirs(sector)
         # Extreme points of the pie: apex, the two arc endpoints, and —
         # for the sectors whose angular range contains 90 or 270 degrees
         # — the arc's topmost/bottommost point (these angles fall
         # *inside* sectors 1 and 4 rather than on a boundary ray).
-        extremes = [(qx, qy), tip0, tip1]
+        extremes = [
+            (qx, qy),
+            (qx + radius * d0x, qy + radius * d0y),
+            (qx + radius * d1x, qy + radius * d1y),
+        ]
         if sector == 1:
             extremes.append((qx, qy + radius))
         elif sector == 4:
             extremes.append((qx, qy - radius))
         pad = 1e-9 * (radius + 1.0)
-        y_lo = max(self.bounds.ymin, min(p[1] for p in extremes) - pad)
-        y_hi = min(self.bounds.ymax, max(p[1] for p in extremes) + pad)
+        y_lo = max(bounds.ymin, min(p[1] for p in extremes) - pad)
+        y_hi = min(bounds.ymax, max(p[1] for p in extremes) + pad)
         if y_lo > y_hi:
-            return None
+            return
         _, cy0 = self.cell_coords(Point(qx, y_lo))
         _, cy1 = self.cell_coords(Point(qx, y_hi))
-        return radius, cy0, cy1, dirs, extremes, pad
-
-    def _pie_row_intervals_scalar(self, q, radius, cy0, cy1, dirs, extremes, pad):
-        """Per-row x-intervals of the pie — the scalar reference loop."""
-        qx, qy = q
-        (d0x, d0y), (d1x, d1y) = dirs
+        # Boundary rays as (dx, y extent); a horizontal ray crosses no
+        # strip border.
+        rays = [(dx, dy * radius) for dx, dy in ((d0x, d0y), (d1x, d1y)) if dy * radius != 0.0]
         r_sq = radius * radius
+        xmin, xmax, ymin = bounds.xmin, bounds.xmax, bounds.ymin
+        cell_w, cell_h, last = self._cell_w, self._cell_h, self.n - 1
         for cy in range(cy0, cy1 + 1):
-            y0 = self.bounds.ymin + cy * self._cell_h
-            y1 = y0 + self._cell_h
-            xs: list[float] = []
+            y0 = ymin + cy * cell_h
+            y1 = y0 + cell_h
             # Region extreme points inside the strip.
-            for px, py in extremes:
-                if y0 - pad <= py <= y1 + pad:
-                    xs.append(px)
+            xs = [px for px, py in extremes if y0 - pad <= py <= y1 + pad]
             # Ray-segment crossings of the strip borders.
-            for dx, dy in ((d0x, d0y), (d1x, d1y)):
-                sy = dy * radius
-                if sy != 0.0:
-                    for yb in (y0, y1):
-                        t = (yb - qy) / sy
-                        if 0.0 <= t <= 1.0:
-                            xs.append(qx + t * radius * dx)
+            for dx, sy in rays:
+                for yb in (y0, y1):
+                    t = (yb - qy) / sy
+                    if 0.0 <= t <= 1.0:
+                        xs.append(qx + t * radius * dx)
             # Arc crossings of the strip borders (kept only inside the
             # closed wedge).
             for yb in (y0, y1):
@@ -498,170 +491,62 @@ class GridIndex:
                     s = math.sqrt(m)
                     for px in (qx - s, qx + s):
                         vx = px - qx
-                        if (d0x * dyq - d0y * vx) >= -pad and (
-                            d1x * dyq - d1y * vx
-                        ) <= pad:
+                        if (d0x * dyq - d0y * vx) >= -pad and (d1x * dyq - d1y * vx) <= pad:
                             xs.append(px)
             if not xs:
                 continue
-            xa = max(self.bounds.xmin, min(xs) - pad)
-            xb = min(self.bounds.xmax, max(xs) + pad)
+            xa = max(xmin, min(xs) - pad)
+            xb = min(xmax, max(xs) + pad)
             if xa > xb:
                 continue
-            cx0, _ = self.cell_coords(Point(xa, y0))
-            cx1, _ = self.cell_coords(Point(xb, y0))
-            yield cy, cx0, cx1
-
-    def _pie_row_intervals_vector(self, q, radius, cy0, cy1, dirs, extremes, pad):
-        """NumPy twin of :meth:`_pie_row_intervals_scalar`.
-
-        Every row's interval is computed with elementwise operations that
-        round exactly like the scalar loop's (``np.sqrt`` matches
-        ``math.sqrt`` bit-for-bit; min/max are exact), so the yielded
-        ``(cy, cx0, cx1)`` triples are identical.
-        """
-        qx, qy = q
-        (d0x, d0y), (d1x, d1y) = dirs
-        r_sq = radius * radius
-        cys = _np.arange(cy0, cy1 + 1, dtype=_np.int64)
-        y0 = self.bounds.ymin + cys * self._cell_h
-        y1 = y0 + self._cell_h
-        nrows = len(cys)
-        x_min = _np.full(nrows, _np.inf)
-        x_max = _np.full(nrows, -_np.inf)
-        has = _np.zeros(nrows, dtype=bool)
-
-        def contribute(mask, xval):
-            _np.minimum(x_min, _np.where(mask, xval, _np.inf), out=x_min)
-            _np.maximum(x_max, _np.where(mask, xval, -_np.inf), out=x_max)
-            _np.logical_or(has, mask, out=has)
-
-        for px, py in extremes:
-            contribute((y0 - pad <= py) & (py <= y1 + pad), px)
-        for dx, dy in ((d0x, d0y), (d1x, d1y)):
-            sy = dy * radius
-            if sy != 0.0:
-                for yb in (y0, y1):
-                    t = (yb - qy) / sy
-                    contribute((0.0 <= t) & (t <= 1.0), qx + t * radius * dx)
-        for yb in (y0, y1):
-            dyq = yb - qy
-            m = r_sq - dyq * dyq
-            ok = m >= 0.0
-            s = _np.sqrt(_np.where(ok, m, 0.0))
-            for px in (qx - s, qx + s):
-                vx = px - qx
-                wedge = ((d0x * dyq - d0y * vx) >= -pad) & ((d1x * dyq - d1y * vx) <= pad)
-                contribute(ok & wedge, px)
-
-        xa = _np.maximum(self.bounds.xmin, x_min - pad)
-        xb = _np.minimum(self.bounds.xmax, x_max + pad)
-        keep = has & (xa <= xb)
-        idx = _np.nonzero(keep)[0]
-        if len(idx) == 0:
-            return
-        cx0 = _np.clip(
-            ((xa[idx] - self.bounds.xmin) / self._cell_w).astype(_np.int64), 0, self.n - 1
-        )
-        cx1 = _np.clip(
-            ((xb[idx] - self.bounds.xmin) / self._cell_w).astype(_np.int64), 0, self.n - 1
-        )
-        for row, a, b in zip(cys[idx], cx0, cx1):
-            yield int(row), int(a), int(b)
+            # ``cell_coords`` of (xa, y0) and (xb, y0); xa >= xmin already.
+            yield cy, min(int((xa - xmin) / cell_w), last), min(int((xb - xmin) / cell_w), last)
 
     # -- disk enumeration ----------------------------------------------
     def cells_intersecting_circle(self, center: Point, radius: float) -> Iterator[Cell]:
         """Cells intersecting the closed disk around ``center``.
 
-        Row-interval enumeration: per row the disk's x-extent is widest
-        at the y nearest the centre, giving O(cells yielded) total work.
-        Dispatches between the scalar loop and its bit-identical NumPy
-        twin exactly like :meth:`cells_intersecting_pie`.
+        Walks :meth:`circle_row_intervals`: O(cells yielded) total work.
         """
         if self._cell_objects_stale:
             self._sync_cell_objects()
-        prep = self._prep_circle(center, radius)
-        if prep is None:
-            return
-        cy0, cy1 = prep
-        if self.vector_enabled and cy1 - cy0 + 1 >= _VECTOR_MIN_ROWS:
-            rows = self._circle_row_intervals_vector(center, radius, cy0, cy1)
-        else:
-            rows = self._circle_row_intervals_scalar(center, radius, cy0, cy1)
-        for cy, cx0, cx1 in rows:
+        for cy, cx0, cx1 in self.circle_row_intervals(center, radius):
             base = cy * self.n
             for cx in range(cx0, cx1 + 1):
                 yield self._materialize(base + cx)
 
-    def _prep_circle(self, center: Point, radius: float):
+    def circle_row_intervals(
+        self, center: Point, radius: float
+    ) -> Iterator[tuple[int, int, int]]:
+        """Row intervals ``(cy, cx0, cx1)`` of cells meeting the disk.
+
+        What :meth:`cells_intersecting_circle` walks, and what the
+        vectorized NN kernels gather CSR slices from without
+        materializing (or touching) any ``Cell``.  Per row the disk's
+        x-extent is widest at the y nearest the centre.
+        """
+        bounds = self.bounds
         qx, qy = center
-        y_lo = max(self.bounds.ymin, qy - radius)
-        y_hi = min(self.bounds.ymax, qy + radius)
+        y_lo = max(bounds.ymin, qy - radius)
+        y_hi = min(bounds.ymax, qy + radius)
         if y_lo > y_hi:
-            return None
+            return
         _, cy0 = self.cell_coords(Point(qx, y_lo))
         _, cy1 = self.cell_coords(Point(qx, y_hi))
-        return cy0, cy1
-
-    def _circle_row_intervals_scalar(self, center: Point, radius: float, cy0: int, cy1: int):
-        """Per-row x-intervals of the disk — the scalar reference loop."""
-        qx, qy = center
         r_sq = radius * radius
+        xmin, xmax, ymin = bounds.xmin, bounds.xmax, bounds.ymin
+        cell_w, cell_h, last = self._cell_w, self._cell_h, self.n - 1
         for cy in range(cy0, cy1 + 1):
-            y0 = self.bounds.ymin + cy * self._cell_h
-            y1 = y0 + self._cell_h
+            y0 = ymin + cy * cell_h
+            y1 = y0 + cell_h
             y_star = qy if y0 <= qy <= y1 else (y0 if abs(y0 - qy) < abs(y1 - qy) else y1)
             m = r_sq - (y_star - qy) ** 2
             if m < 0.0:
                 continue
             half = math.sqrt(m)
-            xa = max(self.bounds.xmin, qx - half)
-            xb = min(self.bounds.xmax, qx + half)
+            xa = max(xmin, qx - half)
+            xb = min(xmax, qx + half)
             if xa > xb:
                 continue
-            cx0, _ = self.cell_coords(Point(xa, y0))
-            cx1, _ = self.cell_coords(Point(xb, y0))
-            yield cy, cx0, cx1
-
-    def _circle_row_intervals_vector(self, center: Point, radius: float, cy0: int, cy1: int):
-        """NumPy twin of :meth:`_circle_row_intervals_scalar` (bit-identical)."""
-        qx, qy = center
-        r_sq = radius * radius
-        cys = _np.arange(cy0, cy1 + 1, dtype=_np.int64)
-        y0 = self.bounds.ymin + cys * self._cell_h
-        y1 = y0 + self._cell_h
-        inside = (y0 <= qy) & (qy <= y1)
-        nearer0 = _np.abs(y0 - qy) < _np.abs(y1 - qy)
-        y_star = _np.where(inside, qy, _np.where(nearer0, y0, y1))
-        m = r_sq - (y_star - qy) ** 2
-        keep = m >= 0.0
-        half = _np.sqrt(_np.where(keep, m, 0.0))
-        xa = _np.maximum(self.bounds.xmin, qx - half)
-        xb = _np.minimum(self.bounds.xmax, qx + half)
-        keep &= xa <= xb
-        idx = _np.nonzero(keep)[0]
-        if len(idx) == 0:
-            return
-        cx0 = _np.clip(
-            ((xa[idx] - self.bounds.xmin) / self._cell_w).astype(_np.int64), 0, self.n - 1
-        )
-        cx1 = _np.clip(
-            ((xb[idx] - self.bounds.xmin) / self._cell_w).astype(_np.int64), 0, self.n - 1
-        )
-        for row, a, b in zip(cys[idx], cx0, cx1):
-            yield int(row), int(a), int(b)
-
-    def circle_row_intervals(self, center: Point, radius: float):
-        """Row intervals ``(cy, cx0, cx1)`` of cells meeting the disk.
-
-        Used by the vectorized NN kernels to gather CSR slices without
-        materializing (or touching) any ``Cell``; dispatches like
-        :meth:`cells_intersecting_circle` and yields identical triples.
-        """
-        prep = self._prep_circle(center, radius)
-        if prep is None:
-            return iter(())
-        cy0, cy1 = prep
-        if self.vector_enabled and cy1 - cy0 + 1 >= _VECTOR_MIN_ROWS:
-            return self._circle_row_intervals_vector(center, radius, cy0, cy1)
-        return self._circle_row_intervals_scalar(center, radius, cy0, cy1)
+            # ``cell_coords`` of (xa, y0) and (xb, y0); xa >= xmin already.
+            yield cy, min(int((xa - xmin) / cell_w), last), min(int((xb - xmin) / cell_w), last)

@@ -3,8 +3,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.point import Point
@@ -88,37 +89,59 @@ class TestCellsInRect:
         assert len(cells) == 1 and cells[0].cx == 0 and cells[0].cy == 0
 
 
+radii = st.one_of(
+    st.floats(min_value=0.0, max_value=1500.0, allow_nan=False),
+    st.just(math.inf),
+)
+
+#: Grid resolutions: small ones, and the shipped 128 (walks of 100-plus
+#: rows).
+resolutions = st.sampled_from([3, 7, 16, 128])
+
+#: Points anywhere, or exactly on a cell corner of the 128-cell grid (and
+#: so of the 16-cell one; the cell width 7.8125 is exact in binary).
+corner_points = st.one_of(
+    points,
+    st.builds(
+        Point,
+        st.integers(min_value=0, max_value=128).map(lambda i: i * 7.8125),
+        st.integers(min_value=0, max_value=128).map(lambda i: i * 7.8125),
+    ),
+)
+
+
+def _check_against_reference(g, fast, mindist, radius):
+    """Every cell clearly within ``radius`` of the region is enumerated,
+    every cell clearly beyond it is not (``mindist(rect)`` is the exact
+    distance from the region's anchor to the cell)."""
+    tol = 1e-6 * (1.0 + (0.0 if math.isinf(radius) else radius))
+    for cy in range(g.n):
+        for cx in range(g.n):
+            d = mindist(g.cell_rect(cx, cy))
+            if d < radius - tol:
+                assert (cx, cy) in fast, f"missing cell {(cx, cy)} (d={d}, r={radius})"
+            # With an infinite radius, cells with no sector overlap may
+            # still be swept up by the row-interval padding; only the
+            # clearly-overlapping cells are required (above).
+            elif not math.isinf(radius) and d > radius + tol:
+                assert (cx, cy) not in fast, f"extra cell {(cx, cy)} (d={d}, r={radius})"
+
+
 class TestPieEnumeration:
     """The O(result) row-interval pie enumeration must agree with the
     clip-based definition except exactly on knife-edge boundaries."""
 
     @settings(max_examples=120, deadline=None)
-    @given(
-        points,
-        st.integers(min_value=0, max_value=5),
-        st.one_of(
-            st.floats(min_value=0.0, max_value=1500.0, allow_nan=False),
-            st.just(math.inf),
-        ),
-        st.sampled_from([3, 7, 16]),
-    )
+    @given(corner_points, st.integers(min_value=0, max_value=5), radii, resolutions)
+    @example(Point(500.0, 500.0), 1, math.inf, 128)
+    @example(Point(3.0, 996.0), 5, math.inf, 128)
+    @example(Point(507.8125, 492.1875), 4, 900.0, 128)
     def test_matches_clip_reference(self, q, sector, radius, n):
         g = GridIndex(BOUNDS, n)
         fast = {(c.cx, c.cy) for c in g.cells_intersecting_pie(q, sector, radius)}
-        tol = 1e-6 * (1.0 + (0.0 if math.isinf(radius) else radius))
-        for cell in g.all_cells():
-            d = mindist_rect_in_sector(q, cell.rect, sector)
-            key = (cell.cx, cell.cy)
-            if d < radius - tol:
-                assert key in fast, f"missing cell {key} (d={d}, r={radius})"
-            if math.isinf(radius):
-                if math.isinf(d):
-                    # Cells with no sector overlap may still be swept up
-                    # by the row interval padding; only require that
-                    # clearly-overlapping cells are present (above).
-                    pass
-            elif d > radius + tol:
-                assert key not in fast, f"extra cell {key} (d={d}, r={radius})"
+        _check_against_reference(
+            g, fast, lambda rect: mindist_rect_in_sector(q, rect, sector), radius
+        )
 
     def test_zero_radius_yields_apex_cell(self):
         g = GridIndex(BOUNDS, 10)
@@ -129,18 +152,52 @@ class TestPieEnumeration:
 
 class TestDiskEnumeration:
     @settings(max_examples=120, deadline=None)
-    @given(points, st.floats(min_value=0.0, max_value=1500.0), st.sampled_from([3, 7, 16]))
+    @given(corner_points, radii, resolutions)
+    @example(Point(500.0, 500.0), math.inf, 128)
+    @example(Point(0.0, 1000.0), 1200.0, 128)
+    @example(Point(507.8125, 492.1875), 7.8125, 128)
     def test_matches_mindist_reference(self, center, radius, n):
         g = GridIndex(BOUNDS, n)
         fast = {(c.cx, c.cy) for c in g.cells_intersecting_circle(center, radius)}
-        tol = 1e-6 * (1.0 + radius)
-        for cell in g.all_cells():
-            d = cell.rect.mindist(center)
-            key = (cell.cx, cell.cy)
-            if d < radius - tol:
-                assert key in fast
-            elif d > radius + tol:
-                assert key not in fast
+        _check_against_reference(g, fast, lambda rect: rect.mindist(center), radius)
+
+
+class TestCsrRebuild:
+    """``ensure_csr`` sorts cell ids narrowed to the smallest unsigned type
+    (uint8 / uint16 / uint32); its CSR must be the one an int64 stable
+    argsort and a bincount give."""
+
+    @staticmethod
+    def _assert_int64_csr(g):
+        g.ensure_csr()
+        assert g.csr_fresh
+        flats = g._flat_arr[: g._size].astype(np.int64)
+        order = np.argsort(flats, kind="stable")
+        indptr = np.zeros(g.n * g.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flats, minlength=g.n * g.n), out=indptr[1:])
+        np.testing.assert_array_equal(g._csr_order, order)
+        np.testing.assert_array_equal(g._csr_indptr, indptr)
+
+    @pytest.mark.parametrize("n", [1, 16, 128, 256, 257])
+    def test_matches_int64_sort(self, n):
+        rng = random.Random(n)
+        g = GridIndex(BOUNDS, n)
+        self._assert_int64_csr(g)  # empty grid
+        corners = [Point(x, y) for x in (0.0, 1000.0) for y in (0.0, 1000.0)]
+        pts = corners + [Point(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(600)]
+        pts += pts[:50]  # coincident objects
+        pts += [Point(999.0 + rng.random(), 999.0 + rng.random()) for _ in range(40)]  # a hot cell
+        for oid, p in enumerate(pts):
+            g.insert_object(oid, p)
+        self._assert_int64_csr(g)
+        for oid in rng.sample(range(len(pts)), 300):  # swap-removes reorder the slots
+            g.delete_object(oid)
+        for oid in rng.sample(sorted(g.positions), 100):
+            g.move_object(oid, Point(rng.uniform(0, 1000), rng.uniform(0, 1000)))
+        self._assert_int64_csr(g)
+        for oid in list(g.positions):
+            g.delete_object(oid)
+        self._assert_int64_csr(g)
 
 
 class TestStats:

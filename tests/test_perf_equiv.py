@@ -4,8 +4,6 @@ Every vectorized hot-path kernel has a scalar reference twin; these
 hypothesis-driven suites prove the pairs bit-identical on random and
 adversarial inputs:
 
-* grid enumeration twins — circle and pie row-interval kernels must
-  yield the exact same ``(cy, cx0, cx1)`` triples / cell sequences;
 * ``sector_of_vector`` vs ``sector_of``, including points exactly on
   sector boundary rays and the ``p == q`` convention;
 * the ring-expansion NN kernels vs the heap-based scalar searches,
@@ -126,78 +124,10 @@ class TestSectorOfVector:
 
 
 # ----------------------------------------------------------------------
-# Grid enumeration twins
-# ----------------------------------------------------------------------
-def _grid(cells: int = 16) -> GridIndex:
-    return GridIndex(BOUNDS, cells_per_axis=cells)
-
-
-radii = st.one_of(
-    st.just(0.0),
-    st.floats(min_value=1e-6, max_value=1500.0, allow_nan=False),
-    st.just(math.inf),
-)
-
-
-class TestRowIntervalTwins:
-    @settings(max_examples=60, deadline=None)
-    @given(center=mixed_points, radius=radii)
-    def test_circle_rows_identical(self, center, radius):
-        grid = _grid()
-        if math.isinf(radius):
-            radius = grid.bounds.maxdist(center)
-        prep = grid._prep_circle(center, radius)
-        if prep is None:
-            return
-        cy0, cy1 = prep
-        scalar = list(grid._circle_row_intervals_scalar(center, radius, cy0, cy1))
-        vector = list(grid._circle_row_intervals_vector(center, radius, cy0, cy1))
-        assert scalar == vector
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        q=mixed_points,
-        sector=st.integers(min_value=0, max_value=NUM_SECTORS - 1),
-        radius=radii,
-    )
-    def test_pie_rows_identical(self, q, sector, radius):
-        grid = _grid()
-        prep = grid._prep_pie(q, sector, radius)
-        if prep is None:
-            return
-        r, cy0, cy1, dirs, extremes, pad = prep
-        scalar = list(grid._pie_row_intervals_scalar(q, r, cy0, cy1, dirs, extremes, pad))
-        vector = list(grid._pie_row_intervals_vector(q, r, cy0, cy1, dirs, extremes, pad))
-        assert scalar == vector
-
-    @settings(max_examples=30, deadline=None)
-    @given(center=mixed_points, radius=radii)
-    def test_circle_cell_enumeration_identical(self, center, radius):
-        grid, ref = _grid(), _grid()
-        ref.vector_enabled = False
-        scalar = [(c.cx, c.cy) for c in ref.cells_intersecting_circle(center, radius)]
-        vector = [(c.cx, c.cy) for c in grid.cells_intersecting_circle(center, radius)]
-        assert scalar == vector
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        q=mixed_points,
-        sector=st.integers(min_value=0, max_value=NUM_SECTORS - 1),
-        radius=radii,
-    )
-    def test_pie_cell_enumeration_identical(self, q, sector, radius):
-        grid, ref = _grid(), _grid()
-        ref.vector_enabled = False
-        scalar = [(c.cx, c.cy) for c in ref.cells_intersecting_pie(q, sector, radius)]
-        vector = [(c.cx, c.cy) for c in grid.cells_intersecting_pie(q, sector, radius)]
-        assert scalar == vector
-
-
-# ----------------------------------------------------------------------
 # NN kernels
 # ----------------------------------------------------------------------
 def _populated_grid(pts: list[Point], cells: int = 16) -> GridIndex:
-    grid = _grid(cells)
+    grid = GridIndex(BOUNDS, cells_per_axis=cells)
     for oid, p in enumerate(pts):
         grid.insert_object(oid, p)
     grid.ensure_csr()

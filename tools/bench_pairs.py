@@ -46,7 +46,13 @@ def extract_revision(rev: str, dest: str) -> None:
         check=True, stdout=subprocess.PIPE,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
-        tar.extractall(dest)
+        # The "data" filter (Python 3.12, backported to 3.8.17+ / 3.11.4+)
+        # rejects absolute paths and links out of ``dest``.  Python 3.12
+        # and 3.13 warn when no filter is given; 3.14 makes it the default.
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
 
 
 def run_side(tree: str, seed: int, out: str, workload: str | None) -> None:
