@@ -22,7 +22,7 @@ check: lint mutants
 	$(PYTHON) bench/run.py --quick --seed 1 --trace 1
 
 # The full static-analysis gate (DESIGN §14, what the CI lint job
-# runs): the crnnlint project-invariant rules (CRNN001-005), ruff and
+# runs): the crnnlint project-invariant rules (CRNN001/002/004/005), ruff and
 # the mypy strict/ratchet passes (both skip with a notice when the
 # tool is not installed — CI installs them), and the docstring floor.
 lint:

@@ -3,8 +3,7 @@
 The system's correctness story rests on invariants that runtime suites
 (chaos, parity, soak) only catch minutes after a violation is authored:
 bit-exact shard parity requires tick-path determinism, the serve layer
-must never block its event loop, every mutating shard op must be
-journaled and deadline-classified, and every ``crnn_*`` metric must be
+must never block its event loop, and every ``crnn_*`` metric must be
 documented.  This package encodes those invariants as fast AST-level
 checks so they fail ``make lint`` in seconds (DESIGN §14).
 
@@ -14,9 +13,6 @@ Rule catalog
 CRNN001   Determinism: no wall-clock reads, unseeded global RNG, or
           unordered set/``dict.keys()`` iteration in tick-path modules.
 CRNN002   Async safety: no blocking calls inside ``async def`` bodies.
-CRNN003   Protocol exhaustiveness: the shard op dispatch table, the
-          journal's op classification, and the supervisor's per-op
-          deadline table must agree exactly.
 CRNN004   Metric-registry drift: every emitted ``crnn_*`` metric is in
           the DESIGN §12 and OPERATIONS inventories, and vice versa.
 CRNN005   Exception hygiene: no bare ``except:``, no silently

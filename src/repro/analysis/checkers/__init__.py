@@ -43,12 +43,10 @@ def all_checkers(config: "LintConfig") -> list[Checker]:
     from repro.analysis.checkers.determinism import DeterminismChecker
     from repro.analysis.checkers.exceptions import ExceptionHygieneChecker
     from repro.analysis.checkers.metrics_registry import MetricRegistryChecker
-    from repro.analysis.checkers.protocol import ProtocolExhaustivenessChecker
 
     return [
         DeterminismChecker(),
         AsyncSafetyChecker(),
-        ProtocolExhaustivenessChecker(),
         MetricRegistryChecker(),
         ExceptionHygieneChecker(),
     ]

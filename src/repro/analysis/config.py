@@ -42,10 +42,6 @@ class LintConfig:
         Per-rule scoping: rule id -> fnmatch patterns a file must match
         for the rule's ``check_file`` to run there.  Rules absent from
         the map run everywhere.
-    engine_path / journal_path / supervisor_path / executor_path:
-        The four surfaces CRNN003 cross-checks (dispatch table, op
-        classification sets, per-op deadline table, worker-loop
-        lifecycle handling).
     design_path / operations_path:
         The two documents whose inventory tables CRNN004 diffs the
         emitted ``crnn_*`` metric set against.
@@ -63,10 +59,6 @@ class LintConfig:
             "CRNN005": ("src/repro/*",),
         }
     )
-    engine_path: str = "src/repro/shard/engine.py"
-    journal_path: str = "src/repro/shard/journal.py"
-    supervisor_path: str = "src/repro/shard/supervisor.py"
-    executor_path: str = "src/repro/shard/executor.py"
     design_path: str = "DESIGN.md"
     operations_path: str = "docs/OPERATIONS.md"
     supervisor_exempt_globs: tuple[str, ...] = ("src/repro/shard/supervisor.py",)
@@ -77,9 +69,8 @@ def load_config(root: Path) -> LintConfig:
 
     Recognized pyproject keys (all optional): ``source-globs``,
     ``exclude-globs``, ``rule-paths`` (table of rule id -> list of
-    globs, merged over the defaults), and the cross-file locations
-    ``engine-path`` / ``journal-path`` / ``supervisor-path`` /
-    ``executor-path`` / ``design-path`` / ``operations-path``.
+    globs, merged over the defaults), and CRNN004's document locations
+    ``design-path`` / ``operations-path``.
     """
     config = LintConfig()
     pyproject = root / "pyproject.toml"
@@ -101,10 +92,6 @@ def load_config(root: Path) -> LintConfig:
         if toml_key in section:
             updates[attr] = tuple(str(g) for g in section[toml_key])
     for toml_key, attr in (
-        ("engine-path", "engine_path"),
-        ("journal-path", "journal_path"),
-        ("supervisor-path", "supervisor_path"),
-        ("executor-path", "executor_path"),
         ("design-path", "design_path"),
         ("operations-path", "operations_path"),
     ):

@@ -5,7 +5,7 @@ parsed module (AST + per-line suppression pragmas), a :class:`Project`
 wraps the whole tree, and a checker is any object with a ``rule`` id
 that yields :class:`Finding` objects from either ``check_file`` (runs
 once per in-scope file) or ``check_project`` (runs once with the whole
-tree — the cross-file rules CRNN003/CRNN004 live there).  The driver
+tree — the cross-file rule CRNN004 lives there).  The driver
 :func:`run_lint` applies per-rule path scoping from
 :class:`~repro.analysis.config.LintConfig`, filters suppressed
 findings, and reports unjustified or unused suppressions as findings of

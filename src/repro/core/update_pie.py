@@ -263,9 +263,6 @@ def _resolve_affected(
       the grid and *that sector's own* previous record — never on a circ
       write of this phase — so the circ writes can wait for the
       certificate searches and then run in the original order.
-
-    Queries missing from the monitor's table are skipped: on a shared
-    grid (serial sharding) the map also names sibling stripes' queries.
     """
     grid = monitor.grid
     circ = monitor.circ
@@ -274,8 +271,6 @@ def _resolve_affected(
     plans: list[tuple[QueryState, list[int], dict[int, tuple[float, int]]]] = []
     researches: list[NNRequest] = []
     for qid in sorted(affected):
-        if qid not in monitor.qt:
-            continue
         st = monitor.qt.get(qid)
         q = st.pos
         # sector -> tightest known re-search bound (inf = unbounded)

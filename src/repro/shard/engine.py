@@ -13,6 +13,12 @@ occurred.  Merging all shards' tagged streams by key therefore
 reconstructs the single monitor's event stream bit for bit (the parity
 contract of DESIGN §9).
 
+The coordinator↔shard protocol is declared once, here: :data:`OPS`
+maps each dispatchable op to its handler and whether it is journaled
+(:data:`JOURNALED_OPS`), and :data:`LIFECYCLE_OPS` names the ops the
+worker loop serves itself.  Every executor, the supervisor and the
+worker read these tables.
+
 Tag layout (6-tuple of ints, lexicographic):
 
 ==========================  ==========================================
@@ -28,7 +34,8 @@ Tag layout (6-tuple of ints, lexicographic):
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from time import perf_counter
+from typing import Callable, NamedTuple, Optional
 
 from repro.core.config import MonitorConfig
 from repro.core.events import ResultChange
@@ -41,7 +48,15 @@ from repro.core.update_pie import (
 from repro.geometry.point import Point
 from repro.shard.plan import StripePlan
 
-__all__ = ["ShardEngine", "TaggedEvent", "dispatch_op"]
+__all__ = [
+    "JOURNALED_OPS",
+    "LIFECYCLE_OPS",
+    "OPS",
+    "ShardEngine",
+    "ShardOp",
+    "TaggedEvent",
+    "dispatch_op",
+]
 
 #: A result-change event paired with its global-order sort key.
 TaggedEvent = tuple[tuple[int, int, int, int, int, int], ResultChange]
@@ -325,71 +340,96 @@ class ShardEngine:
 
 
 # ----------------------------------------------------------------------
-# Executor-protocol dispatch
+# The coordinator<->shard op set
 # ----------------------------------------------------------------------
+class ShardOp(NamedTuple):
+    """One dispatchable op of the shard protocol."""
+
+    #: ``(engine, *args) -> payload``.
+    handler: Callable[..., object]
+    #: Whether the op advances engine state: journaled before it is
+    #: sent and replayed on recovery (DESIGN §10).  An unjournaled op
+    #: is re-issued after a rehydration instead.
+    journaled: bool
+
+
+def _tick(engine: ShardEngine, sanitized: list) -> tuple:
+    # Worker 0 additionally reports halo traffic for every shard (it
+    # sees the same full move list as everyone).  The wall-time of the
+    # shard's compute rides back as the 5th element
+    # (``TickReport.shard_seconds``, the imbalance gauge's input).
+    t0 = perf_counter()
+    n_moves, n_circ, halo = engine.tick_object_phases(
+        sanitized, want_halo=(engine.shard == 0)
+    )
+    return (engine.drain_tagged(), n_moves, n_circ, halo, perf_counter() - t0)
+
+
+def _with_events(method: Callable[..., object]) -> Callable[..., tuple]:
+    """A handler replying ``(method's result, the events it emitted)``."""
+    return lambda engine, *args: (method(engine, *args), engine.drain_tagged())
+
+
+def _update_query(engine: ShardEngine, qid: int, pos: Point, seq: int) -> list:
+    engine.update_query(qid, pos, seq)
+    return engine.drain_tagged()
+
+
+def _explain(engine: ShardEngine, qid: int) -> object:
+    from repro.obs.explain import explain_query
+
+    return explain_query(engine.inner, qid)
+
+
+def _queries(engine: ShardEngine) -> list:
+    return [
+        (st.qid, st.pos, frozenset(st.exclude))
+        for st in sorted(engine.inner.qt, key=lambda s: s.qid)
+    ]
+
+
+#: Every op :func:`dispatch_op` serves — the one declaration of the
+#: protocol's dispatchable ops and of which of them the supervisor
+#: journals.
+OPS: dict[str, ShardOp] = {
+    "tick": ShardOp(_tick, True),
+    "scalar": ShardOp(_with_events(ShardEngine.apply_scalar), True),
+    "add_query": ShardOp(_with_events(ShardEngine.add_query), True),
+    "remove_query": ShardOp(_with_events(ShardEngine.remove_query), True),
+    "update_query": ShardOp(_update_query, True),
+    "remove_silent": ShardOp(ShardEngine.remove_query_silent, True),
+    "add_silent": ShardOp(ShardEngine.add_query_silent, True),
+    "region": ShardOp(lambda e, qid: e.inner.monitoring_region(qid), False),
+    "explain": ShardOp(_explain, False),
+    "results": ShardOp(lambda e: e.inner.results(), False),
+    "stats": ShardOp(lambda e: e.inner.stats, False),
+    "queries": ShardOp(_queries, False),
+    "positions": ShardOp(lambda e: dict(e.inner.grid.positions), False),
+    "validate": ShardOp(ShardEngine.validate, False),
+    "object_count": ShardOp(lambda e: len(e.inner.grid), False),
+}
+
+#: The ops the supervisor journals (write-ahead) and replays on recovery.
+JOURNALED_OPS = frozenset(name for name, op in OPS.items() if op.journaled)
+
+#: Channel-lifecycle ops: served by the worker loop itself
+#: (:func:`repro.shard.executor._worker_main`), ignored by the degraded
+#: in-process channel, never by :func:`dispatch_op`.  ``restore`` and
+#: ``checkpoint`` move whole engine snapshots across the pipe.
+LIFECYCLE_OPS = frozenset({"close", "restore", "arm", "checkpoint"})
+
+
 def dispatch_op(engine: ShardEngine, op: str, args: tuple) -> object:
-    """Execute one executor-protocol request against ``engine``.
+    """Execute one :data:`OPS` request against ``engine``.
 
-    The single source of truth for the coordinator↔shard op set, shared
-    by the worker-process loop (:func:`repro.shard.executor._worker_main`),
-    the in-process :class:`repro.shard.executor.SerialExecutor` and the
-    degraded in-process channel (:class:`repro.shard.supervisor._LocalShard`),
-    so a stripe behaves identically whether it runs in a worker or in the
-    coordinator.
-    Lifecycle ops (``close``, ``restore``, ``arm``, ``checkpoint``) are
-    the channel's concern and are *not* handled here.  Raises
-    ``ValueError`` for unknown ops.
+    Shared by the worker-process loop, the in-process
+    :class:`repro.shard.executor.SerialExecutor` and the degraded
+    in-process channel (:class:`repro.shard.supervisor._LocalShard`), so
+    a stripe behaves identically whether it runs in a worker or in the
+    coordinator.  Raises ``ValueError`` for an op not in :data:`OPS`
+    (lifecycle ops included).
     """
-    if op == "tick":
-        # Worker 0 additionally reports halo traffic for every shard
-        # (it sees the same full move list as everyone).  The wall-time
-        # of the shard's compute rides back as the 5th element
-        # (``TickReport.shard_seconds``, the imbalance gauge's input).
-        from time import perf_counter
-
-        t0 = perf_counter()
-        n_moves, n_circ, halo = engine.tick_object_phases(
-            args[0], want_halo=(engine.shard == 0)
-        )
-        elapsed = perf_counter() - t0
-        return (engine.drain_tagged(), n_moves, n_circ, halo, elapsed)
-    if op == "scalar":
-        applied = engine.apply_scalar(args[0], args[1], args[2])
-        return (applied, engine.drain_tagged())
-    if op == "add_query":
-        result = engine.add_query(args[0], args[1], args[2], args[3])
-        return (result, engine.drain_tagged())
-    if op == "remove_query":
-        removed = engine.remove_query(args[0], args[1])
-        return (removed, engine.drain_tagged())
-    if op == "update_query":
-        engine.update_query(args[0], args[1], args[2])
-        return engine.drain_tagged()
-    if op == "remove_silent":
-        engine.remove_query_silent(args[0])
-        return None
-    if op == "add_silent":
-        return engine.add_query_silent(args[0], args[1], args[2])
-    if op == "region":
-        return engine.inner.monitoring_region(args[0])
-    if op == "explain":
-        from repro.obs.explain import explain_query
-
-        return explain_query(engine.inner, args[0])
-    if op == "results":
-        return engine.inner.results()
-    if op == "stats":
-        return engine.inner.stats
-    if op == "queries":
-        return [
-            (st.qid, st.pos, frozenset(st.exclude))
-            for st in sorted(engine.inner.qt, key=lambda s: s.qid)
-        ]
-    if op == "positions":
-        return dict(engine.inner.grid.positions)
-    if op == "validate":
-        engine.validate()
-        return None
-    if op == "object_count":
-        return len(engine.inner.grid)
-    raise ValueError(f"unknown worker op {op!r}")
+    spec = OPS.get(op)
+    if spec is None:
+        raise ValueError(f"unknown worker op {op!r}")
+    return spec.handler(engine, *args)

@@ -1,13 +1,13 @@
 """Shard executors: one shard protocol, run in-process or in a worker pool.
 
 Both executors drive K :class:`~repro.shard.engine.ShardEngine`\\ s, each
-owning a **private full grid replica**, with the op set of
-:func:`~repro.shard.engine.dispatch_op`: the sanitized batch is
-broadcast to every shard (scatter), query ops go to the owner, and
-tagged event streams come back (gather).  The coordinator-facing API
-(tick the object phases, run one query op on an owner shard,
-introspect) is written once, in :class:`ShardExecutor`, over two
-transport methods.  :class:`SerialExecutor` calls ``dispatch_op`` in-process —
+owning a **private full grid replica**, with the ops of
+:data:`~repro.shard.engine.OPS`: the sanitized batch is broadcast to
+every shard (scatter), query ops go to the owner, and tagged event
+streams come back (gather).  The coordinator-facing API (tick the
+object phases, run one query op on an owner shard, introspect) is
+written once, in :class:`ShardExecutor`, over two transport methods.
+:class:`SerialExecutor` calls ``dispatch_op`` in-process —
 deterministic, debuggable, zero IPC — and :class:`ProcessExecutor`
 sends the same requests to one worker process per shard.  Same
 requests, same engine code: the two produce identical event streams
@@ -40,7 +40,7 @@ from repro.geometry.point import Point
 from repro.obs.config import SINK_MEMORY, ObsConfig
 from repro.obs.dist import TraceContext, WorkerObs, current_context
 from repro.obs.logutil import RateLimitedLogger
-from repro.shard.engine import ShardEngine, TaggedEvent, dispatch_op
+from repro.shard.engine import LIFECYCLE_OPS, ShardEngine, TaggedEvent, dispatch_op
 from repro.shard.plan import StripePlan
 from repro.shard.supervisor import (
     ShardSupervisor,
@@ -270,8 +270,9 @@ def _worker_main(
     payload, obs_delta | None)``: ``("ok", payload, delta)`` with the
     worker-side observability kit's counters/spans piggybacked as
     ``delta``, or ``("err", repr, None)`` so coordinator-side errors
-    carry context.  The op set itself lives in
-    :func:`~repro.shard.engine.dispatch_op`; this loop adds the
+    carry context.  Every op outside
+    :data:`~repro.shard.engine.LIFECYCLE_OPS` goes to
+    :func:`~repro.shard.engine.dispatch_op`; this loop serves the
     lifecycle ops — ``close``, ``restore`` (rebuild the engine from an
     exact checkpoint), ``arm`` (start chaos injection), ``checkpoint``
     (exact state capture) — and, when a
@@ -316,32 +317,34 @@ def _worker_main(
                 os.kill(os.getpid(), signal.SIGKILL)
         try:
             delta = None
-            if op == "close":
+            payload = None
+            if op not in LIFECYCLE_OPS:
+                if wobs is None:
+                    payload = dispatch_op(engine, op, args)
+                else:
+                    trace_ctx = TraceContext.from_wire(ctx) if ctx is not None else None
+                    with wobs.op_span(trace_ctx, op):
+                        payload = dispatch_op(engine, op, args)
+                        if op == "tick":
+                            wobs.on_tick()
+                    delta = wobs.delta(engine.inner.stats)
+            elif op == "close":
                 conn.send(("ok", None, None))
                 break
-            if op == "restore":
+            elif op == "restore":
                 engine = rehydrate_engine(config, plan, shard, args[0])
                 if wobs is not None:
                     # Rewire the kit and rebase its counter baseline on
                     # the restored values: replayed work must not be
                     # re-reported (the coordinator merged the originals).
                     wobs.wire(engine)
-                payload = None
             elif op == "arm":
                 if agent is not None:
                     agent.arm()
-                payload = None
             elif op == "checkpoint":
                 payload = engine_snapshot(engine)
-            elif wobs is not None:
-                trace_ctx = TraceContext.from_wire(ctx) if ctx is not None else None
-                with wobs.op_span(trace_ctx, op):
-                    payload = dispatch_op(engine, op, args)
-                    if op == "tick":
-                        wobs.on_tick()
-                delta = wobs.delta(engine.inner.stats)
             else:
-                payload = dispatch_op(engine, op, args)
+                raise ValueError(f"unhandled lifecycle op {op!r}")
             if action is not None and action.kill_point == "pre_reply":
                 os.kill(os.getpid(), signal.SIGKILL)
             if action is not None and action.malform:

@@ -20,15 +20,12 @@ possible:
    failed request's own reply, which the supervisor returns to the
    caller as if nothing had happened.
 
-Read-only requests (:data:`READONLY_OPS`) are not journaled: they do
-not advance engine state, and a failed one is simply re-issued after
-rehydration.  Channel-lifecycle requests (:data:`LIFECYCLE_OPS`) never
-reach :func:`~repro.shard.engine.dispatch_op` at all — the worker loop
-and the supervisor's degraded in-process path handle them.  The three
-sets partition the whole coordinator↔shard protocol; CRNN003
-(``crnnlint``) statically cross-checks them against the dispatch table
-and the supervisor's per-op deadline table, so an op added to one
-surface but not the others fails ``make lint``.
+Which requests are journaled is declared once, in the op table of
+:mod:`repro.shard.engine` (:data:`~repro.shard.engine.JOURNALED_OPS`).
+An unjournaled request does not advance engine state, so a failed one
+is simply re-issued after rehydration.  Channel-lifecycle requests
+(:data:`~repro.shard.engine.LIFECYCLE_OPS`) are never journaled: the
+worker loop and the supervisor's degraded in-process path handle them.
 """
 
 from __future__ import annotations
@@ -47,53 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.shard.plan import StripePlan
 
 __all__ = [
-    "LIFECYCLE_OPS",
-    "MUTATING_OPS",
-    "READONLY_OPS",
     "TickJournal",
     "engine_snapshot",
     "rehydrate_engine",
 ]
-
-#: Requests that advance shard engine state and therefore must be
-#: journaled and replayed on recovery.  Everything else is read-only.
-MUTATING_OPS = frozenset(
-    {
-        "tick",
-        "scalar",
-        "add_query",
-        "remove_query",
-        "update_query",
-        "remove_silent",
-        "add_silent",
-    }
-)
-
-#: Dispatchable requests that do not advance engine state: never
-#: journaled, safe to simply re-issue after a recovery.
-READONLY_OPS = frozenset(
-    {
-        "region",
-        "explain",
-        "results",
-        "stats",
-        "queries",
-        "positions",
-        "validate",
-        "object_count",
-    }
-)
-
-#: Channel-lifecycle requests handled by the worker loop itself (and
-#: ignored by the degraded in-process path), never by ``dispatch_op``.
-LIFECYCLE_OPS = frozenset(
-    {
-        "close",
-        "restore",
-        "arm",
-        "checkpoint",
-    }
-)
 
 
 class TickJournal:

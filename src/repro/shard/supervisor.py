@@ -6,20 +6,22 @@ hangs and protocol violations into recoverable events, without
 weakening the parity contract:
 
 * **Detection.**  Every exchange is classified: a dead pipe or EOF is a
-  ``crash``; a reply missing past the op deadline while the process is
-  still alive is a ``hang`` (the worker is SIGKILLed, since its state
-  can no longer be trusted to make progress); a reply that violates the
-  wire protocol is a ``protocol`` violation (likewise killed); and a
-  worker-side application error is a ``fault`` — a *deterministic bug*
-  that replay would only reproduce, so it is raised to the caller, never
-  recovered.  All four surface as a typed :class:`ShardWorkerError`
+  ``crash``; a reply missing past the op deadline (4x for ``restore``
+  and ``checkpoint``, which move a whole engine snapshot) while the
+  process is still alive is a ``hang`` (the worker is SIGKILLed, since
+  its state can no longer be trusted to make progress); a reply that
+  violates the wire protocol is a ``protocol`` violation (likewise
+  killed); and a worker-side application error is a ``fault`` — a
+  *deterministic bug* that replay would only reproduce, so it is raised
+  to the caller, never recovered.  All four surface as a typed :class:`ShardWorkerError`
   carrying the shard id and the request op.
 * **Recovery.**  Crash/hang/protocol failures trigger a bounded respawn
   loop with exponential backoff: kill and reap the old worker, spawn a
   fresh incarnation, ``restore`` it from the shard's last exact
-  checkpoint, replay the tick journal (:mod:`repro.shard.journal`) —
-  discarding replies the coordinator already merged, capturing the
-  failed request's own reply — then re-arm chaos injection.  Because
+  checkpoint, replay the tick journal (:mod:`repro.shard.journal`, the
+  requests of :data:`~repro.shard.engine.JOURNALED_OPS`) — discarding
+  replies the coordinator already merged, capturing the failed
+  request's own reply — then re-arm chaos injection.  Because
   shard computation is deterministic in its request stream, the rebuilt
   worker's engine state, event tags, and counters are bit-identical to a
   never-crashed worker's, and the caller cannot observe the difference.
@@ -47,11 +49,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.obs.logutil import RateLimitedLogger
-from repro.shard.engine import ShardEngine, dispatch_op
-from repro.shard.journal import LIFECYCLE_OPS, MUTATING_OPS, TickJournal
+from repro.shard.engine import JOURNALED_OPS, LIFECYCLE_OPS, ShardEngine, dispatch_op
+from repro.shard.journal import TickJournal
 
 __all__ = [
-    "OP_DEADLINE_SCALE",
     "ShardSupervisor",
     "ShardWorkerError",
     "SupervisionConfig",
@@ -63,42 +64,6 @@ logger = logging.getLogger("repro.shard.supervisor")
 #: Failure kinds the supervisor recovers from; ``fault`` (a worker-side
 #: application error, i.e. a deterministic bug) is never recovered.
 RECOVERABLE_KINDS = frozenset({"crash", "hang", "protocol"})
-
-#: Per-op hang-deadline multipliers over ``SupervisionConfig.op_deadline``
-#: — the liveness table: how long each protocol op may run before a
-#: silent worker is declared hung and killed.  Snapshot-moving ops
-#: (``restore``/``checkpoint``) serialize whole engine states across
-#: the pipe and legitimately take several times a tick's budget;
-#: everything else replies within one.  Every op of the
-#: protocol — dispatchable (:func:`~repro.shard.engine.dispatch_op`)
-#: or lifecycle (the worker loop) — must have an entry: CRNN003
-#: (``crnnlint``) cross-checks this table against the dispatch set and
-#: the journal's op classification, so a new op cannot ship without a
-#: deadline class.
-OP_DEADLINE_SCALE: dict[str, float] = {
-    # mutating (journaled, replayed on recovery)
-    "tick": 1.0,
-    "scalar": 1.0,
-    "add_query": 1.0,
-    "remove_query": 1.0,
-    "update_query": 1.0,
-    "remove_silent": 1.0,
-    "add_silent": 1.0,
-    # read-only (re-issued after recovery)
-    "region": 1.0,
-    "explain": 1.0,
-    "results": 1.0,
-    "stats": 1.0,
-    "queries": 1.0,
-    "positions": 1.0,
-    "validate": 1.0,
-    "object_count": 1.0,
-    # lifecycle (worker-loop concern; snapshot movers get headroom)
-    "close": 1.0,
-    "arm": 1.0,
-    "restore": 4.0,
-    "checkpoint": 4.0,
-}
 
 
 class ShardWorkerError(RuntimeError):
@@ -347,7 +312,7 @@ class ShardSupervisor:
         if isinstance(chan, _LocalShard):
             return chan.request(request)
         op = request[1]
-        if op in MUTATING_OPS:
+        if op in JOURNALED_OPS:
             self.journals[shard].append(request)
         if self.flight is not None:
             self.flight.record_op(shard, op)
@@ -372,7 +337,7 @@ class ShardSupervisor:
             chan = self.channels[shard]
             if isinstance(chan, _LocalShard):
                 continue
-            if op in MUTATING_OPS:
+            if op in JOURNALED_OPS:
                 self.journals[shard].append(request)
             if self.flight is not None:
                 self.flight.record_op(shard, op)
@@ -442,8 +407,8 @@ class ShardSupervisor:
     def _recv(self, shard: int, op: str) -> Any:
         chan = self.channels[shard]
         deadline = self.config.op_deadline
-        if deadline is not None:
-            deadline *= OP_DEADLINE_SCALE.get(op, 1.0)
+        if deadline is not None and op in ("restore", "checkpoint"):
+            deadline *= 4.0  # a whole engine snapshot crosses the pipe
         try:
             if deadline is not None and not chan.conn.poll(deadline):
                 # Liveness probe: a live-but-silent worker is hung and

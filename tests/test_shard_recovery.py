@@ -36,8 +36,15 @@ from repro.shard import (
     ShardWorkerError,
     SupervisionConfig,
 )
-from repro.shard.engine import ShardEngine, dispatch_op
-from repro.shard.journal import MUTATING_OPS, TickJournal, engine_snapshot, rehydrate_engine
+from repro.shard.engine import (
+    JOURNALED_OPS,
+    LIFECYCLE_OPS,
+    OPS,
+    ShardEngine,
+    dispatch_op,
+)
+from repro.shard.executor import ProcessExecutor
+from repro.shard.journal import TickJournal, engine_snapshot, rehydrate_engine
 from repro.shard.plan import StripePlan
 
 from .conftest import TEST_BOUNDS
@@ -201,7 +208,7 @@ class TestExactCheckpoint:
         journal.clear()
         assert len(journal) == 0 and journal.appended_total == 2
         assert journal.truncations == 1
-        assert "tick" in MUTATING_OPS and "results" not in MUTATING_OPS
+        assert "tick" in JOURNALED_OPS and "results" not in JOURNALED_OPS
 
 
 # ----------------------------------------------------------------------
@@ -246,6 +253,93 @@ class TestTypedErrors:
         sharded.close()
         sharded.close()
         assert _live_shard_workers() == []
+
+
+# ----------------------------------------------------------------------
+# The op table at run time: deadline classes and lifecycle handling
+# ----------------------------------------------------------------------
+class _RecordingConn:
+    """A worker pipe that answers every request at once and records the
+    timeout of each ``poll``."""
+
+    def __init__(self):
+        self.polls: list[float] = []
+
+    def send(self, request):
+        pass
+
+    def poll(self, timeout):
+        self.polls.append(timeout)
+        return True
+
+    def recv(self):
+        return ("ok", None, None)
+
+
+class _LiveProc:
+    def is_alive(self):
+        return True
+
+
+class TestOpTable:
+    def test_snapshot_ops_get_four_deadlines_every_other_op_one(self):
+        from repro.shard.supervisor import ShardSupervisor, _WorkerChannel
+
+        supervisor = ShardSupervisor(
+            shards=1, spawn=None, local_factory=None,
+            config=SupervisionConfig(op_deadline=0.5),
+        )
+        conn = _RecordingConn()
+        supervisor.channels[0] = _WorkerChannel(_LiveProc(), conn, 0)
+        ops = ("restore", "checkpoint", "tick", "update_query", "results")
+        for op in ops:
+            supervisor.request(0, (None, op))
+        assert conn.polls == [2.0, 2.0, 0.5, 0.5, 0.5]
+
+    def test_worker_serves_every_lifecycle_op(self):
+        # Every lifecycle op answers "ok" from a real worker; an op in
+        # neither the op table nor the lifecycle set answers "err".
+        cfg = _config()
+        executor = ProcessExecutor(cfg, StripePlan(TEST_BOUNDS, cfg.grid_cells, 1))
+        conn = executor.supervisor.channels[0].conn
+
+        def ask(op, *args):
+            conn.send((None, op, *args))
+            assert conn.poll(30.0), f"no reply to {op!r}"
+            return conn.recv()
+
+        try:
+            stray = "no_such_op"
+            assert stray not in OPS and stray not in LIFECYCLE_OPS
+            assert ask(stray)[0] == "err"
+            snap = None
+            # arm, checkpoint, restore (from that checkpoint), then close.
+            for op in [*sorted(LIFECYCLE_OPS - {"close"}), "close"]:
+                status, payload, _ = ask(op, *((snap,) if op == "restore" else ()))
+                assert status == "ok", f"{op}: {payload}"
+                if op == "checkpoint":
+                    snap = payload
+        finally:
+            executor.close()
+        assert _live_shard_workers() == []
+
+    def test_local_shard_ignores_lifecycle_ops_and_dispatches_the_rest(
+        self, monkeypatch
+    ):
+        import repro.shard.supervisor as supervisor_mod
+
+        seen: list[tuple] = []
+        monkeypatch.setattr(
+            supervisor_mod, "dispatch_op",
+            lambda engine, op, args: seen.append((op, args)) or op,
+        )
+        local = supervisor_mod._LocalShard(engine=None)
+        for op in sorted(LIFECYCLE_OPS):
+            assert local.request((None, op, "arg")) is None
+        assert seen == []
+        for op in [*OPS, "no_such_op"]:
+            assert local.request((None, op, "arg")) == op
+        assert seen == [(op, ("arg",)) for op in [*OPS, "no_such_op"]]
 
 
 # ----------------------------------------------------------------------
