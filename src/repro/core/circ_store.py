@@ -28,6 +28,7 @@ updated — no NN search.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -41,7 +42,7 @@ from repro.geometry.point import Point, dist
 from repro.geometry.sector import NUM_SECTORS
 from repro.grid.cpm import nearest_neighbor
 from repro.grid.index import GridIndex
-from repro.perf.kernels import EntrySnapshot
+from repro.perf.kernels import EntrySnapshot, PointSweep
 
 EmitFn = Callable[[ResultChange], None]
 
@@ -287,10 +288,9 @@ class FurCircStore(CircStoreBase):
         #: serve several queries; the circle table holds one circle per
         #: candidate whose radius aggregates the in-table memberships).
         self.by_cand: dict[int, set[tuple[int, int]]] = {}
-        #: While a batched ``process_moves`` chunk is running, candidates
-        #: whose circle changed after the chunk's prefilter was computed;
-        #: ``None`` outside a batch.
-        self._dirty_cands: Optional[set[int]] = None
+        #: The running batched ``process_moves`` (its escape and visit
+        #: bookkeeping); ``None`` outside it.
+        self._tick: Optional[_CircTick] = None
 
     # ------------------------------------------------------------------
     # Record replacement (updateCand, Fig. 12)
@@ -320,7 +320,12 @@ class FurCircStore(CircStoreBase):
             self._records[key] = new
             self.by_cand.setdefault(new.cand, set()).add(key)
             if new.nn is not None:
-                self.nn_hash.setdefault(new.nn, set()).add(key)
+                members = self.nn_hash.get(new.nn)
+                if members is None:
+                    members = self.nn_hash[new.nn] = set()
+                    if self._tick is not None:
+                        self._tick.joined_nn_hash(new.nn)
+                members.add(key)
             touched_cands.add(new.cand)
         else:
             self._records.pop(key, None)
@@ -338,8 +343,6 @@ class FurCircStore(CircStoreBase):
         patches ``cand``'s slot in place — or drops it when no
         membership qualifies.
         """
-        if self._dirty_cands is not None:
-            self._dirty_cands.add(cand)
         keys = self.by_cand.get(cand, ())
         max_radius = 0.0
         any_in_fur = False
@@ -366,6 +369,8 @@ class FurCircStore(CircStoreBase):
                 if known is None:
                     return
                 cand_pos = known[0]
+        if self._tick is not None:
+            self._tick.circle_put(cand, cand_pos, max_radius, circles)
         circles.put(cand, cand_pos, max_radius)
 
     # ------------------------------------------------------------------
@@ -382,8 +387,8 @@ class FurCircStore(CircStoreBase):
             return
         self.stats.containment_queries += 1
         # Ascending candidate order — the batched path discovers the
-        # same hits from a chunk-wide prefilter and must replay them in
-        # the same order to emit an identical event stream.
+        # same hits from a tick-wide sweep and must replay them in the
+        # same order to emit an identical event stream.
         for cand, cand_pos in self.circles.containment_search(new_pos):
             if cand != oid:
                 self._step2_entry(oid, new_pos, cand, cand_pos)
@@ -442,52 +447,70 @@ class FurCircStore(CircStoreBase):
         moves: list[tuple[int, Optional[Point], Optional[Point]]],
         seq: Optional[list[int]] = None,
     ) -> None:
-        """Batched *updateCirc*: same per-move semantics, array prefilter.
+        """Batched *updateCirc*: same per-move semantics, visiting only movers with work.
 
-        Each move runs step 1 and step 2 in order exactly as
-        :meth:`handle_update` would, but step 2's candidate discovery is
-        one squared-distance prefilter per chunk of moves, computed from
-        the live circle table at the chunk's start, instead of a
-        containment search per move.  Circles patched after that
-        (``_dirty_cands``) are unioned in, and every hit is re-verified
-        against the *current* circle with the exact scalar predicate —
-        so the hit set, the processing order, and therefore the emitted
-        events are identical to the scalar path.
+        Step 2's candidate discovery is one sort-and-sweep of the circle
+        table over the batch's new positions
+        (:meth:`EntrySnapshot.batch_containment_candidates`), computed
+        once at the start.  A circle put later that is new, re-centred or
+        grown past the extent last looked up for it *escapes* that sweep:
+        it is looked up again over the movers still to come
+        (:class:`_CircTick`) and its hits join their candidate sets.  A
+        shrunk circle needs nothing — the earlier lookup covers it.
+
+        Only movers with work are visited, in ascending move index: those
+        in NN-Hash (at the start, or on joining it mid-batch) and those
+        with a candidate.  Each runs step 1 and step 2 exactly as
+        :meth:`handle_update` would, re-checking every candidate against
+        the *current* circle with the exact open predicate in ascending
+        oid order — so the hits, their order and the emitted events are
+        those of the scalar loop.  Any other mover would find no NN-Hash
+        entry and no circle, so skipping it changes nothing but the
+        ``containment_queries`` count, which is added for every move with
+        a new position.  A store without records (a monitor's initial
+        load) does only that.
         """
+        stats = self.stats
+        pts = [new_pos for _, _, new_pos in moves if new_pos is not None]
+        stats.containment_queries += len(pts)
+        if not self._records:
+            # No records, no circle and no NN-Hash entry, and nothing on
+            # this path creates one.
+            return
         circles = self.circles
-        chunk = 256
-        for start in range(0, len(moves), chunk):
-            part = moves[start : start + chunk]
-            prefiltered = circles.batch_containment_candidates(
-                [new_pos for _, _, new_pos in part if new_pos is not None]
-            )
-            self.stats.vector_containment_batches += 1
-            self._dirty_cands = set()
-            try:
-                row = 0
-                for j, (oid, old_pos, new_pos) in enumerate(part):
-                    gi = start + j
-                    self.move_seq = seq[gi] if seq is not None else gi
-                    self._step1(oid, new_pos)
-                    if new_pos is None:
+        # Sweep labels are move indices (a point's own index when every
+        # move has a new position).
+        at = None
+        if len(pts) < len(moves):
+            at = [i for i, (_, _, new_pos) in enumerate(moves) if new_pos is not None]
+        sweep = PointSweep(pts, at)
+        cands = circles.batch_containment_candidates(sweep)
+        stats.vector_containment_batches += 1
+        nn_hash = self.nn_hash
+        heap = sorted(cands.keys() | {i for i, m in enumerate(moves) if m[0] in nn_hash})
+        tick = self._tick = _CircTick(moves, sweep, cands, heap)
+        try:
+            while heap:
+                i = heappop(heap)
+                oid, _, new_pos = moves[i]
+                self.move_seq = seq[i] if seq is not None else i
+                # Escapes raised by step 1 reach this mover's step 2; those
+                # raised by step 2 start at the next mover.
+                tick.cur = tick.first = i
+                self._step1(oid, new_pos)
+                tick.first = i + 1
+                row = cands.pop(i, None)
+                if row is None or new_pos is None:
+                    continue
+                for cand in sorted(set(row)):
+                    if cand == oid:
                         continue
-                    # Logical-parity twin of one containment_search call.
-                    self.stats.containment_queries += 1
-                    row_cands = prefiltered[row]
-                    row += 1
-                    dirty = self._dirty_cands
-                    if not row_cands and not dirty:
-                        continue
-                    cands = set(row_cands)
-                    cands.update(dirty)
-                    cands.discard(oid)
-                    self.stats.vector_containment_candidates += len(cands)
-                    for cand in sorted(cands):
-                        circle = circles.get(cand)
-                        if circle is not None and dist(new_pos, circle[0]) < circle[1]:
-                            self._step2_entry(oid, new_pos, cand, circle[0])
-            finally:
-                self._dirty_cands = None
+                    stats.vector_containment_candidates += 1
+                    circle = circles.get(cand)
+                    if circle is not None and dist(new_pos, circle[0]) < circle[1]:
+                        self._step2_entry(oid, new_pos, cand, circle[0])
+        finally:
+            self._tick = None
 
     def _adjust_radius(self, rec: CircRecord, cand_pos: Point, new_radius: float) -> None:
         """Radius-only change of a record (certificate object moved)."""
@@ -528,3 +551,93 @@ class FurCircStore(CircStoreBase):
         for nn, keys in self.nn_hash.items():
             for key in keys:
                 assert self._records[key].nn == nn
+
+
+class _CircTick:
+    """Visit queue and escape bookkeeping of one batched ``process_moves``.
+
+    ``cands`` maps a move index to the circle oids its step 2 must
+    re-check; ``heap`` holds the move indices still to visit (``queued``
+    marks every index ever pushed, so none is visited twice).  ``cur`` is
+    the move being visited and ``first`` the lowest move index an escape
+    may still reach: ``cur`` during its step 1, ``cur + 1`` from its
+    step 2 on.  ``swept`` holds, per circle put during the batch, the
+    extent last looked up over the movers (its extent at the start, when
+    the batch prefilter covered it), ``None`` when it had none.
+    """
+
+    __slots__ = (
+        "moves", "sweep", "cands", "heap", "queued", "cur", "first", "swept", "_last", "_prev",
+    )
+
+    def __init__(
+        self,
+        moves: list[tuple[int, Optional[Point], Optional[Point]]],
+        sweep: PointSweep,
+        cands: dict[int, list[int]],
+        heap: list[int],
+    ):
+        self.moves = moves
+        self.sweep = sweep
+        self.cands = cands
+        self.heap = heap
+        self.queued = bytearray(len(moves))
+        for i in heap:
+            self.queued[i] = 1
+        self.cur = -1
+        self.first = 0
+        self.swept: dict[int, Optional[tuple[Point, float]]] = {}
+        #: oid -> its last move index, and each move's previous move of
+        #: the same oid (``None`` when no oid moves twice); built on the
+        #: first :meth:`joined_nn_hash`.
+        self._last: Optional[dict[int, int]] = None
+        self._prev: Optional[list[int]] = None
+
+    def _queue(self, i: int) -> None:
+        if not self.queued[i]:
+            self.queued[i] = 1
+            heappush(self.heap, i)
+
+    def circle_put(
+        self, cand: int, centre: Point, radius: float, table: EntrySnapshot
+    ) -> None:
+        """``cand``'s circle is about to become ``(centre, radius)`` in ``table``.
+
+        Unless the extent last looked up for it has the same centre and a
+        radius at least as large, look the new extent up over the movers
+        from :attr:`first` on and add ``cand`` to each hit's candidates.
+        """
+        swept = self.swept
+        if cand in swept:
+            last = swept[cand]
+        else:
+            # First put of the batch: the table still holds the extent the
+            # batch prefilter swept.
+            last = swept[cand] = table.get(cand)
+        if last is not None and last[0] == centre and radius <= last[1]:
+            return
+        swept[cand] = (centre, radius)
+        cands = self.cands
+        for i in self.sweep.disc(centre, radius, self.first):
+            row = cands.get(i)
+            if row is None:
+                cands[i] = [cand]
+            else:
+                row.append(cand)
+            self._queue(i)
+
+    def joined_nn_hash(self, oid: int) -> None:
+        """``oid`` just became a certificate: queue its moves after :attr:`cur`."""
+        if self._last is None:
+            oids = [m[0] for m in self.moves]
+            self._last = dict(zip(oids, range(len(oids))))
+            if len(self._last) < len(oids):
+                self._prev = prev = [-1] * len(oids)
+                seen: dict[int, int] = {}
+                for i, o in enumerate(oids):
+                    prev[i] = seen.get(o, -1)
+                    seen[o] = i
+        i = self._last.get(oid, -1)
+        while i > self.cur:
+            self._queue(i)
+            i = self._prev[i] if self._prev is not None else -1

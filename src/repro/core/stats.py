@@ -77,6 +77,11 @@ class StatCounters:
     # counters above stay identical between the scalar and vector
     # kernel twins; these record which kernel served a request and how
     # the batched machinery behaved, so benchmarks can attribute speedups.
+    # vector_containment_batches counts the batched circ phase's one
+    # tick-wide containment sweep (one per process() batch whose circ
+    # store has records); vector_containment_candidates counts its exact
+    # `dist < radius` re-checks (prefilter and escape candidates of the
+    # movers it visits).
     cells_materialized: int = 0
     csr_rebuilds: int = 0
     vector_nn_kernel_calls: int = 0

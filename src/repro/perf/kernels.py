@@ -20,6 +20,8 @@ implementation uses — and break ties by ``(distance, oid)``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -554,11 +556,13 @@ class EntrySnapshot:
     dense and the prefilters scan live circles only.  The buffers double
     when full and never shrink.
 
-    A batch caller that prefilters many points at once sees the table as
-    of that call: circles patched afterwards must be re-checked by the
-    caller (the circ store tracks them in a dirty set), and every
-    prefilter hit is re-verified against the current circle with the
-    exact open predicate, so staleness can only cost a wasted check.
+    A batch caller that prefilters many points at once
+    (:meth:`batch_containment_candidates`) sees the table as of that
+    call: a circle put afterwards must be looked up again by the caller
+    (the circ store does it with :meth:`PointSweep.disc` when a circle
+    is new, re-centred or grew), and every prefilter hit is re-verified
+    against the current circle with the exact open predicate, so
+    staleness can only cost a wasted check.
 
     The class name dates from when each chunk built a fresh snapshot; it
     is kept because ``bench/tracing.py`` resolves its methods by name.
@@ -656,26 +660,46 @@ class EntrySnapshot:
             if dist(p, pos[i]) < radii[i]
         )
 
-    def batch_containment_candidates(self, pts: list[Point]) -> list[list[int]]:
-        """:meth:`containment_candidates` for many points in one pass.
+    def batch_containment_candidates(self, sweep: "PointSweep") -> dict[int, list[int]]:
+        """:meth:`containment_candidates` for every point of ``sweep`` in one pass.
 
-        One ``len(pts) × len(self)`` distance matrix replaces a NumPy
-        round-trip per point; row ``i`` of the result is exactly
-        ``containment_candidates(pts[i])``.
+        A sort-and-sweep: each live circle takes the x-slab of the sorted
+        points that its guard-banded radius can reach (two
+        ``searchsorted``), and the gathered pairs run the dense banded
+        squared-distance test element for element.  The slab is widened
+        past any rounding of that test, so for every point the row equals
+        ``containment_candidates(point)`` — same oids, slot order.  The
+        result maps the label (:attr:`PointSweep.ids`) of each point with
+        at least one candidate to its row; rows without one are absent.
         """
         n = len(self.pos)
-        if not n or not pts:
-            return [[] for _ in pts]
-        xs = np.fromiter((p[0] for p in pts), dtype=np.float64, count=len(pts))
-        ys = np.fromiter((p[1] for p in pts), dtype=np.float64, count=len(pts))
-        dx = self.xs[None, :n] - xs[:, None]
-        dy = self.ys[None, :n] - ys[:, None]
-        d2 = dx * dx + dy * dy
-        hits = d2 <= ((self.radii[:n] * _BAND) ** 2)[None, :]
-        rows, cols = np.nonzero(hits)
-        splits = np.searchsorted(rows, np.arange(len(pts) + 1)).tolist()
-        oids = self.oids[cols].tolist()
-        return [oids[splits[i] : splits[i + 1]] for i in range(len(pts))]
+        if not n or not len(sweep):
+            return {}
+        cx, cy = self.xs[:n], self.ys[:n]
+        band = self.radii[:n] * _BAND
+        w = _slab_halfwidth(cx, band)
+        lo = np.searchsorted(sweep.xs, cx - w, side="left")
+        counts = np.searchsorted(sweep.xs, cx + w, side="right") - lo
+        total = int(counts.sum())
+        if not total:
+            return {}
+        # Pair k joins circle slot[k] to sorted point at[k]: each circle's
+        # slab lo..lo+count, laid end to end.
+        slot = np.repeat(np.arange(n), counts)
+        at = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        dx = cx[slot] - sweep.xs[at]
+        dy = cy[slot] - sweep.ys[at]
+        hit = np.nonzero(dx * dx + dy * dy <= (band**2)[slot])[0]
+        labels, slot = sweep.ids[at[hit]], slot[hit]
+        order = np.lexsort((slot, labels))
+        rows: dict[int, list[int]] = {}
+        for label, oid in zip(labels[order].tolist(), self.oids[slot[order]].tolist()):
+            row = rows.get(label)
+            if row is None:
+                rows[label] = [oid]
+            else:
+                row.append(oid)
+        return rows
 
     def validate(self) -> None:
         """The slot map and the arrays agree and ``[:len(self)]`` has no hole."""
@@ -687,3 +711,62 @@ class EntrySnapshot:
             assert 0 <= i < n and self.oids[i] == oid, f"slot of o{oid} is stale"
             p = self.pos[i]
             assert self.xs[i] == p[0] and self.ys[i] == p[1], f"centre of o{oid} is stale"
+
+
+def _slab_halfwidth(cx, band):
+    """Half-width of the x-slab around centre ``cx`` that holds every point
+    passing the banded test ``dx*dx + dy*dy <= band**2``.
+
+    That test implies ``|cx - x| <= band * (1 + 4e-16)`` (plus an
+    underflow residue below 1e-150); the bounds ``cx -/+ w`` are
+    themselves rounded by at most ``1.2e-16 * (|cx| + w)``.  The added
+    ``1e-9 * (|cx| + band + 1)`` dwarfs both, so the slab never drops a
+    pair the dense test keeps.  Scalars and arrays alike.
+    """
+    return band + 1e-9 * (abs(cx) + band + 1.0)
+
+
+class PointSweep:
+    """A batch of points sorted by x once, for slab lookups by many circles.
+
+    ``ids`` labels the points (default: their index in ``pts``); every
+    lookup answers in labels.  :meth:`EntrySnapshot.batch_containment_candidates`
+    sweeps the whole circle table over it, :meth:`disc` looks up one
+    circle.  The circ store builds one per batched *updateCirc* over the
+    batch's new positions, labelled by move index.
+    """
+
+    __slots__ = ("xs", "ys", "ids", "_xl")
+
+    def __init__(self, pts: list[Point], ids: Optional[list[int]] = None):
+        xy = np.fromiter(
+            chain.from_iterable(pts), dtype=np.float64, count=2 * len(pts)
+        ).reshape(len(pts), 2)
+        order = np.argsort(xy[:, 0], kind="stable")
+        self.xs = xy[order, 0]
+        self.ys = xy[order, 1]
+        self.ids = order if ids is None else np.asarray(ids, dtype=np.int64)[order]
+        #: ``xs`` as floats, for ``bisect`` (a scalar ``searchsorted`` costs more).
+        self._xl: list[float] = self.xs.tolist()
+
+    def __len__(self) -> int:
+        return len(self._xl)
+
+    def disc(self, centre: Point, radius: float, first: int) -> list[int]:
+        """Labels ``>= first`` of the points in the guard-banded circle.
+
+        A superset of the points strictly inside ``(centre, radius)``
+        (the same band as :meth:`EntrySnapshot.containment_candidates`),
+        ascending by sorted x, not by label.
+        """
+        cx, cy = centre
+        band = radius * _BAND
+        w = _slab_halfwidth(cx, band)
+        lo = bisect_left(self._xl, cx - w)
+        hi = bisect_right(self._xl, cx + w, lo)
+        if lo == hi:
+            return []
+        dx = self.xs[lo:hi] - cx
+        dy = self.ys[lo:hi] - cy
+        ids = self.ids[lo:hi][dx * dx + dy * dy <= band * band]
+        return ids[ids >= first].tolist()

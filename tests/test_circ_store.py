@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from repro.core.circ_store import FurCircStore
+from repro.core.circ_store import CircStoreBase, FurCircStore
 from repro.core.events import ObjectUpdate, ResultChange
 from repro.core.oracle import BruteForceMonitor
 from repro.core.query_table import QueryTable
-from repro.core.stats import StatCounters
+from repro.core.stats import StatCounters, logical_subset
 from repro.geometry.point import Point, dist
 from repro.geometry.rect import Rect
 from repro.grid.index import GridIndex
+from repro.perf.kernels import PointSweep
 from repro.rtree.furtree import FURTree
 
 from .conftest import make_monitor
@@ -256,6 +257,170 @@ class TestContainmentStep:
         rig.store.handle_update(2, None, new)
         assert rig.store.record(50, 0).is_rnn
         assert rig.events == []
+
+
+def _state(rig: _Rig):
+    """Everything a batched circ phase may change, in comparable form."""
+    store = rig.store
+    return (
+        list(rig.events),
+        logical_subset(rig.stats.snapshot()),
+        sorted(
+            (k, r.cand, r.d_q_cand, r.nn, r.radius, r.in_fur)
+            for k, r in store._records.items()
+        ),
+        {nn: sorted(keys) for nn, keys in store.nn_hash.items()},
+        {oid: store.circles.get(oid) for oid in sorted(store.circles.slot)},
+    )
+
+
+def _batched_equals_scalar_loop(build) -> _Rig:
+    """Run the scene ``build()`` returns — a rig whose grid already holds
+    the batch's final positions, and the batch — through the batched
+    ``process_moves`` and through the scalar loop
+    ``CircStoreBase.process_moves`` on a second identical rig: events,
+    logical counters, records, NN-Hash and circle table must agree."""
+    fast, moves = build()
+    ref, ref_moves = build()
+    assert moves == ref_moves
+    fast.store.process_moves(moves)
+    CircStoreBase.process_moves(ref.store, ref_moves)
+    assert _state(fast) == _state(ref)
+    fast.store.validate()
+    assert fast.store._tick is None
+    return fast
+
+
+class TestBatchedVisits:
+    """The batched circ phase visits only movers with work; each scene
+    is a way a mover can have work it had not at the start of the batch,
+    checked event for event against the scalar loop."""
+
+    def test_lazily_grown_circle_reaches_a_later_mover(self):
+        def build():
+            rig = _Rig()
+            rig.query(50, 200.0, 100.0)
+            p1 = rig.object(1, 100.0, 100.0)
+            rig.object(2, 110.0, 100.0)
+            rig.store.set_circ(50, 0, 1, p1, 100.0, 2, 10.0)
+            rig.object(3, 500.0, 500.0)
+            rig.object(4, 700.0, 700.0)
+            moves = [
+                # o4 moves before the grow: it must not see the grown circle.
+                (4, Point(700.0, 700.0), Point(100.0, 130.0)),
+                (2, Point(110.0, 100.0), Point(160.0, 100.0)),  # lazy grow 10 -> 60
+                (3, Point(500.0, 500.0), Point(100.0, 140.0)),  # 40 from o1
+            ]
+            for oid, _, new in moves:
+                rig.grid.move_object(oid, new)
+            return rig, moves
+
+        rig, moves = build()
+        at_start = rig.store.circles.batch_containment_candidates(
+            PointSweep([new for _, _, new in moves])
+        )
+        assert 2 not in at_start  # o3 had no candidate at the start
+        rig = _batched_equals_scalar_loop(build)
+        rec = rig.store.record(50, 0)
+        assert rec.nn == 3 and rec.radius == 40.0
+        assert rig.stats.circ_lazy_radius_updates == 1
+
+    def test_recomputed_certificate_moves_later_in_the_batch(self):
+        # Partial insert keeps o1's circle out of the table, so no circle
+        # and no sweep ever reaches o3: only joining NN-Hash when o2's
+        # escape re-searches o1's certificate gets o3 visited.
+        def build():
+            rig = _Rig(threshold=0.8)
+            rig.query(50, 200.0, 100.0)
+            p1 = rig.object(1, 100.0, 100.0)
+            rig.object(2, 150.0, 100.0)
+            rig.store.set_circ(50, 0, 1, p1, 100.0, 2, 50.0)
+            rig.object(3, 400.0, 400.0)
+            moves = [
+                (2, Point(150.0, 100.0), Point(600.0, 600.0)),  # escapes
+                (3, Point(400.0, 400.0), Point(100.0, 130.0)),
+            ]
+            for oid, _, new in moves:
+                rig.grid.move_object(oid, new)
+            return rig, moves
+
+        rig = _batched_equals_scalar_loop(build)
+        assert len(rig.store.circles) == 0
+        rec = rig.store.record(50, 0)
+        assert rec.nn == 3 and rec.radius == 30.0
+        assert rig.stats.circ_nn_searches_triggered == 1
+        assert rig.stats.circ_lazy_radius_updates == 1  # o3's own visit
+
+    def test_repeated_oids_in_one_batch(self):
+        # o5 moves twice (its first move makes it a certificate, its
+        # second lazily updates that), and certificate o6 is deleted and
+        # re-inserted (the re-search finds it again at its new place).
+        def build():
+            rig = _Rig()
+            rig.query(50, 200.0, 100.0)
+            p1 = rig.object(1, 100.0, 100.0)
+            rig.store.set_circ(50, 0, 1, p1, 100.0, None)
+            rig.query(51, 100.0, 300.0)
+            p7 = rig.object(7, 100.0, 250.0)
+            rig.object(6, 100.0, 240.0)
+            rig.store.set_circ(51, 3, 7, p7, 50.0, 6, 10.0)
+            rig.object(5, 300.0, 300.0)
+            moves = [
+                (5, Point(300.0, 300.0), Point(100.0, 150.0)),
+                (6, Point(100.0, 240.0), None),
+                (5, Point(100.0, 150.0), Point(100.0, 120.0)),
+                (6, None, Point(100.0, 235.0)),
+            ]
+            rig.grid.move_object(5, Point(100.0, 120.0))
+            rig.grid.move_object(6, Point(100.0, 235.0))
+            rig.events.clear()
+            return rig, moves
+
+        rig = _batched_equals_scalar_loop(build)
+        assert rig.events == [ResultChange(50, 1, gained=False)]
+        assert rig.store.record(50, 0).nn == 5 and rig.store.record(50, 0).radius == 20.0
+        assert rig.store.record(51, 3).nn == 6 and rig.store.record(51, 3).radius == 15.0
+        assert rig.stats.containment_queries == 3
+
+    def test_escape_in_step_one_reaches_the_same_movers_step_two(self):
+        # o1's circle still has its old centre when the batch starts; o2's
+        # lazy update re-centres it on o1's grid position, around o2's own
+        # new position — which step 2 of that same move must then find.
+        def build():
+            rig = _Rig()
+            rig.query(50, 400.0, 100.0)
+            rig.query(51, 100.0, 400.0)
+            p1 = rig.object(1, 100.0, 100.0)
+            rig.object(2, 110.0, 100.0)
+            rig.object(3, 100.0, 180.0)
+            rig.store.set_circ(50, 0, 1, p1, 300.0, 2, 10.0)
+            rig.store.set_circ(51, 1, 1, p1, 300.0, 3, 80.0)
+            rig.grid.move_object(1, Point(100.0, 200.0))
+            moves = [(2, Point(110.0, 100.0), Point(150.0, 200.0))]
+            rig.grid.move_object(2, moves[0][2])
+            return rig, moves
+
+        rig, moves = build()
+        assert rig.store.circles.batch_containment_candidates(PointSweep([moves[0][2]])) == {}
+        rig = _batched_equals_scalar_loop(build)
+        assert rig.store.circles.get(1) == (Point(100.0, 200.0), 50.0)
+        rec = rig.store.record(51, 1)
+        assert rec.nn == 2 and rec.radius == 50.0
+
+    def test_store_without_records_counts_containment_queries(self):
+        def build():
+            rig = _Rig()
+            moves = [
+                (1, None, rig.object(1, 10.0, 10.0)),
+                (2, None, rig.object(2, 20.0, 20.0)),
+                (3, Point(30.0, 30.0), None),
+                (4, Point(40.0, 40.0), rig.object(4, 45.0, 45.0)),
+            ]
+            return rig, moves
+
+        rig = _batched_equals_scalar_loop(build)
+        assert rig.stats.containment_queries == 3
+        assert rig.stats.vector_containment_batches == 0
 
 
 class TestPartialInsert:

@@ -18,8 +18,9 @@ adversarial inputs:
   with empty sectors, and the certificate fallback;
 * ``EntrySnapshot`` — the circ store's live circle table — against a
   plain dict of circles: exact containment search, prefilter superset
-  property, batch/per-point agreement, and the slot map through
-  insert / move / radius change / swap-remove.
+  property, sort-and-sweep batch (and ``PointSweep.disc``) / per-point
+  agreement, and the slot map through insert / move / radius change /
+  swap-remove.
 
 Adversarial inputs deliberately target the classic failure modes of a
 vectorization: points on cell boundaries (truncation vs rounding),
@@ -50,6 +51,7 @@ from repro.grid.index import GridIndex
 from repro.perf.kernels import (
     _TARGET_FIRST_RING,
     EntrySnapshot,
+    PointSweep,
     _first_radius,
     constrained_nn_k1_vector,
     nn_k1_multi,
@@ -530,8 +532,20 @@ class _Entry:
         self.radius = radius
 
 
+# Centres and probes share x coordinates (a lattice column, so slab ends
+# fall exactly on points), radii include zero and circles wider than the
+# bounds (a slab that holds every point).
+_sweep_coords = st.one_of(coords, st.integers(0, 8).map(lambda i: 125.0 * i))
+sweep_points = st.builds(Point, _sweep_coords, _sweep_coords)
 entry_lists = st.lists(
-    st.tuples(points, st.floats(min_value=0.0, max_value=300.0, allow_nan=False)),
+    st.tuples(
+        sweep_points,
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=300.0, allow_nan=False),
+            st.floats(min_value=1000.0, max_value=3000.0, allow_nan=False),
+        ),
+    ),
     min_size=0,
     max_size=25,
 ).map(lambda raw: [_Entry(i, p, r) for i, (p, r) in enumerate(raw)])
@@ -539,11 +553,29 @@ entry_lists = st.lists(
 
 class TestEntrySnapshot:
     @settings(max_examples=60, deadline=None)
-    @given(entries=entry_lists, pts=st.lists(points, min_size=0, max_size=15))
+    @given(entries=entry_lists, pts=st.lists(sweep_points, min_size=0, max_size=15))
     def test_batch_rows_equal_per_point_calls(self, entries, pts):
         snap = EntrySnapshot(entries)
-        batch = snap.batch_containment_candidates(pts)
-        assert batch == [snap.containment_candidates(p) for p in pts]
+        rows = snap.batch_containment_candidates(PointSweep(pts))
+        assert all(rows.values()) and set(rows) <= set(range(len(pts)))
+        assert [rows.get(i, []) for i in range(len(pts))] == [
+            snap.containment_candidates(p) for p in pts
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=entry_lists,
+        pts=st.lists(sweep_points, min_size=0, max_size=15),
+        first=st.integers(0, 15),
+    )
+    def test_disc_equals_the_banded_test_of_one_circle(self, entries, pts, first):
+        # Labels are move indices in the circ store: use spread-out ones.
+        labels = [3 * i for i in range(len(pts))]
+        sweep = PointSweep(pts, labels)
+        for e in entries:
+            one = EntrySnapshot([e])
+            want = [j for j, p in zip(labels, pts) if j >= first and one.containment_candidates(p)]
+            assert sorted(sweep.disc(e.pos, e.radius, first)) == want
 
     @settings(max_examples=60, deadline=None)
     @given(entries=entry_lists, p=points)
@@ -663,9 +695,9 @@ class CircleTableMachine(RuleBasedStateMachine):
         ]
         got = [[oid for oid, _ in self.table.containment_search(p)] for p in probes]
         assert got == want
-        rows = self.table.batch_containment_candidates(probes)
-        for p, row, exact in zip(probes, rows, want):
-            assert set(exact) <= set(row), f"prefilter dropped a hit at {p}"
+        rows = self.table.batch_containment_candidates(PointSweep(probes))
+        for i, (p, exact) in enumerate(zip(probes, want)):
+            assert set(exact) <= set(rows.get(i, ())), f"prefilter dropped a hit at {p}"
 
 
 TestCircleTableMachine = CircleTableMachine.TestCase
