@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test check lint mutants smoke obs-smoke obs-dist-smoke chaos-smoke chaos-heavy serve-smoke serve-soak bench bench-pairs bench-paper docs docs-lint experiments experiments-quick examples clean
+.PHONY: install test check lint mutants chaos-smoke chaos-heavy serve-soak bench bench-pairs bench-paper docs docs-lint experiments experiments-quick examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -11,13 +11,12 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # The core of what CI runs: the static-analysis suite, the listed
-# mutants, the tier-1 suite, the fault-injection smoke job, the seeded worker-kill loop, and the
-# benchmark at smoke scale with one traced pass (as CI's `bench` job,
-# which also runs `pytest bench`), so the yardstick and its layer-table
-# hooks are executed on every PR.
+# mutants, the tier-1 suite (the exactness harness included), the seeded
+# worker-kill loop, and the benchmark at smoke scale with one traced
+# pass (as CI's `bench` job, which also runs `pytest bench`), so the
+# yardstick and its layer-table hooks are executed on every PR.
 check: lint mutants
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
-	PYTHONPATH=src $(PYTHON) -m repro.robustness.smoke --quick
 	PYTHONPATH=src $(PYTHON) -m repro.shard.chaos --seconds 60
 	$(PYTHON) bench/run.py --quick --seed 1 --trace 1
 
@@ -36,21 +35,6 @@ lint:
 # unmutated).  Seconds: only the named tests run.
 mutants:
 	$(PYTHON) tools/mutants.py
-
-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.robustness.smoke
-
-# Observability end-to-end: counter parity obs-on/off, live Prometheus
-# scrape, snapshot schema, explain(qid), console line (what CI runs).
-obs-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.obs.smoke --quick
-
-# Distributed observability end-to-end at K=4 (DESIGN §12): obs-on/off
-# bit-parity on the process executor, worker metric delta aggregation,
-# one coherent trace through serve -> scatter -> worker -> gather ->
-# fanout, and a chaos kill producing a renderable flight dump.
-obs-dist-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.obs.dist_smoke --quick
 
 # Seeded 60-second worker-kill loop: SIGKILLs every worker every 5th
 # tick and asserts the drained events and logical counters stay
@@ -77,11 +61,6 @@ bench:
 PAIRS ?= 10
 bench-pairs:
 	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --pairs $(PAIRS) $(if $(WORKLOAD),--workload $(WORKLOAD))
-
-# Serving-layer smoke over a real TCP loopback: wire parity (serial +
-# sharded), shedding policies, drain shutdown -> verified checkpoint.
-serve-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.serve.smoke --quick
 
 # The 30-second seeded serving soak (excluded from tier-1 by marker).
 serve-soak:

@@ -14,8 +14,8 @@ from typing import Mapping
 
 #: The exactness contract's counter set: deterministic for a given
 #: update stream (no dependency on which kernel twin served a search,
-#: on the shard count or executor, or on the machine).  Every parity
-#: suite and smoke compares exactly this slice.
+#: on the shard count or executor, or on the machine).  The exactness
+#: harness (``tests/test_exactness.py``) compares exactly this slice.
 LOGICAL_COUNTERS = (
     "nn_searches",
     "constrained_nn_searches",

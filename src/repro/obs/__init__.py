@@ -4,8 +4,9 @@ The layer threads structured telemetry through every other subsystem
 while staying strictly opt-in — a monitor built without
 ``MonitorConfig(observability=ObsConfig(...))`` keeps the shared
 :data:`~repro.obs.trace.NULL_TRACER` and pays only a few predictable
-branch checks per batch (DESIGN.md §8; CI's ``obs-smoke`` job enforces
-that logical counters are identical with the layer on or off).
+branch checks per batch (DESIGN.md §8; the ``observed`` subject of
+``tests/test_exactness.py`` holds events, results and logical counters
+identical with the layer on or off).
 
 Modules:
 
@@ -25,9 +26,7 @@ Modules:
   recorder dumped on worker failures (``tools/flightdump.py`` renders);
 * :mod:`repro.obs.console` — rate-limited live terminal summary;
 * :mod:`repro.obs.logutil` — rate-limited logging used by
-  :mod:`repro.robustness`;
-* :mod:`repro.obs.smoke` — the CI ``obs-smoke`` job
-  (``python -m repro.obs.smoke``).
+  :mod:`repro.robustness`.
 """
 
 from repro.obs.config import ObsConfig

@@ -74,7 +74,7 @@ class ConsoleSummary:
         obs = monitor.obs
         stats = monitor.stats
         # Prefer the monitor's own batch clock: render() is also used
-        # standalone (without tick()), e.g. from the smoke runner.
+        # standalone (without tick()).
         batches = self._batches
         if obs.health is not None:
             batches = max(batches, obs.health.batch)

@@ -8,9 +8,9 @@ dependency, good enough for a scrape every few seconds:
 * ``GET /healthz`` — liveness probe (object/query counts).
 
 :func:`parse_prometheus_text` is a strict parser for the exposition
-format; it exists so tests and the obs smoke job can *prove* the
-rendered text is well-formed instead of eyeballing it, and doubles as a
-tiny client for the endpoint.
+format; it exists so tests can *prove* the rendered text is
+well-formed instead of eyeballing it, and doubles as a tiny client for
+the endpoint.
 """
 
 from __future__ import annotations

@@ -13,9 +13,7 @@ survive process restarts.  This package hardens
 * :mod:`repro.robustness.audit` — budgeted sampled oracle cross-checks
   with scoped per-query repair and a full-rebuild escalation path;
 * :mod:`repro.robustness.checkpoint` — JSON snapshot/restore with
-  post-restore verification;
-* :mod:`repro.robustness.smoke` — the end-to-end fault-injection smoke
-  run used by CI and ``make check``.
+  post-restore verification.
 """
 
 from repro.robustness.audit import AuditPolicy, AuditReport, InvariantAuditor

@@ -21,9 +21,9 @@ The three legs:
   wrapper.
 
 The wire path is *bit-identical* to the in-process path: a seeded
-workload replayed through TCP yields the same sorted event stream and
-the same logical counters as direct ``process()`` calls (enforced by
-``tests/test_serve_parity.py`` and ``make serve-smoke``).
+workload replayed through TCP yields the same event stream, results and
+logical counters as direct ``process()`` calls (the ``wire`` subject of
+``tests/test_exactness.py``, run by ``tests/test_serve_parity.py``).
 """
 
 from repro.serve.client import ClientSession, ServeClient

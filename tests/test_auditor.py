@@ -6,13 +6,14 @@ import pytest
 
 from repro.robustness.audit import AuditPolicy, InvariantAuditor
 
-from .conftest import make_pair, populate
+from .conftest import make_monitor
+from .test_exactness import load_batch
 
 
 def _audited_monitor(variant, seed=0, n_objects=40, n_queries=6, **policy_kwargs):
-    rng = random.Random(seed)
-    mon, oracle = make_pair(variant)
-    _, qids = populate(mon, oracle, rng, n_objects, n_queries)
+    mon = make_monitor(variant)
+    mon.process(load_batch(random.Random(seed), n_objects, n_queries))
+    qids = list(range(10_000, 10_000 + n_queries))
     policy = AuditPolicy(**{"seed": seed, **policy_kwargs})
     return mon, InvariantAuditor(mon, policy), qids
 

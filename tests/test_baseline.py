@@ -4,10 +4,11 @@ import random
 
 from repro.core.baseline import TPLFURBaseline
 from repro.core.events import ObjectUpdate, QueryUpdate
-from repro.core.oracle import BruteForceMonitor, brute_force_rnn
+from repro.core.oracle import brute_force_rnn
 from repro.geometry.point import Point
 
 from .conftest import random_point
+from .test_exactness import Stream, api, check, load_batch, tpl_fur
 
 
 class TestBasics:
@@ -37,54 +38,22 @@ class TestBasics:
 class TestAgainstOracle:
     def test_random_stream_matches_brute_force(self):
         rng = random.Random(17)
-        base = TPLFURBaseline()
-        oracle = BruteForceMonitor()
-        oids = []
-        for oid in range(40):
-            p = random_point(rng)
-            base.add_object(oid, p)
-            oracle.add_object(oid, p)
-            oids.append(oid)
-        qids = []
-        for qid in range(10_000, 10_006):
-            p = random_point(rng)
-            base.add_query(qid, p)
-            oracle.add_query(qid, p)
-            qids.append(qid)
-        for step in range(40):
-            batch = []
-            for _ in range(rng.randrange(1, 8)):
-                r = rng.random()
-                if r < 0.7:
-                    batch.append(ObjectUpdate(rng.choice(oids), random_point(rng)))
-                else:
-                    batch.append(QueryUpdate(rng.choice(qids), random_point(rng)))
-            results = base.process(batch)
-            oracle.process(batch)
-            for qid in qids:
-                assert results[qid] == oracle.rnn(qid), f"batch {step} q{qid}"
+        batches = [load_batch(rng, 40, 6)]
+        for _ in range(40):
+            batches.append([
+                ObjectUpdate(rng.randrange(40), random_point(rng)) if rng.random() < 0.7
+                else QueryUpdate(10_000 + rng.randrange(6), random_point(rng))
+                for _ in range(rng.randrange(1, 8))
+            ])
+        check("lu+pi", Stream(None, batches), tpl_fur)
 
     def test_agrees_with_incremental_monitor(self):
-        from .conftest import make_monitor
-
+        # One update per tick, through the monitor's single-object API too.
         rng = random.Random(18)
-        base = TPLFURBaseline()
-        mon = make_monitor("lu+pi", grid_cells=10)
-        for oid in range(30):
-            p = random_point(rng)
-            base.add_object(oid, p)
-            mon.add_object(oid, p)
-        for qid in range(10_000, 10_005):
-            p = random_point(rng)
-            base.add_query(qid, p)
-            mon.add_query(qid, p)
-        for _ in range(60):
-            oid = rng.randrange(30)
-            p = random_point(rng)
-            base.update_object(oid, p)
-            mon.update_object(oid, p)
-            for qid in range(10_000, 10_005):
-                assert base.rnn(qid) == mon.rnn(qid)
+        batches = [load_batch(rng, 30, 5)]
+        batches += [[ObjectUpdate(rng.randrange(30), random_point(rng))] for _ in range(60)]
+        check("lu+pi", Stream(None, batches, grid_cells=10), tpl_fur)
+        check("lu+pi", Stream(None, batches, grid_cells=10), api)
 
 
 class TestOracleItself:

@@ -1,72 +1,27 @@
 """Cross-system consistency: every RNN implementation in the library must
 agree on the same recorded workload.
 
-This is the library's strongest end-to-end statement: the incremental
-monitor (all three variants), the correctness-first RkNN monitor at k=1,
-the TPL-FUR recompute baseline, static SAE/TPL/Rdnn snapshots, and the
-brute-force oracle all compute the same results at every timestamp of a
-realistic network workload.
+The incremental monitor (all three variants), the correctness-first RkNN
+monitor at k=1 and the TPL-FUR recompute baseline hold the harness
+contract at every timestamp of a recorded workload; the static SAE / TPL
+/ Rdnn algorithms agree with the brute-force oracle on its final
+snapshot.
 """
 
-import random
-
-import pytest
-
-from repro.core.baseline import TPLFURBaseline
 from repro.core.oracle import BruteForceMonitor, brute_force_rnn
-from repro.geometry.rect import Rect
-from repro.mobility.trace import Trace
-from repro.mobility.workload import Workload, WorkloadSpec
-from repro.monitors import RknnMonitor
 
-from .conftest import TEST_BOUNDS, make_monitor
+from .conftest import TEST_BOUNDS, VARIANTS
+from .test_exactness import check, recorded, rknn, tpl_fur
 
 
-@pytest.fixture(scope="module")
-def trace() -> Trace:
-    spec = WorkloadSpec(
-        num_objects=120,
-        num_queries=8,
-        object_mobility=0.25,
-        query_mobility=0.15,
-        timestamps=8,
-        seed=99,
-        bounds=TEST_BOUNDS,
-    )
-    return Trace.record(Workload(spec))
+def test_all_continuous_systems_agree():
+    for variant in VARIANTS:
+        check(variant, recorded("trace"))
+    for companion in (rknn, tpl_fur):
+        check("lu+pi", recorded("trace"), companion)
 
 
-def test_all_continuous_systems_agree(trace):
-    oracle = BruteForceMonitor()
-    baseline = TPLFURBaseline()
-    monitors = {v: make_monitor(v, grid_cells=12) for v in ("uniform", "lu-only", "lu+pi")}
-    rknn = RknnMonitor(TEST_BOUNDS, grid_cells=12)
-
-    trace.load_into(oracle)
-    trace.load_into(baseline)
-    for mon in monitors.values():
-        trace.load_into(mon)
-    trace.load_into(rknn)  # k defaults to 1
-
-    for step, batch in enumerate(trace.batches):
-        oracle.process(batch)
-        baseline_results = baseline.process(batch)
-        for mon in monitors.values():
-            mon.process(batch)
-        rknn.process(batch)
-        for qid in oracle.queries:
-            want = oracle.rnn(qid)
-            assert baseline_results[qid] == want, f"TPL-FUR step {step} q{qid}"
-            for name, mon in monitors.items():
-                assert mon.rnn(qid) == want, f"{name} step {step} q{qid}"
-            assert rknn.rknn(qid) == want, f"RkNN step {step} q{qid}"
-
-    for mon in monitors.values():
-        mon.validate()
-    rknn.validate()
-
-
-def test_static_algorithms_agree_on_final_snapshot(trace):
+def test_static_algorithms_agree_on_final_snapshot():
     from repro.grid.index import GridIndex
     from repro.rnn.rdnn import RdnnIndex
     from repro.rnn.sae import sae_rnn
@@ -74,7 +29,8 @@ def test_static_algorithms_agree_on_final_snapshot(trace):
     from repro.rtree.furtree import bulk_load
 
     oracle = BruteForceMonitor()
-    trace.replay(oracle)
+    for batch in recorded("trace").batches:
+        oracle.process(batch)
     positions = dict(oracle.positions)
 
     grid = GridIndex(TEST_BOUNDS, 12)

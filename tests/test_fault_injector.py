@@ -3,11 +3,11 @@
 import math
 
 from repro.core.events import ObjectUpdate, QueryUpdate
-from repro.core.oracle import BruteForceMonitor
 from repro.geometry.point import Point
 from repro.robustness.faults import FaultInjector, FaultSpec
 
-from .conftest import TEST_BOUNDS, make_monitor
+from .conftest import TEST_BOUNDS
+from .test_exactness import Stream, check
 
 
 def _batches(n_batches=4, n_objects=6):
@@ -121,14 +121,7 @@ class TestMonitorIntegration:
         clean[2].append(ObjectUpdate(3, None))
         clean[3].append(ObjectUpdate(3, Point(500.0, 500.0)))
         clean[4].append(ObjectUpdate(7, None))
-        mon = make_monitor(variant, guard_policy="drop")
-        mon.add_query(9000, Point(55.0, 25.0))
-        oracle = BruteForceMonitor()
-        oracle.add_query(9000, Point(55.0, 25.0))
         injector = FaultInjector(FaultSpec.harsh(seed=11))
-        for batch in injector.stream(clean):
-            mon.process(batch)
-            oracle.process(mon.guard.last_effective)
-            assert mon.results() == oracle.results()
-        mon.validate()
+        batches = [[QueryUpdate(9000, Point(55.0, 25.0))], *injector.stream(clean)]
+        check(variant, Stream(None, batches, guard_policy="drop"))
         assert injector.log.count() > 0

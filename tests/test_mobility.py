@@ -145,26 +145,19 @@ class TestWorkload:
             assert len(query_updates) == 2
 
     def test_load_into_monitor_and_run(self):
-        from .conftest import make_monitor
-        from repro.core.oracle import BruteForceMonitor
+        from repro.mobility.trace import Trace
+
+        from .test_exactness import Stream, check
 
         spec = WorkloadSpec(
             num_objects=60, num_queries=6, object_mobility=0.3,
             query_mobility=0.2, timestamps=5, seed=11, bounds=BOUNDS,
         )
-        mon = make_monitor("lu+pi", grid_cells=10)
-        oracle = BruteForceMonitor()
-        w1, w2 = Workload(spec), Workload(spec)  # identical streams
-        w1.load_into(mon)
-        w2.load_into(oracle)
-        b1, b2 = list(w1.batches()), list(w2.batches())
-        assert b1 == b2  # determinism across instances
-        for batch in b1:
-            mon.process(batch)
-            oracle.process(batch)
-        for qid in oracle.queries:
-            assert mon.rnn(qid) == oracle.rnn(qid)
-        mon.validate()
+        assert list(Workload(spec).batches()) == list(Workload(spec).batches())
+        trace = Trace.record(Workload(spec))
+        load = [ObjectUpdate(oid, p) for oid, p in sorted(trace.objects.items())]
+        load += [QueryUpdate(qid, p) for qid, p in sorted(trace.queries.items())]
+        check("lu+pi", Stream(None, [load, *trace.batches], grid_cells=10, bounds=BOUNDS))
 
     def test_scaled(self):
         spec = WorkloadSpec(num_objects=100, num_queries=10)

@@ -169,24 +169,13 @@ class TestFreeSpaceDrivesMonitor:
         "generator_cls", [RandomWalkGenerator, WaypointGenerator, HotspotGenerator]
     )
     def test_monitor_correct_under_model(self, generator_cls):
-        from .conftest import make_monitor
+        from .test_exactness import Stream, check
 
         gen = generator_cls(BOUNDS, 40, seed=11)
-        mon = make_monitor("lu+pi", grid_cells=10)
-        oracle = BruteForceMonitor()
-        for eid, pos in gen.positions().items():
-            mon.add_object(eid, pos)
-            oracle.add_object(eid, pos)
         rng = random.Random(12)
-        qids = []
-        for qid in range(10_000, 10_006):
-            p = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            assert mon.add_query(qid, p) == oracle.add_query(qid, p)
-            qids.append(qid)
-        for _ in range(25):
-            batch = [ObjectUpdate(eid, pos) for eid, pos in gen.tick(0.4).items()]
-            mon.process(batch)
-            oracle.process(batch)
-            for qid in qids:
-                assert mon.rnn(qid) == oracle.rnn(qid)
-        mon.validate()
+        batches = [[ObjectUpdate(eid, pos) for eid, pos in gen.positions().items()]]
+        batches.append([QueryUpdate(qid, Point(rng.uniform(0, 1000), rng.uniform(0, 1000)))
+                        for qid in range(10_000, 10_006)])
+        batches += [[ObjectUpdate(eid, pos) for eid, pos in gen.tick(0.4).items()]
+                    for _ in range(25)]
+        check("lu+pi", Stream(None, batches, grid_cells=10, bounds=BOUNDS))

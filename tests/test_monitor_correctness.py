@@ -2,263 +2,70 @@
 
 The core claim of the whole reproduction: after *any* sequence of object
 and query updates, every variant's result set equals the brute-force
-monochromatic RNN.  These tests drive all three variants through
-teleports, local moves, clustered data, insertions, deletions, query
-moves, and mixed batches, comparing against :class:`BruteForceMonitor`
-after every step and structurally validating the monitor periodically.
+monochromatic RNN.  These tests run the stream shapes of
+:func:`tests.test_exactness.shape_batches` — teleports, local jitter,
+clustered data, insert/delete churn down to empty and back, query moves,
+mixed and repeated-object batches — through the harness: the
+reference against the oracle and Theorem 1 after every tick, and the
+single-object API (the ``unbatched`` subject) against the reference's
+results.
 """
-
-import random
 
 import pytest
 
-from repro.core.events import ObjectUpdate, QueryUpdate
-from repro.core.oracle import BruteForceMonitor
-from repro.geometry.point import Point
-
-from .conftest import assert_agreement, make_pair, populate, random_point
-
-
-def _clamp(v: float) -> float:
-    return min(999.0, max(0.0, v))
+from .conftest import VARIANTS
+from .test_exactness import check, reference, shape, unbatched
 
 
 class TestTeleportingObjects:
     @pytest.mark.parametrize("grid_cells", [3, 12, 40])
     def test_random_teleports(self, variant, grid_cells):
-        rng = random.Random(100 + grid_cells)
-        mon, oracle = make_pair(variant, grid_cells)
-        oids, qids = populate(mon, oracle, rng, n_objects=50, n_queries=8)
-        for step in range(150):
-            oid = rng.choice(oids)
-            p = random_point(rng)
-            mon.update_object(oid, p)
-            oracle.update_object(oid, p)
-            assert_agreement(mon, oracle, qids, f"step {step}")
-            if step % 50 == 0:
-                mon.validate()
-        mon.validate()
+        check(variant, shape(f"teleports-{grid_cells}"), unbatched)
 
 
 class TestLocalMoves:
     def test_network_like_jitter(self, variant):
-        """Small correlated moves — the workload FUR-trees are built for."""
-        rng = random.Random(7)
-        mon, oracle = make_pair(variant, grid_cells=20)
-        positions = {}
-        for oid in range(60):
-            p = random_point(rng)
-            positions[oid] = p
-            mon.add_object(oid, p)
-            oracle.add_object(oid, p)
-        qids = []
-        for qid in range(10_000, 10_010):
-            p = random_point(rng)
-            assert mon.add_query(qid, p) == oracle.add_query(qid, p)
-            qids.append(qid)
-        for step in range(250):
-            oid = rng.randrange(60)
-            p = positions[oid]
-            np_ = Point(_clamp(p.x + rng.gauss(0, 25)), _clamp(p.y + rng.gauss(0, 25)))
-            positions[oid] = np_
-            mon.update_object(oid, np_)
-            oracle.update_object(oid, np_)
-            assert_agreement(mon, oracle, qids, f"step {step}")
-        mon.validate()
+        check(variant, shape("jitter"), unbatched)
 
 
 class TestClusteredData:
     def test_three_clusters(self, variant):
-        rng = random.Random(55)
-        mon, oracle = make_pair(variant, grid_cells=16)
-        clusters = [(200.0, 200.0), (800.0, 300.0), (500.0, 750.0)]
-        for oid in range(70):
-            cx, cy = rng.choice(clusters)
-            p = Point(_clamp(rng.gauss(cx, 60)), _clamp(rng.gauss(cy, 60)))
-            mon.add_object(oid, p)
-            oracle.add_object(oid, p)
-        qids = []
-        for qid in range(10_000, 10_008):
-            cx, cy = rng.choice(clusters)
-            p = Point(_clamp(rng.gauss(cx, 60)), _clamp(rng.gauss(cy, 60)))
-            assert mon.add_query(qid, p) == oracle.add_query(qid, p)
-            qids.append(qid)
-        for step in range(200):
-            oid = rng.randrange(70)
-            cx, cy = rng.choice(clusters)
-            p = Point(_clamp(rng.gauss(cx, 60)), _clamp(rng.gauss(cy, 60)))
-            mon.update_object(oid, p)
-            oracle.update_object(oid, p)
-            assert_agreement(mon, oracle, qids, f"step {step}")
-        mon.validate()
+        check(variant, shape("clusters"), unbatched)
 
 
 class TestChurn:
     def test_insert_delete_churn(self, variant):
-        rng = random.Random(77)
-        mon, oracle = make_pair(variant, grid_cells=10)
-        oids, qids = populate(mon, oracle, rng, n_objects=30, n_queries=8)
-        next_oid = max(oids) + 1
-        for step in range(200):
-            r = rng.random()
-            if r < 0.4 and oids:
-                oid = rng.choice(oids)
-                p = random_point(rng)
-                mon.update_object(oid, p)
-                oracle.update_object(oid, p)
-            elif r < 0.7:
-                p = random_point(rng)
-                mon.add_object(next_oid, p)
-                oracle.add_object(next_oid, p)
-                oids.append(next_oid)
-                next_oid += 1
-            elif len(oids) > 2:
-                oid = oids.pop(rng.randrange(len(oids)))
-                mon.remove_object(oid)
-                oracle.remove_object(oid)
-            assert_agreement(mon, oracle, qids, f"step {step}")
-            if step % 60 == 0:
-                mon.validate()
-        mon.validate()
+        check(variant, shape("churn"), unbatched)
 
     def test_down_to_empty_and_back(self, variant):
-        rng = random.Random(78)
-        mon, oracle = make_pair(variant, grid_cells=6)
-        oids, qids = populate(mon, oracle, rng, n_objects=5, n_queries=4)
-        for oid in list(oids):
-            mon.remove_object(oid)
-            oracle.remove_object(oid)
-            assert_agreement(mon, oracle, qids, f"removing {oid}")
-        assert all(mon.rnn(qid) == frozenset() for qid in qids)
-        for oid in range(100, 110):
-            p = random_point(rng)
-            mon.add_object(oid, p)
-            oracle.add_object(oid, p)
-            assert_agreement(mon, oracle, qids, f"re-adding {oid}")
-        mon.validate()
+        check(variant, shape("empty"), unbatched)
 
 
 class TestMovingQueries:
     def test_query_churn(self, variant):
-        rng = random.Random(91)
-        mon, oracle = make_pair(variant, grid_cells=12)
-        oids, qids = populate(mon, oracle, rng, n_objects=40, n_queries=6)
-        for step in range(120):
-            if rng.random() < 0.5:
-                qid = rng.choice(qids)
-                p = random_point(rng)
-                mon.update_query(qid, p)
-                oracle.update_query(qid, p)
-            else:
-                oid = rng.choice(oids)
-                p = random_point(rng)
-                mon.update_object(oid, p)
-                oracle.update_object(oid, p)
-            assert_agreement(mon, oracle, qids, f"step {step}")
-        mon.validate()
+        check(variant, shape("query-churn"), unbatched)
 
 
 class TestBatches:
     def test_mixed_random_batches(self, variant):
-        rng = random.Random(2024)
-        mon, oracle = make_pair(variant, grid_cells=14)
-        oids, qids = populate(mon, oracle, rng, n_objects=60, n_queries=10)
-        next_oid = max(oids) + 1
-        for step in range(60):
-            batch = []
-            for _ in range(rng.randrange(1, 16)):
-                r = rng.random()
-                if r < 0.55 and oids:
-                    batch.append(ObjectUpdate(rng.choice(oids), random_point(rng)))
-                elif r < 0.70:
-                    batch.append(ObjectUpdate(next_oid, random_point(rng)))
-                    oids.append(next_oid)
-                    next_oid += 1
-                elif r < 0.82 and len(oids) > 5:
-                    oid = oids.pop(rng.randrange(len(oids)))
-                    batch.append(ObjectUpdate(oid, None))
-                else:
-                    batch.append(QueryUpdate(rng.choice(qids), random_point(rng)))
-            mon.process(batch)
-            oracle.process(batch)
-            assert_agreement(mon, oracle, qids, f"batch {step}")
-            if step % 15 == 0:
-                mon.validate()
-        mon.validate()
+        check(variant, shape("mixed"))
 
     def test_batch_with_repeated_object(self, variant):
         """The same object updated several times within one batch."""
-        mon, oracle = make_pair(variant, grid_cells=8)
-        rng = random.Random(5)
-        oids, qids = populate(mon, oracle, rng, n_objects=20, n_queries=5)
-        for step in range(40):
-            oid = rng.choice(oids)
-            batch = [ObjectUpdate(oid, random_point(rng)) for _ in range(3)]
-            mon.process(batch)
-            oracle.process(batch)
-            assert_agreement(mon, oracle, qids, f"step {step}")
-        mon.validate()
+        check(variant, shape("repeated"))
 
     def test_batch_delete_then_reinsert(self, variant):
-        mon, oracle = make_pair(variant, grid_cells=8)
-        rng = random.Random(6)
-        oids, qids = populate(mon, oracle, rng, n_objects=15, n_queries=5)
-        for step in range(30):
-            oid = rng.choice(oids)
-            batch = [ObjectUpdate(oid, None), ObjectUpdate(oid, random_point(rng))]
-            mon.process(batch)
-            oracle.process(batch)
-            assert_agreement(mon, oracle, qids, f"step {step}")
-        mon.validate()
+        check(variant, shape("reinsert"))
 
 
 class TestRegressions:
     def test_transient_double_sector_membership(self, variant):
-        """Regression: during one batch an object can be the RNN candidate
-        of two sectors at once (a re-search installs it in its new sector
-        before the stale record of its old sector is cleared); the result
-        bookkeeping must reference-count, not just add/discard."""
-        mon, _ = make_pair(variant, grid_cells=6)
-        oracle = BruteForceMonitor()
-
-        def both(action, *args):
-            getattr(mon, action)(*args)
-            getattr(oracle, action)(*args)
-
-        both("add_object", 0, Point(0.0, 0.0))
-        assert mon.add_query(10_000, Point(490.0, 772.0)) == oracle.add_query(
-            10_000, Point(490.0, 772.0)
-        )
-        both("add_object", 1, Point(0.0, 0.0))
-        both("update_object", 0, Point(854.0, 0.0))
-        both("remove_object", 1)
-        both("add_object", 2, Point(0.0, 0.0))
-        batch = [
-            ObjectUpdate(0, Point(0.0, 0.0)),
-            ObjectUpdate(2, Point(760.0, 510.0)),
-        ]
-        mon.process(batch)
-        oracle.process(batch)
-        assert mon.rnn(10_000) == oracle.rnn(10_000)
-        mon.validate()
+        check(variant, shape("double-membership"), unbatched)
 
 
 class TestVariantEquivalence:
     def test_all_variants_agree_with_each_other(self):
-        """Beyond matching the oracle, the three variants must agree."""
-        rng = random.Random(303)
-        monitors = [make_pair(v, grid_cells=10)[0] for v in ("uniform", "lu-only", "lu+pi")]
-        positions = {oid: random_point(rng) for oid in range(40)}
-        for mon in monitors:
-            for oid, p in positions.items():
-                mon.add_object(oid, p)
-            for qid in range(10_000, 10_006):
-                rng2 = random.Random(qid)
-                mon.add_query(qid, random_point(rng2))
-        for step in range(100):
-            oid = rng.randrange(40)
-            p = random_point(rng)
-            for mon in monitors:
-                mon.update_object(oid, p)
-            results = [mon.results() for mon in monitors]
-            assert results[0] == results[1] == results[2], f"step {step}"
+        """Beyond matching the oracle, the three variants agree tick by tick."""
+        runs = [reference(v, shape("teleports-12")).ticks for v in VARIANTS]
+        for step, ticks in enumerate(zip(*runs)):
+            assert ticks[0][1] == ticks[1][1] == ticks[2][1], f"step {step}"

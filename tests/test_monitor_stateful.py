@@ -1,144 +1,84 @@
 """Hypothesis state-machine test: the monitor is a faithful RNN oracle.
 
-A ``RuleBasedStateMachine`` drives one monitor per variant plus the
-brute-force oracle through arbitrary interleavings of object/query
-inserts, moves, deletions and batches; every rule asserts full result
-agreement, and invariants re-validate the internal structures.
+A ``RuleBasedStateMachine`` draws arbitrary interleavings of object and
+query inserts, moves, deletions and batches on the harness's degenerate
+lattice (coincident objects, exact ties, objects on a query's horizontal
+boundary rays) and, when the run ends, holds every variant to the
+harness contract on that stream: the single-object API against its
+one-update batches and the oracle after every tick, ``validate()`` at
+the end.
 """
 
 import hypothesis.strategies as st
 from hypothesis import settings
-from hypothesis.stateful import (
-    RuleBasedStateMachine,
-    initialize,
-    invariant,
-    rule,
-)
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from repro.core.events import ObjectUpdate
-from repro.core.oracle import BruteForceMonitor
-from repro.geometry.point import Point
+from repro.core.events import ObjectUpdate, QueryUpdate
 
-from .conftest import make_monitor
-
-# Lattice coordinates: see test_rnn_static.py — keeps SAE's strictness
-# lemma numerically meaningful.
-coords = st.integers(min_value=0, max_value=500).map(lambda i: i * 2.0)
-points = st.builds(Point, coords, coords)
+from .conftest import VARIANTS
+from .test_exactness import Stream, api, check, object_points, query_points
 
 
 class MonitorMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.monitors = {v: make_monitor(v, grid_cells=6) for v in ("uniform", "lu-only", "lu+pi")}
-        self.oracle = BruteForceMonitor()
-        self.next_oid = 0
-        self.next_qid = 10_000
+        self.batches: list[list] = []
         self.oids: list[int] = []
         self.qids: list[int] = []
+        self.next_oid, self.next_qid = 0, 10_000
 
-    def _query_positions(self) -> set[Point]:
-        return {self.oracle.queries[qid][0] for qid in self.qids}
-
-    def _object_positions(self) -> set[Point]:
-        return set(self.oracle.positions.values())
-
-    @initialize(pts=st.lists(points, min_size=1, max_size=10))
-    def seed_objects(self, pts):
-        for p in pts:
-            self.add_object(p)
-
-    def add_object(self, p: Point):
-        # An object exactly on a query point violates SAE's candidate
-        # lemma (documented precondition of the paper's method).
-        if p in self._query_positions():
-            return
-        oid = self.next_oid
+    def _new_object(self, p) -> ObjectUpdate:
+        self.oids.append(self.next_oid)
         self.next_oid += 1
-        self.oids.append(oid)
-        for mon in self.monitors.values():
-            mon.add_object(oid, p)
-        self.oracle.add_object(oid, p)
+        return ObjectUpdate(self.oids[-1], p)
 
-    @rule(p=points)
+    @initialize(pts=st.lists(object_points, min_size=1, max_size=10))
+    def seed_objects(self, pts):
+        self.batches.append([self._new_object(p) for p in pts])
+
+    @rule(p=object_points)
     def insert_object(self, p):
-        self.add_object(p)
+        self.batches.append([self._new_object(p)])
 
-    @rule(p=points, data=st.data())
+    @rule(p=object_points, data=st.data())
     def move_object(self, p, data):
-        if not self.oids or p in self._query_positions():
-            return
-        oid = data.draw(st.sampled_from(self.oids))
-        for mon in self.monitors.values():
-            mon.update_object(oid, p)
-        self.oracle.update_object(oid, p)
+        if self.oids:
+            self.batches.append([ObjectUpdate(data.draw(st.sampled_from(self.oids)), p)])
 
     @rule(data=st.data())
     def delete_object(self, data):
-        if len(self.oids) <= 1:
-            return
-        oid = self.oids.pop(data.draw(st.integers(0, len(self.oids) - 1)))
-        for mon in self.monitors.values():
-            mon.remove_object(oid)
-        self.oracle.remove_object(oid)
+        if len(self.oids) > 1:
+            oid = self.oids.pop(data.draw(st.integers(0, len(self.oids) - 1)))
+            self.batches.append([ObjectUpdate(oid, None)])
 
-    @rule(p=points)
+    @rule(p=query_points)
     def register_query(self, p):
-        if len(self.qids) >= 6 or p in self._object_positions():
-            return
-        qid = self.next_qid
-        self.next_qid += 1
-        self.qids.append(qid)
-        want = self.oracle.add_query(qid, p)
-        for name, mon in self.monitors.items():
-            assert mon.add_query(qid, p) == want, name
+        if len(self.qids) < 6:
+            self.qids.append(self.next_qid)
+            self.next_qid += 1
+            self.batches.append([QueryUpdate(self.qids[-1], p)])
 
-    @rule(p=points, data=st.data())
+    @rule(p=query_points, data=st.data())
     def move_query(self, p, data):
-        if not self.qids or p in self._object_positions():
-            return
-        qid = data.draw(st.sampled_from(self.qids))
-        for mon in self.monitors.values():
-            mon.update_query(qid, p)
-        self.oracle.update_query(qid, p)
+        if self.qids:
+            self.batches.append([QueryUpdate(data.draw(st.sampled_from(self.qids)), p)])
 
     @rule(data=st.data())
     def drop_query(self, data):
-        if not self.qids:
-            return
-        qid = self.qids.pop(data.draw(st.integers(0, len(self.qids) - 1)))
-        for mon in self.monitors.values():
-            mon.remove_query(qid)
-        self.oracle.remove_query(qid)
+        if self.qids:
+            qid = self.qids.pop(data.draw(st.integers(0, len(self.qids) - 1)))
+            self.batches.append([QueryUpdate(qid, None)])
 
-    @rule(pts=st.lists(points, min_size=1, max_size=5), data=st.data())
+    @rule(pts=st.lists(object_points, min_size=1, max_size=5), data=st.data())
     def batch_moves(self, pts, data):
-        if not self.oids:
-            return
-        forbidden = self._query_positions()
-        batch = [
-            ObjectUpdate(data.draw(st.sampled_from(self.oids)), p)
-            for p in pts
-            if p not in forbidden
-        ]
-        if not batch:
-            return
-        for mon in self.monitors.values():
-            mon.process(batch)
-        self.oracle.process(batch)
+        if self.oids:
+            self.batches.append(
+                [ObjectUpdate(data.draw(st.sampled_from(self.oids)), p) for p in pts]
+            )
 
-    @invariant()
-    def results_agree(self):
-        for qid in self.qids:
-            want = self.oracle.rnn(qid)
-            for name, mon in self.monitors.items():
-                got = mon.rnn(qid)
-                assert got == want, f"{name}: q{qid} {sorted(got)} != {sorted(want)}"
-
-    @invariant()
-    def structures_valid(self):
-        for mon in self.monitors.values():
-            mon.validate()
+    def teardown(self):
+        for variant in VARIANTS:
+            check(variant, Stream(None, self.batches, grid_cells=6), api)
 
 
 MonitorMachine.TestCase.settings = settings(

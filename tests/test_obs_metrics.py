@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -14,6 +15,7 @@ from repro.core.events import ObjectUpdate
 from repro.core.monitor import CRNNMonitor
 from repro.geometry.point import Point
 from repro.obs.config import ObsConfig
+from repro.obs.console import ConsoleSummary
 from repro.obs.export import (
     ObsHTTPServer,
     PrometheusParseError,
@@ -256,3 +258,12 @@ class TestExpositionHardening:
         # Values that collide only if escaping is done wrong.
         CollectedFamily("esc_total", "counter", "h",
                         [({"p": 'a"b'}, 1.0), ({"p": "a\\\"b"}, 2.0)])
+
+
+class TestConsoleSummary:
+    def test_tick_prints_one_status_line(self):
+        stream = io.StringIO()
+        line = ConsoleSummary(_live_monitor(), interval=0.0, stream=stream).tick()
+        assert line.startswith("[crnn] batches=")
+        assert "objs=80" in line and "qrs=5" in line and "upd/s" in line
+        assert stream.getvalue() == line + "\n"

@@ -14,8 +14,8 @@ from repro.core.regions import CircRegion, MonitoringRegion, PieRegion
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 
-from .conftest import make_monitor, populate, random_point
-from repro.core.oracle import BruteForceMonitor
+from .conftest import make_monitor
+from .test_exactness import check, shape
 
 
 class TestPieRegion:
@@ -66,29 +66,9 @@ class TestMonitoringRegionView:
 
 class TestTheorem1:
     def test_result_changes_only_from_covered_updates(self, variant):
-        rng = random.Random(61)
-        mon = make_monitor(variant, grid_cells=10)
-        oracle = BruteForceMonitor()
-        oids, qids = populate(mon, oracle, rng, n_objects=40, n_queries=6)
-        for step in range(200):
-            regions = {qid: mon.monitoring_region(qid) for qid in qids}
-            before = {qid: mon.rnn(qid) for qid in qids}
-            oid = rng.choice(oids)
-            old_pos = mon.grid.positions[oid]
-            new_pos = random_point(rng)
-            mon.update_object(oid, new_pos)
-            oracle.update_object(oid, new_pos)
-            for qid in qids:
-                after = mon.rnn(qid)
-                assert after == oracle.rnn(qid)
-                if after != before[qid]:
-                    covered = regions[qid].covers(old_pos) or regions[qid].covers(
-                        new_pos
-                    )
-                    assert covered, (
-                        f"step {step}: q{qid} changed from an uncovered update "
-                        f"({old_pos} -> {new_pos})"
-                    )
+        # The harness asserts Theorem 1 after every tick of every
+        # reference run; this stream is 150 single teleports.
+        check(variant, shape("teleports-12"))
 
     def test_updates_far_outside_never_change_results(self, variant):
         """Direct reading of Theorem 1 with a far-away 'parking lot'."""

@@ -1,10 +1,10 @@
-"""Property-based fuzzing of the resilience layer (satellite of ISSUE 1).
+"""Property-based fuzzing of the resilience layer.
 
-Hypothesis drives randomized add/move/delete/query-churn update streams
-through the seeded fault injector into guarded monitors of all three
-variants; the guard-admitted effective stream feeds a brute-force
-oracle.  Every few timestamps the full result maps must agree exactly
-and the cross-structure ``validate()`` must pass.
+Hypothesis draws the seeds of churning update streams degraded by the
+seeded fault injector; guarded monitors of all three variants hold the
+harness contract on them (the oracle fed the guard-admitted stream after
+every tick, ``validate()`` at the end), and a checkpoint restored
+mid-stream continues with the same results.
 """
 
 import random
@@ -12,91 +12,19 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.events import ObjectUpdate, QueryUpdate
-from repro.core.oracle import BruteForceMonitor
-from repro.geometry.point import Point
 from repro.robustness.faults import FaultInjector, FaultSpec
 
-from .conftest import VARIANTS, make_monitor
-
-# Lattice coordinates avoid degenerate float ties (see test_rnn_static).
-# Queries live on a half-step offset lattice so a query can never coincide
-# with an object — the documented precondition of the six-sector lemma
-# (see "Known preconditions" in README.md).  Both lattices are exact in
-# binary floating point.
-_COORD_STEP = 25.0
-_COORD_MAX = 40  # lattice spans [0, 1000] inside TEST_BOUNDS
-_QUERY_OFFSET = 12.5
+from .conftest import VARIANTS
+from .test_exactness import Stream, check, churn_batches, restored, single
 
 
-def _lattice_point(rng: random.Random, offset: float = 0.0) -> Point:
-    return Point(
-        rng.randint(0, _COORD_MAX - 1) * _COORD_STEP + offset,
-        rng.randint(0, _COORD_MAX - 1) * _COORD_STEP + offset,
-    )
+def _faulted(seed: int, policy: str, faults: FaultSpec, ticks: int = 10) -> Stream:
+    batches = FaultInjector(faults).stream(churn_batches(random.Random(seed), ticks))
+    return Stream(None, list(batches), guard_policy=policy)
 
 
-def _query_point(rng: random.Random) -> Point:
-    return _lattice_point(rng, offset=_QUERY_OFFSET)
-
-
-def _random_batches(rng: random.Random, timestamps: int):
-    """A churning stream: inserts, moves, deletes, query add/move/remove."""
-    live_objects: set[int] = set()
-    live_queries: set[int] = set()
-    next_oid, next_qid = 0, 10_000
-    batches = []
-    for _ in range(timestamps):
-        batch = []
-        for _ in range(rng.randint(1, 8)):
-            action = rng.random()
-            if action < 0.35 or not live_objects:
-                batch.append(ObjectUpdate(next_oid, _lattice_point(rng)))
-                live_objects.add(next_oid)
-                next_oid += 1
-            elif action < 0.85:
-                batch.append(
-                    ObjectUpdate(rng.choice(sorted(live_objects)), _lattice_point(rng))
-                )
-            else:
-                oid = rng.choice(sorted(live_objects))
-                live_objects.discard(oid)
-                batch.append(ObjectUpdate(oid, None))
-        churn = rng.random()
-        if churn < 0.25 or not live_queries:
-            batch.append(QueryUpdate(next_qid, _query_point(rng)))
-            live_queries.add(next_qid)
-            next_qid += 1
-        elif churn < 0.5:
-            batch.append(
-                QueryUpdate(rng.choice(sorted(live_queries)), _query_point(rng))
-            )
-        elif churn < 0.6 and len(live_queries) > 1:
-            qid = rng.choice(sorted(live_queries))
-            live_queries.discard(qid)
-            batch.append(QueryUpdate(qid, None))
-        batches.append(batch)
-    return batches
-
-
-def _run_faulted(variant: str, policy: str, seed: int, check_every: int = 3) -> None:
-    rng = random.Random(seed)
-    batches = _random_batches(rng, timestamps=10)
-    faults = FaultSpec(
-        drop=0.12, duplicate=0.1, reorder=0.1, stale=0.1, corrupt=0.1, seed=seed
-    )
-    mon = make_monitor(variant, guard_policy=policy)
-    oracle = BruteForceMonitor()
-    for t, batch in enumerate(FaultInjector(faults).stream(batches)):
-        mon.process(batch)
-        oracle.process(mon.guard.last_effective)
-        if t % check_every == 0:
-            assert mon.results() == oracle.results(), (
-                f"divergence at t={t} ({variant}/{policy}, seed={seed})"
-            )
-            mon.validate()
-    assert mon.results() == oracle.results()
-    mon.validate()
+def _harsh(seed: int) -> FaultSpec:
+    return FaultSpec(drop=0.12, duplicate=0.1, reorder=0.1, stale=0.1, corrupt=0.1, seed=seed)
 
 
 class TestFaultedStreamsStayExact:
@@ -104,25 +32,16 @@ class TestFaultedStreamsStayExact:
     @given(seed=st.integers(min_value=0, max_value=10**6))
     def test_drop_policy_all_variants(self, seed):
         for variant in VARIANTS:
-            _run_faulted(variant, "drop", seed)
+            check(variant, _faulted(seed, "drop", _harsh(seed)))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
     def test_clamp_policy_all_variants(self, seed):
         for variant in VARIANTS:
-            _run_faulted(variant, "clamp", seed)
+            check(variant, _faulted(seed, "clamp", _harsh(seed)))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
     def test_checkpoint_of_faulted_run_round_trips(self, seed):
-        from repro.core.monitor import CRNNMonitor
-
-        rng = random.Random(seed)
-        batches = _random_batches(rng, timestamps=6)
-        faults = FaultSpec.mild(seed=seed)
-        mon = make_monitor("lu+pi", guard_policy="drop")
-        for batch in FaultInjector(faults).stream(batches):
-            mon.process(batch)
-        restored = CRNNMonitor.from_checkpoint(mon.checkpoint())
-        assert restored.results() == mon.results()
-        restored.validate()
+        stream = _faulted(seed, "drop", FaultSpec.mild(seed=seed), ticks=6)
+        check("lu+pi", stream, single, at=3, then=restored())

@@ -20,7 +20,7 @@ from repro.core.stats import LOGICAL_COUNTERS
 from repro.shard import ChaosSpec, ShardedCRNNMonitor, SupervisionConfig
 from repro.shard.chaos import KILL_POINTS, ChaosAgent
 
-from .test_robustness_fuzz import _random_batches
+from .test_exactness import churn_batches
 from .test_shard_parity import _config
 
 
@@ -47,7 +47,7 @@ def _chaos_run(
     )
     with sharded:
         for t, batch in enumerate(
-            _random_batches(random.Random(seed), timestamps=ticks)
+            churn_batches(random.Random(seed), timestamps=ticks)
         ):
             assert mono.process(batch) == sharded.process(batch), (
                 f"K={shards} kill_points={chaos.kill_points} t={t}"
@@ -173,7 +173,7 @@ def test_chaos_acceptance_rapid_kills_with_degradation_headroom():
         chaos=ChaosSpec(seed=77, kill_every=3),
     )
     with sharded:
-        for batch in _random_batches(random.Random(770), timestamps=200):
+        for batch in churn_batches(random.Random(770), timestamps=200):
             assert mono.process(batch) == sharded.process(batch)
         single = mono.stats.snapshot()
         agg = sharded.aggregated_stats().snapshot()
