@@ -25,6 +25,7 @@ from repro.core.baseline import TPLFURBaseline
 from repro.core.config import MonitorConfig
 from repro.core.monitor import CRNNMonitor
 from repro.mobility.workload import WorkloadSpec
+from repro.robustness.audit import AuditPolicy
 from repro.robustness.faults import FaultSpec
 
 TINY = WorkloadSpec(
@@ -96,13 +97,18 @@ class TestRunMethod:
 
 class TestRunResilience:
     def test_survives_harsh_faults(self):
-        result = run_resilience(
-            METHOD_LU_PI, TINY, FaultSpec.harsh(seed=5), grid_cells=8
-        )
-        assert result.survived
-        assert result.final_results_match and result.final_validate_clean
-        assert result.injected, "harsh schedule must inject something"
-        assert result.unrepaired_mismatches == 0
+        # Every variant under both repairing guard policies, audited after
+        # every batch: no audited timestamp is left unrepaired.
+        for method in (METHOD_UNIFORM, METHOD_LU_ONLY, METHOD_LU_PI):
+            for guard_policy in ("drop", "clamp"):
+                result = run_resilience(
+                    method, TINY, FaultSpec.harsh(seed=5), grid_cells=8,
+                    guard_policy=guard_policy, audit=AuditPolicy(interval=1),
+                )
+                assert result.survived, (method, guard_policy)
+                assert result.final_results_match and result.final_validate_clean
+                assert result.injected, "harsh schedule must inject something"
+                assert result.audits and result.unrepaired_mismatches == 0
 
     def test_tpl_baseline_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ from repro.core.events import ObjectUpdate, QueryUpdate, ResultChange
 from repro.geometry.point import Point
 from repro.robustness.guard import IngestionError
 
-from .conftest import TEST_BOUNDS, make_monitor
+from .conftest import make_monitor
+from .test_exactness import api, check, shape
 
 
 class TestLifecycle:
@@ -103,27 +104,10 @@ class TestEvents:
         assert any(e.qid == 50 and not e.gained and e.oid == 1 for e in delta)
 
     def test_events_replay_to_current_results(self, variant):
-        """Applying the event stream to the old results gives the new ones."""
-        import random
-
-        rng = random.Random(8)
-        mon = make_monitor(variant)
-        for oid in range(30):
-            mon.add_object(oid, Point(rng.uniform(0, 1000), rng.uniform(0, 1000)))
-        for qid in (50, 51, 52):
-            mon.add_query(qid, Point(rng.uniform(0, 1000), rng.uniform(0, 1000)))
-        mon.drain_events()
-        shadow = {qid: set(mon.rnn(qid)) for qid in (50, 51, 52)}
-        for _ in range(120):
-            oid = rng.randrange(30)
-            mon.update_object(oid, Point(rng.uniform(0, 1000), rng.uniform(0, 1000)))
-            for event in mon.drain_events():
-                if event.gained:
-                    shadow[event.qid].add(event.oid)
-                else:
-                    shadow[event.qid].discard(event.oid)
-            for qid in (50, 51, 52):
-                assert frozenset(shadow[qid]) == mon.rnn(qid)
+        """Applying the event stream to the old results gives the new ones:
+        the harness replays the reference's events after every tick, and
+        single-object calls must emit exactly those events."""
+        check(variant, shape("teleports-12"), api)
 
 
 class TestExclusions:

@@ -9,6 +9,8 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.monitors import RangeMonitor
 
+from .test_exactness import replay
+
 BOUNDS = Rect(0.0, 0.0, 1000.0, 1000.0)
 
 
@@ -106,14 +108,9 @@ class TestRandomised:
         for oid in range(30):
             m.add_object(oid, Point(rng.uniform(0, 1000), rng.uniform(0, 1000)))
         m.add_query(10, Rect(200, 200, 700, 700))
-        shadow = set(m.result(10))
+        shadow = {10: set(m.result(10))}
         for _ in range(200):
             m.update_object(
                 rng.randrange(30), Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
             )
-            for event in m.drain_events():
-                if event.gained:
-                    shadow.add(event.oid)
-                else:
-                    shadow.discard(event.oid)
-            assert frozenset(shadow) == m.result(10)
+            assert frozenset(replay(m.drain_events(), shadow)[10]) == m.result(10)

@@ -9,7 +9,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.monitors import RknnMonitor
 
-from .conftest import make_monitor
+from .test_exactness import check, replay, rknn, shape
 
 BOUNDS = Rect(0.0, 0.0, 1000.0, 1000.0)
 
@@ -20,23 +20,7 @@ def _monitor(grid_cells: int = 8) -> RknnMonitor:
 
 class TestBasics:
     def test_k1_matches_crnn_monitor(self):
-        rng = random.Random(1)
-        rk = _monitor(10)
-        crnn = make_monitor("lu+pi", grid_cells=10)
-        for oid in range(40):
-            p = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            rk.add_object(oid, p)
-            crnn.add_object(oid, p)
-        for qid in range(100, 106):
-            p = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            assert rk.add_query(qid, p, k=1) == crnn.add_query(qid, p)
-        for _ in range(120):
-            oid = rng.randrange(40)
-            p = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            rk.update_object(oid, p)
-            crnn.update_object(oid, p)
-            for qid in range(100, 106):
-                assert rk.rknn(qid) == crnn.rnn(qid)
+        check("lu+pi", shape("teleports-10"), rknn)
 
     def test_monotone_in_k(self):
         rng = random.Random(2)
@@ -80,17 +64,12 @@ class TestBasics:
             m.add_object(oid, Point(rng.uniform(0, 1000), rng.uniform(0, 1000)))
         m.add_query(1, Point(500.0, 500.0), k=3)
         m.drain_events()
-        shadow = set(m.rknn(1))
+        shadow = {1: set(m.rknn(1))}
         for _ in range(120):
             m.update_object(
                 rng.randrange(25), Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
             )
-            for event in m.drain_events():
-                if event.gained:
-                    shadow.add(event.oid)
-                else:
-                    shadow.discard(event.oid)
-            assert frozenset(shadow) == m.rknn(1)
+            assert frozenset(replay(m.drain_events(), shadow)[1]) == m.rknn(1)
 
 
 class TestRandomised:
