@@ -1,13 +1,7 @@
-"""Benches for the companion monitors (beyond the paper's figures).
+"""Bench for the reverse k-NN monitor (beyond the paper's figures).
 
-Two narratives worth quantifying:
-
-* **mono vs bichromatic** — Section 3 of the paper argues the
-  monochromatic query is intrinsically harder because it depends on
-  object-object distances; the bichromatic monitor (object-site
-  distances only) should be substantially cheaper on the same stream.
-* **RkNN k-scaling** — the continuous reverse k-NN monitor's cost as k
-  grows (candidate lists and verification circles both scale with k).
+**RkNN k-scaling** — the continuous reverse k-NN monitor's cost as k
+grows (candidate lists and verification circles both scale with k).
 """
 
 import random
@@ -15,9 +9,7 @@ import time
 
 from repro.core.config import DEFAULT_BOUNDS
 from repro.core.events import ObjectUpdate
-from repro.core.monitor import CRNNMonitor
-from repro.core.config import MonitorConfig
-from repro.monitors import BichromaticRnnMonitor, RknnMonitor
+from repro.monitors import RknnMonitor
 from repro.mobility.generator import NetworkGenerator
 from repro.mobility.network import oldenburg_like
 
@@ -44,34 +36,6 @@ def _timed(target, batches) -> float:
     for batch in batches:
         target.process(batch)
     return (time.perf_counter() - start) / len(batches)
-
-
-def test_mono_vs_bichromatic(benchmark):
-    objects, queries, batches = _workload()
-
-    mono = CRNNMonitor(MonitorConfig.lu_pi(grid_cells=64))
-    for oid, pos in objects.positions().items():
-        mono.add_object(oid, pos)
-    for qid, pos in queries.positions().items():
-        mono.add_query(qid, pos)
-
-    bi = BichromaticRnnMonitor(DEFAULT_BOUNDS, grid_cells=64)
-    for oid, pos in objects.positions().items():
-        bi.add_object(oid, pos)
-    for qid, pos in queries.positions().items():
-        bi.add_site(qid, pos)
-
-    mono_t = _timed(mono, batches)
-    bi_t = _timed(bi, batches)
-    print(
-        f"\nmono vs bichromatic (s/timestamp): monochromatic {mono_t:.5f}, "
-        f"bichromatic {bi_t:.5f} ({mono_t / bi_t:.1f}x harder)"
-    )
-
-    import itertools
-
-    cycler = itertools.cycle(batches)
-    benchmark(lambda: bi.process(next(cycler)))
 
 
 def test_rknn_k_scaling(benchmark):

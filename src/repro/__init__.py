@@ -31,10 +31,7 @@ from repro.core.stats import StatCounters
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.mobility.trace import Trace
-from repro.monitors.bichromatic import BichromaticRnnMonitor
 from repro.obs import ConsoleSummary, Observability, ObsConfig, ObsHTTPServer
-from repro.monitors.knn_monitor import KnnMonitor
-from repro.monitors.range_monitor import RangeMonitor
 from repro.monitors.rknn_monitor import RknnMonitor
 from repro.robustness.audit import AuditPolicy, AuditReport, InvariantAuditor
 from repro.robustness.checkpoint import CheckpointError
@@ -49,9 +46,6 @@ __all__ = [
     "TPLFURBaseline",
     "BruteForceMonitor",
     "brute_force_rnn",
-    "RangeMonitor",
-    "KnnMonitor",
-    "BichromaticRnnMonitor",
     "RknnMonitor",
     "Trace",
     "ObjectUpdate",

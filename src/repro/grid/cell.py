@@ -27,7 +27,6 @@ class Cell:
         "objects",
         "pie_queries",
         "circ_queries",
-        "watchers",
         "flat",
         "pie_flag_hook",
     )
@@ -39,9 +38,6 @@ class Cell:
         self.objects: set[int] = set()
         self.pie_queries: dict[int, int] = {}
         self.circ_queries: set[tuple[int, int]] = set()
-        #: Generic query book-keeping used by the non-RNN continuous
-        #: monitors (range and CNN): query ids watching this cell.
-        self.watchers: set[int] = set()
         #: Row-major flat index in the owning grid, and the grid's
         #: callback fired when ``pie_queries`` flips between empty and
         #: non-empty.  Both stay ``None`` for cells built standalone

@@ -385,22 +385,6 @@ class GridIndex:
     # ------------------------------------------------------------------
     # Geometric cell enumerations
     # ------------------------------------------------------------------
-    def cell_range_for_rect(self, rect: Rect) -> tuple[int, int, int, int]:
-        """Inclusive grid-coordinate range of cells overlapping ``rect``."""
-        cx0, cy0 = self.cell_coords(Point(rect.xmin, rect.ymin))
-        cx1, cy1 = self.cell_coords(Point(rect.xmax, rect.ymax))
-        return cx0, cy0, cx1, cy1
-
-    def cells_in_rect(self, rect: Rect) -> Iterator[Cell]:
-        """Cells whose extent intersects ``rect``."""
-        if self._cell_objects_stale:
-            self._sync_cell_objects()
-        cx0, cy0, cx1, cy1 = self.cell_range_for_rect(rect)
-        for cy in range(cy0, cy1 + 1):
-            base = cy * self.n
-            for cx in range(cx0, cx1 + 1):
-                yield self._materialize(base + cx)
-
     # -- pie-region enumeration ----------------------------------------
     def cells_intersecting_pie(self, q: Point, sector: int, radius: float) -> Iterator[Cell]:
         """Cells intersecting the pie of ``sector`` around ``q``.

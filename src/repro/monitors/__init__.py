@@ -1,17 +1,10 @@
-"""Companion continuous monitors beyond the paper's CRNN query.
+"""The continuous reverse *k*-NN monitor.
 
-* :class:`RangeMonitor` — continuous range queries (the SINA setting);
-* :class:`KnnMonitor` — continuous k-NN queries (the CPM setting the
-  paper borrows its space partitioning from);
-* :class:`BichromaticRnnMonitor` — continuous *bichromatic* RNN
-  monitoring (the companion of the paper's monochromatic query);
 * :class:`RknnMonitor` — continuous reverse *k*-NN monitoring (the
-  paper's k-generalisation via the 6k-candidate sector lemma).
+  paper's k-generalisation via the 6k-candidate sector lemma), checked
+  against :func:`repro.core.oracle.brute_force_rknn` by ``validate()``.
 """
 
-from repro.monitors.bichromatic import BichromaticRnnMonitor
-from repro.monitors.knn_monitor import KnnMonitor
-from repro.monitors.range_monitor import RangeMonitor
 from repro.monitors.rknn_monitor import RknnMonitor
 
-__all__ = ["RangeMonitor", "KnnMonitor", "BichromaticRnnMonitor", "RknnMonitor"]
+__all__ = ["RknnMonitor"]

@@ -27,7 +27,7 @@ from typing import Iterable, Optional
 from repro.core.stats import StatCounters
 from repro.geometry.point import Point, dist
 from repro.rtree.furtree import FURTree
-from repro.rtree.node import LeafEntry, Node
+from repro.rtree.node import LeafEntry
 
 
 class RdnnIndex:
@@ -59,7 +59,7 @@ class RdnnIndex:
             raise KeyError(f"object {oid} already present; use move()")
         # The newcomer may become the new NN of existing objects: all
         # objects whose (closed) NN-circle contains the new position.
-        for other in self._closed_containment(pos):
+        for other in self.tree.containment_search(pos, closed=True):
             d = dist(pos, other.pos)
             if d < self.dnn[other.oid]:
                 self._set_dnn(other.oid, d)
@@ -75,7 +75,7 @@ class RdnnIndex:
         self.tree.delete_by_id(oid)
         # Anyone whose NN-circle touched the departed object may have
         # lost its NN: recompute their dnn exactly.
-        for other in self._closed_containment(pos):
+        for other in self.tree.containment_search(pos, closed=True):
             fresh = self._nn_dist(other.pos, exclude={other.oid})
             if fresh != self.dnn[other.oid]:
                 self._set_dnn(other.oid, fresh)
@@ -87,11 +87,11 @@ class RdnnIndex:
             return
         self.positions[oid] = new_pos
         affected: set[int] = set()
-        for other in self._closed_containment(old_pos):
+        for other in self.tree.containment_search(old_pos, closed=True):
             if other.oid != oid:
                 affected.add(other.oid)
         self.tree.update(oid, new_pos)
-        for other in self._closed_containment(new_pos):
+        for other in self.tree.containment_search(new_pos, closed=True):
             if other.oid != oid:
                 affected.add(other.oid)
         for other_id in affected:
@@ -108,7 +108,7 @@ class RdnnIndex:
         excluded = frozenset(exclude)
         return {
             e.oid
-            for e in self._closed_containment(q)
+            for e in self.tree.containment_search(q, closed=True)
             if e.oid not in excluded
         }
 
@@ -119,27 +119,6 @@ class RdnnIndex:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _closed_containment(self, p: Point) -> list[LeafEntry]:
-        """Entries whose *closed* NN-circle contains ``p``.
-
-        The FUR-tree's containment search is strict (open circles, the
-        CRNN semantics); RNN-by-precomputation needs the closed variant,
-        so this walks the tree with ``<=`` bounds.
-        """
-        self.stats.containment_queries += 1
-        out: list[LeafEntry] = []
-        stack: list[Node] = [self.tree.root]
-        while stack:
-            node = stack.pop()
-            self.stats.fur_node_accesses += 1
-            if node.mbr is None or node.mbr.mindist(p) > node.max_radius:
-                continue
-            if node.is_leaf:
-                out.extend(e for e in node.entries if dist(p, e.pos) <= e.radius)
-            else:
-                stack.extend(node.children)
-        return out
-
     def _nn_dist(self, p: Point, exclude: set[int]) -> float:
         found = self.tree.nn_search(p, k=1, exclude=exclude)
         return found[0][0] if found else math.inf

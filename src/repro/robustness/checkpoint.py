@@ -219,8 +219,9 @@ def snapshot_exact(monitor: "CRNNMonitor") -> dict[str, Any]:
     """A checkpoint that a restore can continue *bit-identically* from.
 
     Base snapshot plus the history-dependent extras (module docstring):
-    the full circ record map, the per-query pie registration radii, and
-    the full counter state.  The recorded counters include this call's
+    the full circ record map, the per-query pie registration radii, the
+    materialized cell set, whether the grid's CSR is fresh, and the full
+    counter state.  The recorded counters include this call's
     own ``checkpoints_saved`` increment, so a restored monitor's
     counters equal those of a monitor that took the checkpoint and kept
     running.  Requires a FUR-store variant (the sharded engines always
@@ -243,6 +244,7 @@ def snapshot_exact(monitor: "CRNNMonitor") -> dict[str, Any]:
             for st in sorted(monitor.qt, key=lambda s: s.qid)
         ],
         "cells": sorted(monitor.grid._cells),
+        "csr_fresh": monitor.grid.csr_fresh,
     }
     return snap
 
@@ -257,8 +259,9 @@ def restore_exact(snap: dict[str, Any], verify: bool = True) -> "CRNNMonitor":
     record are history-dependent under lazy-update, so the rebuilt
     records cannot be patched in place — re-points the query table's
     candidates at them, re-registers the pie cells at the recorded
-    hysteretic radii, and resynchronises the derived indexes: NN-Hash,
-    the per-candidate index, and the circle table.
+    hysteretic radii, resynchronises the derived indexes: NN-Hash,
+    the per-candidate index, and the circle table, and brings the
+    materialized cells and the CSR's freshness to the recorded ones.
     No events are emitted: the recorded records must reproduce exactly
     the already-verified RNN results (RNN status is a pure function of
     the ground truth), and any divergence means corruption.  Counters
@@ -346,12 +349,18 @@ def restore_exact(snap: dict[str, Any], verify: bool = True) -> "CRNNMonitor":
         grid._materialize(flat)
     for flat in sorted(set(grid._cells) - want):
         cell = grid._cells[flat]
-        if cell.objects or cell.pie_queries or cell.circ_queries or cell.watchers:
+        if cell.objects or cell.pie_queries or cell.circ_queries:
             raise CheckpointError(
                 f"rebuilt cell {flat} carries state but is absent from the "
                 f"checkpoint — corrupt exact section"
             )
         del grid._cells[flat]
+    # The replay's single inserts leave the CSR stale; the original's
+    # freshness decides whether its next single-object op runs the
+    # vectorized kernels or the scalar twins, which shows in the
+    # physical counters.  Rebuild it before they are overwritten.
+    if exact.get("csr_fresh", False):
+        grid.ensure_csr()
     recorded = {
         int(qid): frozenset(int(o) for o in oids) for qid, oids in snap["results"]
     }

@@ -19,8 +19,8 @@ FUR-tree (Section 5.2); candidates being constrained NNs of their
 queries, their updates are highly local, which is exactly the workload
 this structure is built for.  This library's monitor keeps those
 circles in a persistent array table instead (DESIGN §2
-"Substitutions"); the FUR-tree indexes the TPL-FUR baseline's objects,
-the Rdnn-tree and the bichromatic monitor's assignment circles.
+"Substitutions"); the FUR-tree indexes the TPL-FUR baseline's objects
+and the Rdnn-tree.
 """
 
 from __future__ import annotations

@@ -323,8 +323,8 @@ class RTree:
         With ``closed=False`` (the default) circles are open — the
         circ-region containment query of ``updateCirc`` Step 2: find
         every candidate whose circ-region the point has strictly
-        entered.  ``closed=True`` includes perimeter hits (used by the
-        Rdnn-tree and tie detection in the bichromatic monitor).
+        entered.  ``closed=True`` includes perimeter hits (the Rdnn-tree's
+        NN-circles).
         Pruned by the per-node max radius aggregate.
         """
         self.stats.containment_queries += 1

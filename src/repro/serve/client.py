@@ -177,6 +177,10 @@ class ServeClient:
             self._sock.connect((host, port))
         else:
             self._sock = socket.create_connection((host, port), timeout=timeout)
+        # Nagle off: every request is one small frame the client then
+        # waits on, and with Nagle a send-then-tick pair waits out the
+        # server's delayed ACK (~40 ms a round trip on loopback).
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock.settimeout(timeout)
         self.hello: proto.HelloAck = self._request(
             Hello(client=client_name, seq=self.session.next_seq())

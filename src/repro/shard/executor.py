@@ -343,6 +343,11 @@ def _worker_main(
                     agent.arm()
             elif op == "checkpoint":
                 payload = engine_snapshot(engine)
+                if wobs is not None:
+                    # The snapshot counts itself (``checkpoints_saved``);
+                    # its increment rides this reply, not the next one
+                    # a kill may lose while the restore keeps it.
+                    delta = wobs.delta(engine.inner.stats)
             else:
                 raise ValueError(f"unhandled lifecycle op {op!r}")
             if action is not None and action.kill_point == "pre_reply":

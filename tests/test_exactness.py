@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-import socket
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -811,15 +810,6 @@ def _kill_worker(sharded: ShardedCRNNMonitor) -> None:
     assert not proc.is_alive()
 
 
-def _nodelay_client(host: str, port: int) -> ServeClient:
-    """A client with Nagle's algorithm off, as ``bench/wire.py`` sets it:
-    ``ServeClient`` leaves it on, and every send-then-tick round trip then
-    waits out the server's delayed ACK (~40 ms a tick on loopback)."""
-    client = ServeClient(host, port)
-    client._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return client
-
-
 class Wire:
     """The stream through a live TCP server: one producer client
     subscribed to every query and, with ``watch`` set, a second client
@@ -831,11 +821,11 @@ class Wire:
     def __init__(self, config: MonitorConfig, backend: str, shards: int, watch=None):
         self.thread = ServerThread(ServeConfig(monitor=config, backend=backend, shards=shards))
         address = self.thread.start()
-        self.client = _nodelay_client(*address)
+        self.client = ServeClient(*address)
         self.client.subscribe(None)
         self.watcher = self.watch = None
         if watch is not None:
-            self.watch, self.watcher = watch, _nodelay_client(*address)
+            self.watch, self.watcher = watch, ServeClient(*address)
             self.watcher.subscribe(watch)
         self.fed: dict[int, list] = {}
 

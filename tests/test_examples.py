@@ -25,7 +25,6 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
         ("botfighters.py", (), "final threat list"),
         ("battlefield.py", (), "speedup"),
         ("compare_variants.py", ("400", "40"), "LU+PI"),
-        ("delivery_dispatch.py", (), "event volumes"),
         ("serve_quickstart.py", (), "RNNs over the wire"),
     ],
 )
@@ -33,14 +32,6 @@ def test_example_runs(script, args, expect):
     result = _run(script, *args)
     assert result.returncode == 0, result.stderr
     assert expect in result.stdout
-
-
-def test_predictive_planning_example(tmp_path):
-    out = tmp_path / "t0.svg"
-    result = _run("predictive_planning.py", str(out))
-    assert result.returncode == 0, result.stderr
-    assert "RNN-over-time" in result.stdout
-    assert out.read_text().startswith("<svg")
 
 
 def test_examples_directory_is_covered():
@@ -51,8 +42,6 @@ def test_examples_directory_is_covered():
         "botfighters.py",
         "battlefield.py",
         "compare_variants.py",
-        "delivery_dispatch.py",
-        "predictive_planning.py",
         "serve_quickstart.py",
     }
     assert scripts == covered, f"untested examples: {scripts - covered}"

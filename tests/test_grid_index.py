@@ -78,17 +78,6 @@ class TestObjectMaintenance:
         assert 5 in new_cell.objects
 
 
-class TestCellsInRect:
-    def test_full_cover(self):
-        g = GridIndex(BOUNDS, 4)
-        assert len(list(g.cells_in_rect(BOUNDS))) == 16
-
-    def test_single_cell(self):
-        g = GridIndex(BOUNDS, 4)
-        cells = list(g.cells_in_rect(Rect(10, 10, 20, 20)))
-        assert len(cells) == 1 and cells[0].cx == 0 and cells[0].cy == 0
-
-
 radii = st.one_of(
     st.floats(min_value=0.0, max_value=1500.0, allow_nan=False),
     st.just(math.inf),

@@ -19,7 +19,7 @@ import sys
 import pytest
 
 from repro.core.config import MonitorConfig
-from repro.core.events import ObjectUpdate
+from repro.core.events import ObjectUpdate, QueryUpdate
 from repro.geometry.point import Point
 from repro.obs.config import ObsConfig
 from repro.obs.dist import (
@@ -45,23 +45,30 @@ def _obs_monitor(shards=2, executor="process", sample_rate=1.0, **kwargs):
     return ShardedCRNNMonitor(cfg, shards=shards, executor=executor, **kwargs)
 
 
-def _workload(monitor, seed=5, n=60, ticks=6, per_tick=15, queries=6):
+def _workload(
+    monitor, seed=5, n=60, ticks=6, per_tick=15, queries=6, bound=BOUNDS, batched=False
+):
+    """``n`` objects and ``queries`` queries in ``[0, bound]^2``, loaded by
+    single calls or, with ``batched``, as one ``process()`` batch; then
+    ``ticks`` batches of ``per_tick`` object moves."""
     rng = random.Random(seed)
-    for oid in range(n):
-        monitor.add_object(oid, Point(rng.uniform(0, BOUNDS), rng.uniform(0, BOUNDS)))
-    for qid in range(1000, 1000 + queries):
-        monitor.add_query(qid, Point(rng.uniform(0, BOUNDS), rng.uniform(0, BOUNDS)))
+
+    def point() -> Point:
+        return Point(rng.uniform(0, bound), rng.uniform(0, bound))
+
+    load = [ObjectUpdate(oid, point()) for oid in range(n)]
+    load += [QueryUpdate(qid, point()) for qid in range(1000, 1000 + queries)]
+    if batched:
+        monitor.process(load)
+    else:
+        for u in load:
+            if isinstance(u, ObjectUpdate):
+                monitor.add_object(u.oid, u.pos)
+            else:
+                monitor.add_query(u.qid, u.pos)
     monitor.drain_events()
     for _ in range(ticks):
-        monitor.process(
-            [
-                ObjectUpdate(
-                    rng.randrange(n),
-                    Point(rng.uniform(0, BOUNDS), rng.uniform(0, BOUNDS)),
-                )
-                for _ in range(per_tick)
-            ]
-        )
+        monitor.process([ObjectUpdate(rng.randrange(n), point()) for _ in range(per_tick)])
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +228,25 @@ class TestWorkerMetricMerge:
             chaos=ChaosSpec(seed=13, kill_every=5, kill_points=("mid_tick", "pre_reply", "post_reply")),
         ) as monitor:
             _workload(monitor, n=100, ticks=10, per_tick=20)
+            assert monitor.supervision_report()["restarts_total"] > 0
+            assert monitor.verify_worker_metric_parity()
+
+    @pytest.mark.parametrize(
+        "batched, bound",
+        [(True, BOUNDS), (False, 1_000.0), (True, 1_000.0)],
+        ids=["batched-load", "bounds-1000", "batched-load-bounds-1000"],
+    )
+    def test_parity_survives_chaos_recovery_on_other_feeds(self, batched, bound):
+        # A batched load leaves the CSR fresh, so the restored worker
+        # must rebuild it (or its replay runs the scalar twins); on the
+        # smaller space a kill lands right after a checkpoint, whose
+        # own ``checkpoints_saved`` increment must ride its reply.
+        with _obs_monitor(
+            shards=2,
+            supervision=SupervisionConfig(checkpoint_interval=4),
+            chaos=ChaosSpec(seed=13, kill_every=5, kill_points=("mid_tick", "pre_reply", "post_reply")),
+        ) as monitor:
+            _workload(monitor, n=100, ticks=10, per_tick=20, bound=bound, batched=batched)
             assert monitor.supervision_report()["restarts_total"] > 0
             assert monitor.verify_worker_metric_parity()
 

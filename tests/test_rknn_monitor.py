@@ -9,7 +9,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.monitors import RknnMonitor
 
-from .test_exactness import check, replay, rknn, shape
+from .test_exactness import check, lattice_batches, replay, rknn, shape
 
 BOUNDS = Rect(0.0, 0.0, 1000.0, 1000.0)
 
@@ -136,4 +136,26 @@ class TestRandomised:
         for _ in range(30):
             oid = rng.randrange(12)
             m.update_object(oid, Point(rng.uniform(0, 1000), rng.uniform(0, 1000)))
+            m.validate()
+
+
+class TestDegenerateLattice:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lattice_stream_matches_brute_force(self, seed, k):
+        """The harness's knife-edge lattice (coincident objects, exact
+        distance ties, objects on sector-boundary rays) at k > 1: every
+        new query registers with ``k``, and ``validate()`` checks every
+        tick against ``brute_force_rknn``."""
+        m = _monitor()
+        for batch in lattice_batches(random.Random(seed)):
+            for update in batch:
+                if (
+                    isinstance(update, QueryUpdate)
+                    and update.pos is not None
+                    and update.qid not in m._queries
+                ):
+                    m.add_query(update.qid, update.pos, k=k)
+                else:
+                    m.process([update])
             m.validate()

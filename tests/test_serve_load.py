@@ -23,6 +23,8 @@ whatever the platform's TCP buffers feel like today.
 
 from __future__ import annotations
 
+import socket
+import statistics
 import threading
 import time
 
@@ -361,6 +363,28 @@ def test_drain_shutdown_writes_a_restorable_checkpoint(tmp_path):
         thread.stop()
     restored = restore(from_json(path.read_text(encoding="utf-8")))
     assert {qid: tuple(sorted(restored.rnn(qid))) for qid in wire} == wire
+
+
+def test_client_turns_nagle_off():
+    """Both connect paths set ``TCP_NODELAY``, so a send-then-tick round
+    trip does not wait out the server's delayed ACK (~40 ms on loopback
+    with Nagle on, well under a millisecond with it off)."""
+    thread = ServerThread(ServeConfig(monitor=MonitorConfig.lu_pi(grid_cells=8)))
+    host, port = thread.start()
+    try:
+        with ServeClient(host, port, so_rcvbuf=65536) as small:
+            assert small._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        with ServeClient(host, port) as client:
+            assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            trips = []
+            for oid in range(30):
+                start = time.perf_counter()
+                client.add_object(oid, 10.0 + oid, 20.0 + oid)
+                client.tick()
+                trips.append(time.perf_counter() - start)
+    finally:
+        thread.stop()
+    assert statistics.median(trips) < 0.010, trips
 
 
 # ----------------------------------------------------------------------

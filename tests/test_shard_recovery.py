@@ -48,7 +48,15 @@ from repro.shard.journal import TickJournal, engine_snapshot, rehydrate_engine
 from repro.shard.plan import StripePlan
 
 from .conftest import TEST_BOUNDS
-from .test_exactness import check, churn_batches, golden, restored_exactly, sharded, single
+from .test_exactness import (
+    check,
+    churn_batches,
+    golden,
+    load_batch,
+    restored_exactly,
+    sharded,
+    single,
+)
 from .test_shard_parity import _config
 
 
@@ -99,6 +107,20 @@ class TestExactCheckpoint:
 
         check("lu+pi", stream, single, at=6, then=then, probe=same_counters)
         assert originals
+
+    def test_restore_exact_keeps_the_csr_fresh_for_a_single_call(self):
+        # A batch leaves the CSR fresh, so the original's next
+        # single-object op runs the vector kernels; the restored twin
+        # must run them too, or the physical counters part ways.
+        monitor = CRNNMonitor(_config())
+        monitor.process(load_batch(random.Random(3), 300, 5))
+        monitor.drain_events()
+        twin = restore_exact(snapshot_exact(monitor))
+        assert twin.grid.csr_fresh == monitor.grid.csr_fresh
+        for m in (monitor, twin):
+            m.add_query(20_000, Point(512.5, 487.5))
+        assert twin.drain_events() == monitor.drain_events()
+        assert twin.stats.snapshot() == monitor.stats.snapshot()
 
     def test_plain_restore_is_not_exact(self):
         # Contrast pin: the canonical rebuild's certificates are fresh,

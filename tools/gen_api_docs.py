@@ -40,7 +40,6 @@ PACKAGES = (
     "repro.serve",
     "repro.rnn",
     "repro.monitors",
-    "repro.predictive",
     "repro.mobility",
     "repro.bench",
 )
