@@ -183,10 +183,8 @@ class CircStoreBase:
         if old_rnn == new_rnn:
             return
         if old_rnn is not None:
-            self.stats.result_changes += 1
             self.emit(ResultChange(qid, old_rnn, gained=False))
         if new_rnn is not None:
-            self.stats.result_changes += 1
             self.emit(ResultChange(qid, new_rnn, gained=True))
 
     # -- subclass hooks ----------------------------------------------------

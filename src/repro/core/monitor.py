@@ -224,7 +224,16 @@ class CRNNMonitor:
         if health is not None:
             health.record_result_change(change.qid, change.gained)
         if self._log_events:
-            self._events.append(change)
+            self._emit(change)
+
+    def _emit(self, change: ResultChange) -> None:
+        """Append one result delta to the event log.
+
+        ``result_changes`` counts here, so the counter equals the number
+        of events :meth:`drain_events` hands out.
+        """
+        self.stats.result_changes += 1
+        self._events.append(change)
 
     def rnn(self, qid: int) -> frozenset[int]:
         """The current exact RNN set of query ``qid``."""
@@ -385,9 +394,9 @@ class CRNNMonitor:
             self._log_events = True
         after = frozenset(self._results.get(qid, ()))
         for oid in sorted(before - after):
-            self._events.append(ResultChange(qid, oid, gained=False))
+            self._emit(ResultChange(qid, oid, gained=False))
         for oid in sorted(after - before):
-            self._events.append(ResultChange(qid, oid, gained=True))
+            self._emit(ResultChange(qid, oid, gained=True))
 
     # ------------------------------------------------------------------
     # Batched processing

@@ -456,6 +456,10 @@ class ShardedCRNNMonitor:
                 (tag, ResultChange(qid, oid, gained=True))
                 for oid in sorted(after - before)
             )
+            # The silent remove + add counted nothing on either shard:
+            # ``result_changes`` counts emitted events, and these are the
+            # migration's only ones.
+            self.stats.result_changes += len(tagged)
             self._merge(tagged)
 
     # ------------------------------------------------------------------
