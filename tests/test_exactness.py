@@ -125,8 +125,13 @@ PINNED_COUNTERS = {
 #: 32-cell grid, ~160 searches a tick.  "lattice-<seed>" are the
 #: degenerate-geometry streams of :func:`lattice`, recorded when that
 #: generator was added, on an unchanged monitor: they pin which of two
-#: exactly tied objects becomes a sector's candidate.  A change here is a
-#: behaviour change of the pie phase; re-record only with that explained.
+#: exactly tied objects becomes a sector's candidate.  "query-burst" is
+#: the :data:`_SHAPES` stream of that name, recorded at 6c51b25, before
+#: the query phase was batched and a moving query patched in place: it
+#: pins the per-update query loop that replaced it (the same events in
+#: the same order, the same certificates and pies).  A change here is a
+#: behaviour change of the pie or query phase; re-record only with that
+#: explained.
 PINNED_STREAM_DIGESTS = {
     ("uniform", "golden-11"): "bae10ca5e6754c071cde571b72639a31fe374d40d8d118ce7371ad68826f16ca",
     ("uniform", "golden-29"): "6c06956c59c13c7a66a670f65b2e3f4840733b082b5537f8533139f70a92886d",
@@ -152,6 +157,9 @@ PINNED_STREAM_DIGESTS = {
     ("lu+pi", "lattice-1"): "628ce5d0b4057ea55cd2665cf7b4738a6a0e5c282601a4c293ed7dde1e2cbb11",
     ("lu+pi", "lattice-2"): "cf112c56b7589989a96058d3328c0a91393dbb4d155d3cdfdb490db484217ed2",
     ("lu+pi", "lattice-3"): "46a19dc36522f4a0912c53c782ee8fafd4fafe1d8c2fe5e8ecc8ed84dff08278",
+    ("uniform", "query-burst"): "740dd346bab15c1fab458923ed5a5620108d009323603f3d95668c6d1b934460",
+    ("lu-only", "query-burst"): "6538a58b310c4511040a71374c7d83c9d2c4f2932367b07dde18b4c92a3ab3ee",
+    ("lu+pi", "query-burst"): "f1caa5976c71c801ff9fafd0aa5a7f86d014cc68ac0b6e74bc42eceab590445a",
 }
 
 
@@ -449,25 +457,73 @@ def _churn(rng: random.Random, oids: list, size: int) -> list:
     return batch
 
 
-#: name -> (seed, grid cells, objects, queries, point, ticks, tick(rng, oids, pos)).
-#: ``oids`` is the live id list and ``pos`` the live positions; a tick
+def _query_burst(rng: random.Random, oids: list, queries: list) -> list:
+    """One tick of a query-update burst over the live ``queries``.
+
+    A quarter of the ticks carry one query add, move or delete (the
+    single-object API's path); the rest carry two to five query patterns,
+    with object moves before and after them on every other tick.  The
+    patterns revisit an id within the tick: moved twice, moved then
+    deleted, deleted then re-added (and moved again, a location update
+    of the id the tick just re-registered), added then moved, or one
+    plain move.  New ids count up from ``20_000``.
+    """
+    live = list(queries)
+    fresh = max([19_999] + live) + 1
+    if rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.3 or len(live) < 3:
+            return [QueryUpdate(fresh, random_point(rng))]
+        qid = rng.choice(live)
+        return [QueryUpdate(qid, None if r < 0.5 else random_point(rng))]
+    moves = [ObjectUpdate(rng.choice(oids), random_point(rng))
+             for _ in range(rng.randint(2, 8) if rng.random() < 0.5 else 0)]
+    cut = rng.randrange(len(moves) + 1)
+    batch = moves[:cut]
+    for _ in range(rng.randint(2, 5)):
+        r = rng.random()
+        if r < 0.2 and len(live) > 3:
+            qid = live.pop(rng.randrange(len(live)))
+            batch += [QueryUpdate(qid, random_point(rng)), QueryUpdate(qid, None)]
+        elif r < 0.4 and live:
+            qid = rng.choice(live)
+            batch += [QueryUpdate(qid, random_point(rng)), QueryUpdate(qid, random_point(rng))]
+        elif r < 0.6 and live:
+            qid = rng.choice(live)
+            batch += [QueryUpdate(qid, None), QueryUpdate(qid, random_point(rng))]
+            if rng.random() < 0.5:
+                batch.append(QueryUpdate(qid, random_point(rng)))
+        elif r < 0.8:
+            batch += [QueryUpdate(fresh, random_point(rng)), QueryUpdate(fresh, random_point(rng))]
+            live.append(fresh)
+            fresh += 1
+        elif live:
+            batch.append(QueryUpdate(rng.choice(live), random_point(rng)))
+    return batch + moves[cut:]
+
+
+#: name -> (seed, grid cells, objects, queries, point, ticks,
+#: tick(rng, oids, pos, queries)).  ``oids`` is the live object id list,
+#: ``pos`` the live positions and ``queries`` the live query ids; a tick
 #: returns its batch.  Most shapes are one update per tick.
 _SHAPES = {
-    "jitter": (7, 20, 60, 10, random_point, 250, lambda rng, oids, pos: [
+    "jitter": (7, 20, 60, 10, random_point, 250, lambda rng, oids, pos, queries: [
         ObjectUpdate(oid, Point(_clamped(pos[oid].x + rng.gauss(0, 25)),
                                 _clamped(pos[oid].y + rng.gauss(0, 25))))
         for oid in [rng.randrange(60)]]),
-    "clusters": (55, 16, 70, 8, _clustered, 200, lambda rng, oids, pos: [
+    "clusters": (55, 16, 70, 8, _clustered, 200, lambda rng, oids, pos, queries: [
         ObjectUpdate(rng.randrange(70), _clustered(rng))]),
-    "churn": (77, 10, 30, 8, random_point, 200, lambda rng, oids, pos: _churn(rng, oids, 1)),
-    "query-churn": (91, 12, 40, 6, random_point, 120, lambda rng, oids, pos: [
+    "churn": (77, 10, 30, 8, random_point, 200, lambda rng, oids, pos, queries: _churn(rng, oids, 1)),
+    "query-churn": (91, 12, 40, 6, random_point, 120, lambda rng, oids, pos, queries: [
         QueryUpdate(10_000 + rng.randrange(6), random_point(rng)) if rng.random() < 0.5
         else ObjectUpdate(rng.randrange(40), random_point(rng))]),
     "mixed": (2024, 14, 60, 10, random_point, 60,
-              lambda rng, oids, pos: _churn(rng, oids, rng.randrange(1, 16))),
-    "repeated": (5, 8, 20, 5, random_point, 40, lambda rng, oids, pos: [
+              lambda rng, oids, pos, queries: _churn(rng, oids, rng.randrange(1, 16))),
+    "query-burst": (42, 12, 60, 8, random_point, 80, lambda rng, oids, pos, queries:
+                    _query_burst(rng, oids, queries)),
+    "repeated": (5, 8, 20, 5, random_point, 40, lambda rng, oids, pos, queries: [
         ObjectUpdate(oid, random_point(rng)) for oid in [rng.randrange(20)] * 3]),
-    "reinsert": (6, 8, 15, 5, random_point, 30, lambda rng, oids, pos: [
+    "reinsert": (6, 8, 15, 5, random_point, 30, lambda rng, oids, pos, queries: [
         ObjectUpdate(oid, p) for oid in [rng.randrange(15)] for p in (None, random_point(rng))]),
 }
 
@@ -494,21 +550,24 @@ def shape_batches(name: str) -> list[list]:
         cells = int(name.removeprefix("teleports-"))
         seed, n, q, point, ticks = 100 + cells, 50, 8, random_point, 150
 
-        def tick(rng, oids, pos):
+        def tick(rng, oids, pos, queries):
             return [ObjectUpdate(rng.randrange(50), random_point(rng))]
     else:
         seed, cells, n, q, point, ticks, tick = _SHAPES[name]
     rng = random.Random(seed)
     batches = [load_batch(rng, n, q, point)]
     pos = {u.oid: u.pos for u in batches[0] if isinstance(u, ObjectUpdate)}
+    queries = {u.qid for u in batches[0] if isinstance(u, QueryUpdate)}
     for _ in range(ticks):
-        batch = tick(rng, sorted(pos), pos)
+        batch = tick(rng, sorted(pos), pos, sorted(queries))
         for u in batch:
             if isinstance(u, ObjectUpdate):
                 if u.pos is None:
                     del pos[u.oid]
                 else:
                     pos[u.oid] = u.pos
+            else:
+                (queries.discard if u.pos is None else queries.add)(u.qid)
         batches.append(batch)
     return batches
 
@@ -1081,6 +1140,11 @@ _IN_PROCESS = [(variant, name) for variant in VARIANTS
 @pytest.mark.parametrize("variant, name", _IN_PROCESS)
 def test_degenerate_lattice(variant, name, seed):
     check(variant, lattice(seed), SUBJECTS[name])
+
+
+@pytest.mark.parametrize("variant, name", _IN_PROCESS)
+def test_query_burst(variant, name):
+    check(variant, shape("query-burst"), SUBJECTS[name])
 
 
 @pytest.mark.parametrize("name", ("rknn", "tpl-fur", "unbatched"))

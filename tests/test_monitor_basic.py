@@ -1,8 +1,11 @@
 """API-level behaviour tests for CRNNMonitor (all variants)."""
 
+import random
+
 import pytest
 
 from repro.core.config import MonitorConfig
+from repro.core.oracle import BruteForceMonitor
 from repro.core.events import ObjectUpdate, QueryUpdate, ResultChange
 from repro.geometry.point import Point
 from repro.robustness.guard import IngestionError
@@ -165,11 +168,48 @@ class TestQueryBatchSemantics:
         assert mon.rnn(61) == frozenset({1, 2})
         mon.validate()
 
+    def test_burst_keeps_exclude_until_the_id_is_re_added(self, variant):
+        """A query registered with an exclude set keeps it through every
+        move of one batch; deleted and re-added within a batch, it comes
+        back with none.  Each burst is checked against a twin fed the
+        same updates one call at a time, and against the oracle."""
+        rng = random.Random(9)
+        batched, single, oracle = make_monitor(variant), make_monitor(variant), BruteForceMonitor()
+        feeds = (batched, single, oracle)
+        for oid in range(40):
+            p = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
+            for m in feeds:
+                m.add_object(oid, p)
+        near = batched.grid.positions[0]
+        for m in feeds:
+            m.add_query(70, Point(near.x + 0.5, near.y + 0.5), exclude={0, 1})
+            m.add_query(71, Point(500.5, 500.5))
+
+        def burst(updates):
+            batched.process(updates)
+            for u in updates:
+                if u.pos is None:
+                    single.remove_query(u.qid)
+                else:
+                    single.update_query(u.qid, u.pos)
+            oracle.process(updates)
+            assert batched.drain_events() == single.drain_events()
+            assert batched.results() == single.results() == oracle.results()
+            batched.validate()
+
+        def somewhere():
+            return Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
+
+        burst([QueryUpdate(70, somewhere()), QueryUpdate(71, somewhere()),
+               QueryUpdate(70, Point(near.x - 0.5, near.y))])
+        assert batched.qt.get(70).exclude == frozenset({0, 1})
+        burst([QueryUpdate(70, None), QueryUpdate(70, somewhere()),
+               QueryUpdate(70, Point(near.x, near.y + 0.5))])
+        assert batched.qt.get(70).exclude == frozenset()
+
 
 class TestRebuild:
     def test_rebuild_preserves_results(self, variant):
-        import random
-
         rng = random.Random(4)
         mon = make_monitor(variant)
         for oid in range(30):
