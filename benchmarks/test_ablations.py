@@ -52,7 +52,7 @@ def test_ablation_init_strategy(benchmark):
     queries = [Point(rng.uniform(0, 10_000), rng.uniform(0, 10_000)) for _ in range(16)]
     idx = iter(range(10**9))
 
-    benchmark(lambda: init_crnn(grid, queries[next(idx) % len(queries)]))
+    benchmark(lambda: init_crnn(grid, [(queries[next(idx) % len(queries)], frozenset())]))
 
 
 def test_ablation_furtree_updates(benchmark):

@@ -306,7 +306,7 @@ def ablation_init(quick: bool = False, queries: int = 100) -> dict[str, float]:
     ]
     start = time.perf_counter()
     for q in qs:
-        init_crnn(grid, q)
+        init_crnn(grid, [(q, frozenset())])
     concurrent = (time.perf_counter() - start) / len(qs)
     start = time.perf_counter()
     for q in qs:

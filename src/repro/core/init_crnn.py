@@ -13,14 +13,17 @@ whichever implementation serves the call:
   within ``d_cand[i]`` — and ``None`` exactly when the candidate is a
   true RNN.
 
-Two bit-identical twins implement it; :func:`init_crnn` dispatches on
-the predicate :mod:`repro.grid.cpm` uses for its NN kernels
-(``grid.csr_fresh and grid.vector_enabled``):
+:func:`init_crnn` answers a batch of ``(q, exclude)`` requests at once:
+the grid does not change between them, and monochromatic queries do not
+depend on each other, so every request's answer is the one it would get
+alone.  Two bit-identical twins implement it; :func:`init_crnn`
+dispatches on the predicate :mod:`repro.grid.cpm` uses for its NN
+kernels (``grid.csr_fresh and grid.vector_enabled``):
 
-* :func:`_init_crnn_scalar`, the reference, is the paper's single grid
-  traversal — SAE's six-partition filter over CPM's conceptual
-  rectangles, so cells are visited at most once, only when necessary,
-  and concurrently for all six partitions (Fig. 7 Steps 1-4):
+* :func:`_init_crnn_scalar`, the reference, answers one request by the
+  paper's single grid traversal — SAE's six-partition filter over CPM's
+  conceptual rectangles, so cells are visited at most once, only when
+  necessary, and concurrently for all six partitions (Fig. 7 Steps 1-4):
 
   * **C1** — every heap key is the distance from the query to the part
     of the cell/rectangle inside the *unfinished* partitions;
@@ -34,11 +37,12 @@ the predicate :mod:`repro.grid.cpm` uses for its NN kernels
   depends on the visit order, so it only tightens the *bound* of
   Step 5, which runs one bounded NN search per candidate.
 
-* :func:`repro.perf.kernels.init_crnn_vector` replaces Steps 1-4 by one
-  ring-expansion gather over the grid's CSR bucketing and reads Step 5's
-  answer from the same gather whenever it covers ``disk(cand, d_cand)``;
-  only an uncovered candidate pays Step 5's search.  No ``Cell`` is
-  read.
+* :func:`repro.perf.kernels.init_crnn_multi` answers the whole batch:
+  one CSR gather around every request replaces Steps 1-4 and reads
+  Step 5's answer from the same arrays whenever it covers
+  ``disk(cand, d_cand)``; what it leaves open takes two
+  :func:`~repro.perf.kernels.nn_k1_multi` calls for the whole batch.
+  No ``Cell`` is read.
 
 Deviations from the paper (documented in DESIGN.md): a partition is
 finished when the key exceeds ``d(q, cand_i)`` — the bound required for
@@ -55,7 +59,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.geometry.point import Point, dist
 from repro.geometry.sector import NUM_SECTORS, sector_of
@@ -63,7 +67,7 @@ from repro.geometry.wedge import mindist_rect_in_sectors
 from repro.grid.cell import Cell
 from repro.grid.cpm import DIRECTIONS, ConceptualSpace, nearest_neighbor
 from repro.grid.index import GridIndex
-from repro.perf.kernels import init_crnn_vector
+from repro.perf.kernels import init_crnn_multi
 
 _ALL_SECTORS = (1 << NUM_SECTORS) - 1
 _KIND_CELL = 0
@@ -97,20 +101,34 @@ class InitResult:
         }
 
 
-def init_crnn(
-    grid: GridIndex,
-    q: Point,
-    exclude: frozenset[int] = frozenset(),
-) -> InitResult:
-    """Run *initCRNN* for query point ``q`` over the grid's objects.
+#: One request of :func:`init_crnn`: the query point and the object ids
+#: it ignores.
+InitRequest = tuple[Point, frozenset[int]]
 
-    Served by the vectorized kernel when the grid's CSR bucketing is
-    fresh, else by the heap traversal; the result is the same (see the
-    module docstring for the contract).
+
+def init_crnn(grid: GridIndex, requests: Sequence[InitRequest]) -> list[InitResult]:
+    """Run *initCRNN* for every ``(q, exclude)`` request over the grid's objects.
+
+    Entry ``i`` of the result is request ``i``'s :class:`InitResult`,
+    the same whichever twin serves the call and whatever else the batch
+    holds (see the module docstring for the contract).  Either way each
+    candidate's certificate counts as one bounded NN search
+    (``nn_searches``, and a ``cpm.nn_search`` span when traced), so
+    logical counters and span counts do not depend on the twin.
     """
-    if grid.csr_fresh and grid.vector_enabled:
-        return _init_crnn_vector(grid, q, exclude)
-    return _init_crnn_scalar(grid, q, exclude)
+    if not (grid.csr_fresh and grid.vector_enabled):
+        return [_init_crnn_scalar(grid, q, exclude) for q, exclude in requests]
+    results = [InitResult(*answer) for answer in init_crnn_multi(grid, requests)]
+    certified = [
+        nn is not None for res in results for c, nn in zip(res.cand, res.nn) if c is not None
+    ]
+    grid.stats.nn_searches += len(certified)
+    tracer = grid.tracer
+    if tracer.enabled:
+        for found in certified:
+            with tracer.span("cpm.nn_search", k=1) as sp:
+                sp.set("found", int(found))
+    return results
 
 
 def _certify(grid: GridIndex, res: InitResult, sector: int, exclude: frozenset[int]) -> None:
@@ -131,27 +149,6 @@ def _certify(grid: GridIndex, res: InitResult, sector: int, exclude: frozenset[i
     else:
         res.nn[sector] = None
         res.d_nn[sector] = math.inf
-
-
-def _init_crnn_vector(grid: GridIndex, q: Point, exclude: frozenset[int]) -> InitResult:
-    """:func:`init_crnn` through :func:`repro.perf.kernels.init_crnn_vector`."""
-    cand, d_cand, nn, d_nn, uncovered = init_crnn_vector(grid, q, exclude)
-    res = InitResult(cand, d_cand, nn, d_nn)
-    tracer = grid.tracer
-    for sector in range(NUM_SECTORS):
-        if cand[sector] is None:
-            continue
-        if sector in uncovered:
-            _certify(grid, res, sector, exclude)
-            continue
-        # A certificate read from the gather is one bounded NN
-        # evaluation: counted and traced like the search it replaces, so
-        # logical counters and span counts do not depend on the twin.
-        grid.stats.nn_searches += 1
-        if tracer.enabled:
-            with tracer.span("cpm.nn_search", k=1) as sp:
-                sp.set("found", int(nn[sector] is not None))
-    return res
 
 
 def _init_crnn_scalar(grid: GridIndex, q: Point, exclude: frozenset[int]) -> InitResult:

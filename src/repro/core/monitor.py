@@ -31,8 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 from repro.core.circ_store import CircStoreBase, FurCircStore
 from repro.core.config import MonitorConfig
 from repro.core.events import ObjectUpdate, QueryUpdate, ResultChange
-from repro.core.init_crnn import init_crnn
-from repro.core.query_table import QueryTable
+from repro.core.init_crnn import InitRequest, InitResult, init_crnn
+from repro.core.query_table import QueryState, QueryTable
 from repro.core.regions import CircRegion, MonitoringRegion, PieRegion
 from repro.core.stats import StatCounters
 from repro.core.uniform import GridCircStore
@@ -51,6 +51,9 @@ from repro.geometry.sector import NUM_SECTORS
 from repro.grid.index import GridIndex
 
 Update = Union[ObjectUpdate, QueryUpdate]
+#: One operation of :meth:`CRNNMonitor._query_phase`:
+#: ``(qid, pos | None, exclude, cause)``.
+_QueryOp = tuple[int, Optional[Point], frozenset[int], str]
 
 
 def apply_grid_updates(
@@ -322,25 +325,7 @@ class CRNNMonitor:
         checked = self.guard.check_point(pos, f"query {qid} insert")
         if checked is None:
             return frozenset()
-        pos = checked
-        st = self.qt.add(qid, pos, frozenset(exclude))
-        self._results.setdefault(qid, set())
-        init = init_crnn(self.grid, pos, st.exclude)
-        for sector in range(NUM_SECTORS):
-            st.cand[sector] = init.cand[sector]
-            st.d_cand[sector] = init.d_cand[sector]
-            register_pie_cells(self, st, sector)
-            cand = init.cand[sector]
-            if cand is not None:
-                self.circ.set_circ(
-                    qid,
-                    sector,
-                    cand,
-                    self.grid.positions[cand],
-                    init.d_cand[sector],
-                    init.nn[sector],
-                    init.d_nn[sector],
-                )
+        self._query_phase([(qid, checked, frozenset(exclude), "")])
         return self.rnn(qid)
 
     def remove_query(self, qid: int) -> bool:
@@ -351,28 +336,20 @@ class CRNNMonitor:
         """
         if not self.guard.check_delete("query", qid in self.qt, qid):
             return False
-        st = self.qt.remove(qid)
-        for sector in range(NUM_SECTORS):
-            for cell in st.pie_cells[sector]:
-                cell.remove_pie_query(qid, sector)
-            self.circ.remove_circ(qid, sector)
-        self._results.pop(qid, None)
-        self._rnn_counts.pop(qid, None)
-        # A recompute (update_query) deregisters and re-adds the query;
-        # its health history must survive that round-trip.
-        if self.obs.health is not None and self._log_events:
-            self.obs.health.forget(qid)
+        self._drop_query(qid)
         return True
 
     def update_query(self, qid: int, new_pos: Point, *, cause: str = "query_moved") -> None:
         """Move a query point; an unknown id is registered there.
 
-        Following the paper (and [Yu et al. 05, Mouratidis et al. 05]),
-        a moving query is re-computed at its new location rather than
-        patched incrementally; the emitted events are the *net* result
-        difference.  ``cause`` labels the recomputation in the query's
-        health record (``"query_moved"``, ``"audit_repair"``,
-        ``"rebuild"``) — diagnostics only, never behaviour.
+        The query is re-initialised at its new location, as in the paper
+        (and [Yu et al. 05, Mouratidis et al. 05]), and its monitoring
+        state is patched in place to the new answer: pie cells by
+        difference, circ records replaced.  The emitted events are the
+        *net* result difference, sorted losses then sorted gains.
+        ``cause`` labels the recomputation in the query's health record
+        (``"query_moved"``, ``"audit_repair"``, ``"rebuild"``) —
+        diagnostics only, never behaviour.
         """
         if qid not in self.qt:
             self.add_query(qid, new_pos)
@@ -380,23 +357,122 @@ class CRNNMonitor:
         checked = self.guard.check_point(new_pos, f"query {qid} update")
         if checked is None:
             return
+        self._query_phase([(qid, checked, frozenset(), cause)])
+
+    def _query_phase(self, ops: list[_QueryOp], fresh: bool = False) -> None:
+        """Apply query operations in order, initialised from one batch.
+
+        Each op is ``(qid, pos, exclude, cause)``: ``pos is None`` removes
+        the query, a live ``qid`` moves (``cause`` labels it), any other
+        registers with ``exclude``.  The ops come admitted by the guard.
+        A pre-pass tracks which ids are live op by op — a repeated id, a
+        delete then re-add (whose exclude set starts empty again), a
+        registration of an id already live (a move) — and collects one
+        ``(pos, exclude)`` request per (re)initialisation; one
+        :func:`init_crnn` call answers them all, since the grid is
+        frozen during the query phase and queries do not depend on each
+        other.  The ops then run in their original order, so events and
+        their order are those of one call per op.  With ``fresh`` a moved
+        query is first unregistered everywhere, so its pie cells and circ
+        records are rebuilt from scratch (the state repair of
+        :meth:`rebuild`).
+        """
+        excludes: dict[int, Optional[frozenset[int]]] = {}
+        requests: list[InitRequest] = []
+        for qid, pos, exclude, _ in ops:
+            if qid not in excludes:
+                excludes[qid] = self.qt.get(qid).exclude if qid in self.qt else None
+            if pos is None:
+                excludes[qid] = None
+                continue
+            current = excludes[qid]
+            if current is None:
+                current = excludes[qid] = exclude
+            requests.append((pos, current))
+        inits = iter(init_crnn(self.grid, requests) if requests else ())
+        for qid, pos, exclude, cause in ops:
+            if pos is None:
+                self._drop_query(qid)
+            elif qid in self.qt:
+                self._move_query(self.qt.get(qid), pos, next(inits), cause, fresh)
+            else:
+                st = self.qt.add(qid, pos, exclude)
+                self._results.setdefault(qid, set())
+                self._install(st, next(inits))
+
+    def _install(self, st: QueryState, init: InitResult) -> None:
+        """Make ``init`` the query's candidates, pies and circ records.
+
+        A sector that keeps a candidate has its circ record replaced;
+        one left empty loses it.
+        """
+        positions = self.grid.positions
+        for sector in range(NUM_SECTORS):
+            cand = init.cand[sector]
+            st.cand[sector] = cand
+            st.d_cand[sector] = init.d_cand[sector]
+            register_pie_cells(self, st, sector)
+            if cand is None:
+                self.circ.remove_circ(st.qid, sector)
+            else:
+                self.circ.set_circ(
+                    st.qid, sector, cand, positions[cand],
+                    init.d_cand[sector], init.nn[sector], init.d_nn[sector],
+                )
+
+    def _move_query(
+        self, st: QueryState, pos: Point, init: InitResult, cause: str, fresh: bool
+    ) -> None:
+        """Patch a live query in place to ``init``, its answer at ``pos``.
+
+        Resetting each sector's registered radius makes
+        :func:`register_pie_cells` re-register at the new apex by
+        difference: only cells the old pie covered and the new one does
+        not are dropped, only new ones added.  The transitions of the
+        patch are silent; the net result difference is emitted.
+        """
+        qid = st.qid
         self.stats.query_recomputations += 1
         if self.obs.health is not None:
             self.obs.health.record_recomputation(qid, cause)
-        st = self.qt.get(qid)
-        exclude = st.exclude
         before = frozenset(self._results.get(qid, ()))
         self._log_events = False
         try:
-            self.remove_query(qid)
-            self.add_query(qid, checked, exclude)
+            st.pos = pos
+            if fresh:
+                self._unregister(st)
+            st.pie_reg_radius = [-1.0] * NUM_SECTORS
+            self._install(st, init)
         finally:
             self._log_events = True
-        after = frozenset(self._results.get(qid, ()))
+        # The result is re-derived from the new records, as a fresh
+        # registration would have it: a recomputation also repairs a
+        # result set that had drifted from them (the auditor's repair).
+        after = self.circ.rnn_set(qid)
+        self._results[qid] = set(after)
+        self._rnn_counts[qid] = dict.fromkeys(after, 1)
         for oid in sorted(before - after):
             self._emit(ResultChange(qid, oid, gained=False))
         for oid in sorted(after - before):
             self._emit(ResultChange(qid, oid, gained=True))
+
+    def _unregister(self, st: QueryState) -> None:
+        """Drop every pie-cell registration and circ record of a query."""
+        for sector in range(NUM_SECTORS):
+            for cell in st.pie_cells[sector]:
+                cell.remove_pie_query(st.qid, sector)
+            st.pie_cells[sector] = set()
+            self.circ.remove_circ(st.qid, sector)
+
+    def _drop_query(self, qid: int) -> None:
+        """Deregister a live query: pie cells, circ records, results."""
+        self._unregister(self.qt.remove(qid))
+        self._results.pop(qid, None)
+        self._rnn_counts.pop(qid, None)
+        # A silent removal (a shard migration's remove + re-add) keeps
+        # the query's health history.
+        if self.obs.health is not None and self._log_events:
+            self.obs.health.forget(qid)
 
     # ------------------------------------------------------------------
     # Batched processing
@@ -448,13 +524,7 @@ class CRNNMonitor:
             with tracer.span("monitor.circs", moves=len(moves)), self.timers.phase("circs"):
                 self.circ.process_moves(moves)
         with tracer.span("monitor.queries", updates=len(query_updates)), self.timers.phase("queries"):
-            for update in query_updates:
-                if update.pos is None:
-                    self.remove_query(update.qid)
-                elif update.qid in self.qt:
-                    self.update_query(update.qid, update.pos)
-                else:
-                    self.add_query(update.qid, update.pos)
+            self._query_phase([(u.qid, u.pos, frozenset(), "query_moved") for u in query_updates])
         return self._events[mark:]
 
     # ------------------------------------------------------------------
@@ -545,13 +615,18 @@ class CRNNMonitor:
 
         Re-initialises all monitoring regions against the current object
         snapshot — the escape hatch a long-running deployment wants
-        after suspected state corruption or a config migration.  Result
-        sets are preserved where unchanged; net differences are emitted
-        as events.
+        after suspected state corruption or a config migration.  One
+        query phase re-registers every query from scratch where it
+        stands, in ascending id order (``cause="rebuild"``): result sets
+        are preserved where unchanged; net differences are emitted as
+        events.
         """
         with self.obs.tracer.span("monitor.rebuild", queries=len(self.qt)):
-            for qid in sorted(self.qt.ids()):
-                self.update_query(qid, self.qt.get(qid).pos, cause="rebuild")
+            ops = [
+                (qid, self.qt.get(qid).pos, frozenset(), "rebuild")
+                for qid in sorted(self.qt.ids())
+            ]
+            self._query_phase(ops, fresh=True)
 
     # ------------------------------------------------------------------
     # Checkpoint / recovery

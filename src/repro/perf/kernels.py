@@ -260,7 +260,62 @@ _BOX_Y0 = np.array([0.0, 0.0, 0.0, -_SIN60, -1.0, -_SIN60, -1.0])
 _BOX_Y1 = np.array([_SIN60, 1.0, _SIN60, 0.0, 0.0, 0.0, 1.0])
 
 
-def nn_k1_multi(grid, requests) -> list[Optional[tuple[float, int]]]:
+def _gather_boxes(grid, x0, x1, y0, y1):
+    """CSR slots of the objects in many cell boxes, laid end to end.
+
+    Box ``i`` holds every cell meeting the rectangle ``[x0[i], x1[i]] x
+    [y0[i], y1[i]]`` (cell indexing is monotone in each coordinate, so
+    truncating the corners finds them).  Returns ``(slots, count)``:
+    ``count[i]`` slots of box ``i`` follow those of box ``i - 1``.  One
+    CSR slice per (box, row), since a grid row's cells are one
+    contiguous flat-index interval; no ``Cell`` is read.
+    """
+    bounds, n = grid.bounds, grid.n
+    # Truncate-then-clamp exactly like GridIndex.cell_coords.
+    cx0 = np.clip(((x0 - bounds.xmin) / grid._cell_w).astype(np.int64), 0, n - 1)
+    cx1 = np.clip(((x1 - bounds.xmin) / grid._cell_w).astype(np.int64), 0, n - 1)
+    cy0 = np.clip(((y0 - bounds.ymin) / grid._cell_h).astype(np.int64), 0, n - 1)
+    cy1 = np.clip(((y1 - bounds.ymin) / grid._cell_h).astype(np.int64), 0, n - 1)
+    indptr = grid._csr_indptr
+    nrows = cy1 - cy0 + 1
+    row_end = np.cumsum(nrows)
+    row_start = row_end - nrows
+    base = (np.arange(row_end[-1]) + np.repeat(cy0 - row_start, nrows)) * n
+    starts = indptr[base + np.repeat(cx0, nrows)]
+    lens = indptr[base + np.repeat(cx1, nrows) + 1] - starts
+    count = np.add.reduceat(lens, row_start)
+    elem_end = np.cumsum(lens)
+    total = int(elem_end[-1])
+    slots = grid._csr_order[np.arange(total) + np.repeat(starts - (elem_end - lens), lens)]
+    return slots, count
+
+
+def _exclusion_keys(grid, excludes):
+    """``(stride, keys)``: request ``i``'s excluded live slot ``s`` as the
+    int64 key ``i * stride + s`` (``keys`` is ``None`` when nothing is
+    excluded).  One key per (request, slot) pair turns every request's
+    own exclusion set into a single ``np.isin`` over gathered elements.
+    Neither side repeats a key (a request's boxes never gather a slot
+    twice), so the test runs with ``assume_unique``: that skips
+    ``np.unique``, whose masked-array check imports ``numpy.ma``
+    (~0.6 MB) on first use.
+    """
+    excl_req: list[int] = []
+    excl_slot: list[int] = []
+    slot_of = grid._slot
+    for i, exclude in enumerate(excludes):
+        for oid in exclude:
+            slot = slot_of.get(oid)
+            if slot is not None:
+                excl_req.append(i)
+                excl_slot.append(slot)
+    stride = len(grid._oid_arr)
+    if not excl_req:
+        return stride, None
+    return stride, np.array(excl_req, dtype=np.int64) * stride + np.array(excl_slot, dtype=np.int64)
+
+
+def nn_k1_multi(grid, requests, start: float = 0.0) -> list[Optional[tuple[float, int]]]:
     """Many independent ``k == 1`` searches from one gather per round.
 
     ``requests`` is a sequence of ``(centre, sector | None, exclude,
@@ -281,8 +336,11 @@ def nn_k1_multi(grid, requests) -> list[Optional[tuple[float, int]]]:
     ``math.hypot``.  A request is answered once its best lies inside the
     gathered disk (``_ACCEPT``) or the disk reached its bound or covers
     the data space; the rest go round again at three times the radius.
-    NumPy's fixed cost is paid per round, not per search.  Requires
-    ``grid.csr_fresh`` (the caller dispatches).
+    NumPy's fixed cost is paid per round, not per search.  The first
+    round's radius is the density-sized default or ``start``, whichever
+    is larger (a caller that knows the disk around every centre holds
+    nothing eligible skips those rounds).  Requires ``grid.csr_fresh``
+    (the caller dispatches).
 
     Contract: every object lies inside ``grid.bounds`` (what the
     ingestion guard admits).  An object stored *outside* the data space
@@ -296,38 +354,16 @@ def nn_k1_multi(grid, requests) -> list[Optional[tuple[float, int]]]:
     out: list[Optional[tuple[float, int]]] = [None] * m
     if not m or not grid._size:
         return out
-    qx_l: list[float] = []
-    qy_l: list[float] = []
-    sec_l: list[int] = []
-    max_l: list[float] = []
-    excl_req: list[int] = []
-    excl_slot: list[int] = []
-    slot_of = grid._slot
-    for i, (q, sector, exclude, max_dist) in enumerate(requests):
-        qx_l.append(q[0])
-        qy_l.append(q[1])
-        sec_l.append(-1 if sector is None else sector)
-        max_l.append(max_dist)
-        for oid in exclude:
-            slot = slot_of.get(oid)
-            if slot is not None:
-                excl_req.append(i)
-                excl_slot.append(slot)
+    qx_l = [rq[0][0] for rq in requests]
+    qy_l = [rq[0][1] for rq in requests]
+    max_l = [rq[3] for rq in requests]
     qx = np.array(qx_l)
     qy = np.array(qy_l)
-    sec = np.array(sec_l)
+    sec = np.array([-1 if rq[1] is None else rq[1] for rq in requests])
     any_sector = bool((sec >= 0).any())
-    # One int64 key per (request, slot) pair turns every request's own
-    # exclusion set into a single np.isin over the gathered elements.
-    stride = len(grid._oid_arr)
-    excl_keys = (
-        np.array(excl_req, dtype=np.int64) * stride + np.array(excl_slot, dtype=np.int64)
-        if excl_req
-        else None
-    )
+    stride, excl_keys = _exclusion_keys(grid, [rq[2] for rq in requests])
     bounds = grid.bounds
-    n = grid.n
-    cell_w, cell_h = grid._cell_w, grid._cell_h
+    cell_w = grid._cell_w
     limit_l = (np.array(max_l) * _BAND).tolist()  # inf stays inf
     cover_l = (
         np.hypot(
@@ -336,14 +372,13 @@ def nn_k1_multi(grid, requests) -> list[Optional[tuple[float, int]]]:
         )
         * _BAND
     ).tolist()
-    r0 = _first_radius(grid, _TARGET_FIRST_RING)
+    r0 = max(_first_radius(grid, _TARGET_FIRST_RING), start)
     # Same start as _nn_ring_expansion: a zero bound still reads the
     # centre's own cell.
     r_l = [
         min(max(min(r0, limit), r0 * 1e-9), cover)
         for limit, cover in zip(limit_l, cover_l)
     ]
-    order, indptr = grid._csr_order, grid._csr_indptr
     oid_arr, px, py = grid._oid_arr, grid._px, grid._py
     open_l = list(range(m))
     while open_l:
@@ -353,25 +388,15 @@ def nn_k1_multi(grid, requests) -> list[Optional[tuple[float, int]]]:
         oqy = qy[sel]
         orr = np.array([r_l[g] for g in open_l])
         shape = sec[sel]
-        # Truncate-then-clamp exactly like GridIndex.cell_coords.
-        cx0 = np.clip(((oqx + orr * _BOX_X0[shape] - bounds.xmin) / cell_w).astype(np.int64), 0, n - 1)
-        cx1 = np.clip(((oqx + orr * _BOX_X1[shape] - bounds.xmin) / cell_w).astype(np.int64), 0, n - 1)
-        cy0 = np.clip(((oqy + orr * _BOX_Y0[shape] - bounds.ymin) / cell_h).astype(np.int64), 0, n - 1)
-        cy1 = np.clip(((oqy + orr * _BOX_Y1[shape] - bounds.ymin) / cell_h).astype(np.int64), 0, n - 1)
-        # One CSR slice per (request, box row): a row's cells are one
-        # contiguous flat-index interval.
-        nrows = cy1 - cy0 + 1
-        row_end = np.cumsum(nrows)
-        row_start = row_end - nrows
-        base = (np.arange(row_end[-1]) + np.repeat(cy0 - row_start, nrows)) * n
-        starts = indptr[base + np.repeat(cx0, nrows)]
-        lens = indptr[base + np.repeat(cx1, nrows) + 1] - starts
-        count = np.add.reduceat(lens, row_start)
-        elem_end = np.cumsum(lens)
-        total = int(elem_end[-1])
+        slots, count = _gather_boxes(
+            grid,
+            oqx + orr * _BOX_X0[shape],
+            oqx + orr * _BOX_X1[shape],
+            oqy + orr * _BOX_Y0[shape],
+            oqy + orr * _BOX_Y1[shape],
+        )
         best: list[Optional[tuple[float, int]]] = [None] * k
-        if total:
-            slots = order[np.arange(total) + np.repeat(starts - (elem_end - lens), lens)]
+        if len(slots):
             req = np.repeat(np.arange(k), count)
             xs = px[slots]
             ys = py[slots]
@@ -381,7 +406,7 @@ def nn_k1_multi(grid, requests) -> list[Optional[tuple[float, int]]]:
             dy = ys - eqy
             d2 = dx * dx + dy * dy
             if excl_keys is not None:
-                d2[np.isin(sel[req] * stride + slots, excl_keys)] = np.inf
+                d2[np.isin(sel[req] * stride + slots, excl_keys, assume_unique=True)] = np.inf
             if any_sector:
                 want = shape[req]
                 d2[(want >= 0) & (sector_of_vector((eqx, eqy), xs, ys) != want)] = np.inf
@@ -424,124 +449,202 @@ def nn_k1_multi(grid, requests) -> list[Optional[tuple[float, int]]]:
 #: served entirely from that one gather when it holds the sector's
 #: constrained NN *and* the disk of twice its distance (where the
 #: candidate's certificate lives): on a uniform layout that fails for a
-#: fraction ``exp(-n / 24)`` of sectors — 0.5 % at 128, against 51 % at
-#: the NN kernels' 16 — and a hundred more elements cost NumPy less than
-#: one fallback search.
-_TARGET_INIT_RING = 128.0
+#: fraction ``exp(-n / 24)`` of sectors — 7 % at 64, against 51 % at the
+#: NN kernels' 16.  The failures of a whole chunk share one batched
+#: search, so a smaller disk pays: on ``query-move`` 64 answers a tick's
+#: 20 moves in two thirds of the time 128 takes, with half the transient
+#: arrays.  A pure performance knob: the answers do not depend on it.
+_TARGET_INIT_RING = 64.0
+
+#: Requests per gather of :func:`init_crnn_multi`: a chunk bounds the
+#: transient arrays (about 1.5 MB at 32 on ``query-move``) whatever the
+#: batch, and a tick's 20 query moves fit in one.
+_INIT_CHUNK = 32
 
 
-def _argmin_rows(d2, xs, ys, oids, cx, cy):
-    """Exact ``(distance, oid)`` argmin of each row of ``d2``.
+def _segment_argmin(d2, seg, nseg, xs, ys, cx, cy, oids):
+    """Exact ``(distance, oid, element)`` argmin of each segment of ``d2``.
 
-    ``d2[i, j]`` is the squared distance from centre ``(cx[i], cy[i])``
-    to gathered object ``j`` (``inf`` = not eligible).  Per row, a
-    guard-banded shortlist scored with ``math.hypot`` — the
-    :func:`_best_candidate` rule, for several centres in one pass.
-    Returns ``(distance, oid, column)`` or ``None`` per row.
+    ``d2[e]`` is the squared distance from the centre ``(cx[k], cy[k])``
+    of segment ``k = seg[e]`` to element ``e`` at ``(xs[e], ys[e])``
+    (``inf`` = not eligible).  Per segment a guard-banded shortlist
+    scored with ``math.hypot``: the :func:`_best_candidate` rule for
+    ``nseg`` centres in one pass.  Returns a dict segment -> argmin;
+    segments with no eligible element are absent.
     """
-    m2 = d2.min(axis=1)
-    # An all-inf row must shortlist nothing (inf <= inf would take all).
+    m2 = np.full(nseg, np.inf)
+    np.minimum.at(m2, seg, d2)
+    # An all-inf segment must shortlist nothing (inf <= inf would take all).
     bound = np.where(np.isfinite(m2), m2 * _BAND, -1.0)
-    rows, cols = np.nonzero(d2 <= bound[:, None])
-    best: list[Optional[tuple[float, int, int]]] = [None] * len(d2)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        d = math.hypot(float(xs[j]) - cx[i], float(ys[j]) - cy[i])
-        key = (d, int(oids[j]), j)
-        if best[i] is None or key < best[i]:
-            best[i] = key
+    short = np.nonzero(d2 <= bound[seg])[0]
+    best: dict[int, tuple[float, int, int]] = {}
+    for e, k, x, y, oid in zip(
+        short.tolist(), seg[short].tolist(), xs[short].tolist(), ys[short].tolist(),
+        oids[short].tolist(),
+    ):
+        hit = (math.hypot(x - cx[k], y - cy[k]), oid, e)
+        if k not in best or hit < best[k]:
+            best[k] = hit
     return best
 
 
-def init_crnn_vector(grid, q: Point, exclude: frozenset[int] = frozenset()):
-    """Vector twin of ``repro.core.init_crnn._init_crnn_scalar``.
+def init_crnn_multi(grid, requests) -> list[tuple[list, list, list, list]]:
+    """Vector twin of ``repro.core.init_crnn._init_crnn_scalar``, many
+    queries at a time.
 
-    One disk gather around ``q`` serves all six sectors: per sector the
-    exact ``(distance, oid)`` constrained NN among the gathered slots,
-    final once it is provably inside the gathered disk ``disk(q, r)``;
-    and, for a candidate at distance ``d`` with ``2 d`` inside ``r`` —
-    so that ``disk(cand, d)``, where any disprover lives, is gathered
-    too — its bounded NN read from the same arrays.  A sector the disk
-    leaves open is finished by ring expansion over its own pie's cells
-    only, so an empty sector facing the border of the data space never
-    scans the other five.
+    ``requests`` is a sequence of ``(q, exclude)``; entry ``i`` of the
+    result is ``(cand, d_cand, nn, d_nn)`` of request ``i`` (six entries
+    each), exactly what the heap traversal answers for it alone — a pure
+    function of the object set, ``q`` and ``exclude``.
 
-    Returns ``(cand, d_cand, nn, d_nn, uncovered)``; ``uncovered`` lists
-    the sectors whose candidate's certificate could not be read from the
-    gather (the caller runs the bounded NN search for those).  Requires
+    Per chunk of requests, one CSR gather of every request's cell box
+    around ``disk(q, r)`` (:func:`_gather_boxes`) serves all six sectors
+    of all of them: per (request, sector) the exact ``(distance, oid)``
+    constrained NN among the gathered slots, final once it is provably
+    inside ``disk(q, r)``; and, for a candidate at distance ``d`` with
+    ``2 d`` inside ``r`` — so that ``disk(cand, d)``, where any disprover
+    lives, is gathered too — its bounded NN, read from the same arrays
+    among the request's elements within ``2 d`` of ``q``.  What the
+    gather leaves open is finished by :func:`nn_k1_multi`: one call for
+    the sectors with no candidate inside the disk (an empty sector
+    facing the border of the data space expands over its own pie's box
+    only), then one call for every certificate the gather could not
+    cover, which ``vector_nn_kernel_fallbacks`` counts.  Requires
     ``grid.csr_fresh`` (the caller dispatches).
     """
     stats = grid.stats
     stats.vector_nn_kernel_calls += 1
-    cand: list[Optional[int]] = [None] * NUM_SECTORS
-    d_cand = [math.inf] * NUM_SECTORS
-    nn: list[Optional[int]] = [None] * NUM_SECTORS
-    d_nn = [math.inf] * NUM_SECTORS
-    uncovered: list[int] = []
-    size = grid._size
-    if not size:
-        return cand, d_cand, nn, d_nn, uncovered
-    excluded, excl_arr = _exclusion(exclude)
-    qx, qy = q
-    cover_r = grid.bounds.maxdist(q) * _BAND
-    r = min(_first_radius(grid, _TARGET_INIT_RING), cover_r)
-    if r >= cover_r:
-        # Full cover: every live slot, and nothing lies beyond the gather.
-        idx = np.arange(size)
-        reach = math.inf
-    else:
-        idx = _gather_slots(grid, q, r)
-        reach = r * _ACCEPT
-    if idx is not None:
-        oids = grid._oid_arr[idx]
-        xs = grid._px[idx]
-        ys = grid._py[idx]
-        dx = xs - qx
-        dy = ys - qy
+    out = [
+        ([None] * NUM_SECTORS, [math.inf] * NUM_SECTORS, [None] * NUM_SECTORS,
+         [math.inf] * NUM_SECTORS)
+        for _ in requests
+    ]
+    if not grid._size:
+        return out
+    for lo in range(0, len(requests), _INIT_CHUNK):
+        _init_chunk(grid, requests[lo : lo + _INIT_CHUNK], out[lo : lo + _INIT_CHUNK])
+    return out
+
+
+def _init_chunk(grid, requests, out) -> None:
+    """:func:`init_crnn_multi` for one chunk, written into ``out``."""
+    m = len(requests)
+    bounds = grid.bounds
+    qx_l = [q[0] for q, _ in requests]
+    qy_l = [q[1] for q, _ in requests]
+    r0 = _first_radius(grid, _TARGET_INIT_RING)
+    # A disk that reaches every corner gathers everything: nothing lies
+    # beyond it, so whatever it leaves open is empty.
+    r_l = []
+    reach_l = []
+    for q, _ in requests:
+        cover = bounds.maxdist(q) * _BAND
+        r = min(r0, cover)
+        r_l.append(r)
+        reach_l.append(math.inf if r >= cover else r * _ACCEPT)
+    qx = np.array(qx_l)
+    qy = np.array(qy_l)
+    rr = np.array(r_l)
+    stride, excl_keys = _exclusion_keys(grid, [exclude for _, exclude in requests])
+    slots, count = _gather_boxes(grid, qx - rr, qx + rr, qy - rr, qy + rr)
+    hits: dict[int, tuple[float, int, int]] = {}
+    if len(slots):
+        req = np.repeat(np.arange(m), count)
+        xs = grid._px[slots]
+        ys = grid._py[slots]
+        oids = grid._oid_arr[slots]
+        eqx = qx[req]
+        eqy = qy[req]
+        dx = xs - eqx
+        dy = ys - eqy
         d2 = dx * dx + dy * dy
-        barred = None
-        if excl_arr is not None:
-            barred = np.isin(oids, excl_arr)
-            d2 = np.where(barred, np.inf, d2)
-        in_sector = sector_of_vector(q, xs, ys)[None, :] == _SECTOR_IDS[:, None]
-        found = _argmin_rows(
-            np.where(in_sector, d2[None, :], np.inf),
-            xs, ys, oids, [qx] * NUM_SECTORS, [qy] * NUM_SECTORS,
-        )
-        covered = []
-        for s, hit in enumerate(found):
+        del dx, dy
+        if excl_keys is not None:
+            d2[np.isin(req * stride + slots, excl_keys, assume_unique=True)] = np.inf
+        # Segment ``i * 6 + s``: sector ``s`` of request ``i``.
+        key = req * NUM_SECTORS + sector_of_vector((eqx, eqy), xs, ys)
+        del eqx, eqy
+        cx = [qx_l[k // NUM_SECTORS] for k in range(m * NUM_SECTORS)]
+        cy = [qy_l[k // NUM_SECTORS] for k in range(m * NUM_SECTORS)]
+        hits = _segment_argmin(d2, key, m * NUM_SECTORS, xs, ys, cx, cy, oids)
+    covered: list[tuple[int, int, int]] = []  # (request, sector, element)
+    searched: list[tuple[int, int]] = []  # (request, sector): certificate searched
+    still_open: list[tuple[int, int]] = []
+    for i in range(m):
+        cand, d_cand = out[i][0], out[i][1]
+        reach = reach_l[i]
+        for s in range(NUM_SECTORS):
+            hit = hits.get(i * NUM_SECTORS + s)
             if hit is None or hit[0] > reach:
+                if reach != math.inf:
+                    still_open.append((i, s))
                 continue
-            d_cand[s], cand[s], _ = hit
-            (covered if 2.0 * hit[0] <= reach else uncovered).append(s)
-        if covered:
-            cols = [found[s][2] for s in covered]
-            cx = xs[cols]
-            cy = ys[cols]
-            ex = xs[None, :] - cx[:, None]
-            ey = ys[None, :] - cy[:, None]
-            e2 = ex * ex + ey * ey
-            e2[np.arange(len(cols)), cols] = np.inf  # the candidate itself
-            if barred is not None:
-                e2[:, barred] = np.inf
-            nearest = _argmin_rows(e2, xs, ys, oids, cx.tolist(), cy.tolist())
-            for s, hit in zip(covered, nearest):
-                if hit is not None and hit[0] < d_cand[s]:
-                    d_nn[s], nn[s], _ = hit
-    for s in range(NUM_SECTORS):
-        if cand[s] is not None:
-            continue
-        best = None
-        rs = r
-        while rs < cover_r and (best is None or best[0] > rs * _ACCEPT):
-            rs = min(rs * 3.0, cover_r)
-            idx = _gather_rows(grid, grid.pie_row_intervals(q, s, rs))
-            if idx is not None:
-                best = _best_candidate(grid, idx, q, excluded, excl_arr, math.inf, s)
-        if best is not None:
-            d_cand[s], cand[s] = best
-            uncovered.append(s)
-    stats.vector_nn_kernel_fallbacks += len(uncovered)
-    return cand, d_cand, nn, d_nn, uncovered
+            d_cand[s], cand[s] = hit[0], hit[1]
+            if 2.0 * hit[0] <= reach:
+                covered.append((i, s, hit[2]))
+            else:
+                searched.append((i, s))
+    if covered:
+        _certify_covered(covered, out, m, req, d2, xs, ys, oids)
+    if still_open:
+        # Nothing eligible lies inside an open sector's disk: start past it.
+        found = nn_k1_multi(
+            grid,
+            [(requests[i][0], s, requests[i][1], math.inf) for i, s in still_open],
+            start=3.0 * r0,
+        )
+        for (i, s), hit in zip(still_open, found):
+            if hit is not None:
+                out[i][1][s], out[i][0][s] = hit
+                searched.append((i, s))
+    if searched:
+        positions = grid.positions
+        certs = []
+        for i, s in searched:
+            c = out[i][0][s]
+            certs.append((positions[c], None, requests[i][1] | {c}, out[i][1][s]))
+        for (i, s), hit in zip(searched, nn_k1_multi(grid, certs)):
+            if hit is not None and hit[0] < out[i][1][s]:
+                out[i][3][s], out[i][2][s] = hit
+        grid.stats.vector_nn_kernel_fallbacks += len(searched)
+
+
+def _certify_covered(covered, out, m, req, d2, xs, ys, oids) -> None:
+    """Certificates of the covered candidates, read from the gather.
+
+    A disprover of a candidate at distance ``d`` from its query lies in
+    ``disk(cand, d)``, hence within ``2 d`` of the query: each request
+    keeps its gathered elements inside twice its farthest covered
+    candidate (guard-banded; an excluded element's ``inf`` is never
+    kept), and every covered candidate takes the nearest of its
+    request's kept elements other than itself.
+    """
+    lim = np.full(m, -1.0)
+    for i, s, _ in covered:
+        d = out[i][1][s]
+        lim[i] = max(lim[i], 4.0 * d * d * _BAND)
+    kept = np.flatnonzero(d2 <= lim[req])
+    count = np.bincount(req[kept], minlength=m)
+    seg_start = np.cumsum(count) - count
+    creq = np.array([c[0] for c in covered])
+    lens = count[creq]
+    pair_end = np.cumsum(lens)
+    pair = np.repeat(np.arange(len(covered)), lens)
+    el = kept[np.arange(int(pair_end[-1])) + np.repeat(seg_start[creq] - (pair_end - lens), lens)]
+    cel = np.array([c[2] for c in covered])
+    ccx = xs[cel]
+    ccy = ys[cel]
+    ex = xs[el] - ccx[pair]
+    ey = ys[el] - ccy[pair]
+    e2 = ex * ex + ey * ey
+    e2[el == cel[pair]] = np.inf  # the candidate itself
+    nearest = _segment_argmin(
+        e2, pair, len(covered), xs[el], ys[el], ccx.tolist(), ccy.tolist(), oids[el]
+    )
+    for p, (d, oid, _) in nearest.items():
+        i, s, _ = covered[p]
+        if d < out[i][1][s]:
+            out[i][2][s], out[i][3][s] = oid, d
 
 
 class EntrySnapshot:

@@ -513,7 +513,8 @@ _SHAPES = {
         for oid in [rng.randrange(60)]]),
     "clusters": (55, 16, 70, 8, _clustered, 200, lambda rng, oids, pos, queries: [
         ObjectUpdate(rng.randrange(70), _clustered(rng))]),
-    "churn": (77, 10, 30, 8, random_point, 200, lambda rng, oids, pos, queries: _churn(rng, oids, 1)),
+    "churn": (77, 10, 30, 8, random_point, 200,
+              lambda rng, oids, pos, queries: _churn(rng, oids, 1)),
     "query-churn": (91, 12, 40, 6, random_point, 120, lambda rng, oids, pos, queries: [
         QueryUpdate(10_000 + rng.randrange(6), random_point(rng)) if rng.random() < 0.5
         else ObjectUpdate(rng.randrange(40), random_point(rng))]),

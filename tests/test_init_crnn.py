@@ -38,7 +38,7 @@ class TestResults:
     def test_rnns_match_brute_force(self, pts, q, n):
         objects = {i: p for i, p in enumerate(pts) if p != q}
         g = _grid_with(objects, n=n)
-        res = init_crnn(g, q)
+        [res] = init_crnn(g, [(q, frozenset())])
         assert res.rnns() == set(brute_force_rnn(objects, q))
 
     @settings(max_examples=80, deadline=None)
@@ -46,7 +46,7 @@ class TestResults:
     def test_candidates_are_constrained_nns(self, pts, q):
         objects = {i: p for i, p in enumerate(pts) if p != q}
         g = _grid_with(objects)
-        res = init_crnn(g, q)
+        [res] = init_crnn(g, [(q, frozenset())])
         for sector in range(NUM_SECTORS):
             in_sector = [
                 dist(q, p) for oid, p in objects.items() if sector_of(q, p) == sector
@@ -60,7 +60,7 @@ class TestResults:
 
     def test_empty_grid(self):
         g = _grid_with({})
-        res = init_crnn(g, Point(1.0, 1.0))
+        [res] = init_crnn(g, [(Point(1.0, 1.0), frozenset())])
         assert res.rnns() == set()
         assert all(c is None for c in res.cand)
 
@@ -84,7 +84,7 @@ class TestCertificates:
         strictly nearer to the candidate than ``q`` (a true RNN)."""
         objects = {i: p for i, p in enumerate(pts) if p != q}
         g = _grid_with(objects)
-        res = init_crnn(g, q)
+        [res] = init_crnn(g, [(q, frozenset())])
         for sector in range(NUM_SECTORS):
             cand = res.cand[sector]
             if cand is None:
@@ -103,7 +103,7 @@ class TestCertificates:
         # candidate's true NN distance, never a looser disprover.
         objects = {i: p for i, p in enumerate(pts) if p != q}
         g = _grid_with(objects)
-        res = init_crnn(g, q)
+        [res] = init_crnn(g, [(q, frozenset())])
         for sector in range(NUM_SECTORS):
             cand = res.cand[sector]
             if cand is None or res.nn[sector] is None:
@@ -120,7 +120,7 @@ class TestExclusions:
         objects = {1: Point(100.0, 100.0), 2: Point(110.0, 100.0)}
         g = _grid_with(objects)
         q = Point(105.0, 100.0)
-        res = init_crnn(g, q, exclude=frozenset({1}))
+        [res] = init_crnn(g, [(q, frozenset({1}))])
         assert res.rnns() == set(brute_force_rnn(objects, q, exclude={1}))
         assert all(c != 1 for c in res.cand if c is not None)
         assert all(n != 1 for n in res.nn if n is not None)
@@ -135,5 +135,5 @@ class TestScalability:
         for n in (4, 16, 50):
             g = _grid_with(objects, n=n)
             q = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            res = init_crnn(g, q)
+            [res] = init_crnn(g, [(q, frozenset())])
             assert res.rnns() == set(brute_force_rnn(objects, q))

@@ -12,10 +12,13 @@ adversarial inputs:
 * the multi-query kernel behind ``nn_search_batch`` vs the same scalar
   searches, request by request — plain and constrained requests mixed
   in one call, batches of one request up to a dozen;
-* the one-gather ``initCRNN`` kernel vs the heap traversal of Fig. 7 —
+* the multi-query ``initCRNN`` kernel vs the heap traversal of Fig. 7 —
   whole ``InitResult`` equality on lattice layouts (exact ties across
   cells), sector rays, coincident and excluded objects, border queries
-  with empty sectors, and the certificate fallback;
+  with empty sectors, and the certificate fallback; batches of up to a
+  dozen requests against each request's traversal alone, with
+  overlapping exclude sets, a request barring another's candidates and
+  one point asked twice;
 * ``EntrySnapshot`` — the circ store's live circle table — against a
   plain dict of circles: exact containment search, prefilter superset
   property, sort-and-sweep batch (and ``PointSweep.disc``) / per-point
@@ -253,6 +256,13 @@ class TestNNKernelEquivalence:
 #: and only the ``(distance, oid)`` order separates them.
 lattice_coords = st.integers(min_value=0, max_value=40).map(lambda i: i * 25.0)
 lattice_points = st.tuples(lattice_coords, lattice_coords).map(lambda t: Point(*t))
+#: Points on the border of ``BOUNDS``: a query there has empty sectors.
+border_points = st.one_of(
+    coords.map(lambda v: Point(v, 0.0)),
+    coords.map(lambda v: Point(0.0, v)),
+    coords.map(lambda v: Point(1000.0, v)),
+    coords.map(lambda v: Point(v, 1000.0)),
+)
 init_grids = st.sampled_from([2, 5, 11, 128])
 
 
@@ -262,12 +272,30 @@ def _assert_init_twins_agree(pts, q, cells, exclude=frozenset()):
     ref.vector_enabled = False
     fast = _populated_grid(pts, cells)
     want = _init_crnn_scalar(ref, q, exclude)
-    got = init_crnn(fast, q, exclude)
+    [got] = init_crnn(fast, [(q, exclude)])
     assert fast.stats.vector_nn_kernel_calls >= 1 and fast.stats.heap_pops == 0
     assert got == want
     # One bounded-NN evaluation per candidate, whichever twin ran.
     assert fast.stats.nn_searches == ref.stats.nn_searches
     return got, fast
+
+
+def _assert_init_batch_agrees(pts, requests, cells, steal=False):
+    """One batched call on a CSR-fresh grid == the heap traversal of each
+    request on its own.  With ``steal``, one more request at the last
+    point excludes every candidate of the first request."""
+    ref = _populated_grid(pts, cells)
+    ref.vector_enabled = False
+    fast = _populated_grid(pts, cells)
+    want = [_init_crnn_scalar(ref, q, exclude) for q, exclude in requests]
+    if steal:
+        taken = frozenset(c for c in want[0].cand if c is not None)
+        requests = requests + [(requests[-1][0], taken)]
+        want.append(_init_crnn_scalar(ref, requests[-1][0], taken))
+    assert init_crnn(fast, requests) == want
+    assert fast.stats.heap_pops == 0
+    assert fast.stats.nn_searches == ref.stats.nn_searches
+    return want
 
 
 class TestInitCRNNEquivalence:
@@ -351,6 +379,82 @@ class TestInitCRNNEquivalence:
         assert (got.cand[0], got.d_cand[0]) == (0, 400.0)
         assert (got.nn[0], got.d_nn[0]) == (1, 300.0)
         assert fast.stats.vector_nn_kernel_fallbacks >= 1
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pts=st.lists(st.one_of(lattice_points, points), min_size=0, max_size=40),
+        qs=st.lists(st.one_of(lattice_points, points, border_points), min_size=1, max_size=12),
+        excludes=st.lists(
+            st.frozensets(st.integers(min_value=0, max_value=8), max_size=3),
+            min_size=12, max_size=12,
+        ),
+        cells=init_grids,
+        crowd=st.sampled_from([0, 600]),
+        seed=st.integers(min_value=0, max_value=2**16),
+        twin=st.booleans(),
+        steal=st.booleans(),
+    )
+    def test_batch_matches_scalar_request_by_request(
+        self, pts, qs, excludes, cells, crowd, seed, twin, steal
+    ):
+        # Lattice points and free floats, border queries whose outward
+        # sectors are empty, exclude sets drawn from one small id range
+        # (so they overlap), the first point again under another
+        # exclude set, and a request barring another's candidates.
+        rng = random.Random(seed)
+        pts = pts + [
+            Point(rng.randrange(41) * 25.0, rng.randrange(41) * 25.0) for _ in range(crowd)
+        ]
+        requests = list(zip(qs, excludes))
+        if twin:
+            requests.append((qs[0], excludes[-1] | {0}))
+        _assert_init_batch_agrees(pts, requests, cells, steal)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        qs=st.lists(points, min_size=1, max_size=12),
+        dists=st.lists(
+            st.floats(min_value=1e-3, max_value=400.0, allow_nan=False),
+            min_size=1,
+            max_size=12,
+        ),
+        rays=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=12),
+        cells=init_grids,
+    )
+    def test_batch_on_sector_ray_objects(self, qs, dists, rays, cells):
+        # Objects on the rays of every query of the batch, and each query
+        # point itself an object.
+        pts = [_ray_point(q, ray, d) for q in qs for ray, d in zip(rays, dists)]
+        pts = [p for p in pts if BOUNDS.contains_point(p)] + qs
+        _assert_init_batch_agrees(pts, [(q, frozenset()) for q in qs], cells)
+
+    def test_batch_on_empty_grid(self):
+        requests = [(Point(10.0, 10.0), frozenset()), (Point(500.0, 0.0), frozenset({3}))]
+        for cells in (2, 5, 11, 128):
+            got = _assert_init_batch_agrees([], requests, cells)
+            assert all(res.cand == [None] * NUM_SECTORS for res in got)
+
+    def test_same_point_twice_with_different_excludes(self):
+        # The second request bars the first one's candidates: each
+        # request must see its own exclude set only.
+        rng = random.Random(12)
+        pts = [Point(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(300)]
+        q = Point(500.5, 500.5)
+        first = _assert_init_batch_agrees(pts, [(q, frozenset())], 16)[0]
+        taken = frozenset(c for c in first.cand if c is not None)
+        got = _assert_init_batch_agrees(pts, [(q, frozenset()), (q, taken), (q, frozenset())], 16)
+        assert got[0] == got[2] == first and not taken & set(got[1].cand)
+
+    def test_batch_of_border_queries(self):
+        # Corners and edge midpoints, plus one interior query, against a
+        # crowd: the border requests' outward sectors expand to the
+        # whole data space and come back empty.
+        rng = random.Random(8)
+        pts = [Point(rng.uniform(1, 999), rng.uniform(1, 999)) for _ in range(500)]
+        qs = [Point(x, y) for x in (0.0, 500.0, 1000.0) for y in (0.0, 500.0, 1000.0)]
+        got = _assert_init_batch_agrees(pts, [(q, frozenset()) for q in qs], 128)
+        assert got[0].cand[2:] == [None] * 4
 
 
 # ----------------------------------------------------------------------
