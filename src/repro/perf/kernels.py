@@ -509,11 +509,10 @@ def init_crnn_multi(grid, requests) -> list[tuple[list, list, list, list]]:
     the sectors with no candidate inside the disk (an empty sector
     facing the border of the data space expands over its own pie's box
     only), then one call for every certificate the gather could not
-    cover, which ``vector_nn_kernel_fallbacks`` counts.  Requires
+    cover; ``vector_nn_kernel_fallbacks`` counts these calls.  Requires
     ``grid.csr_fresh`` (the caller dispatches).
     """
-    stats = grid.stats
-    stats.vector_nn_kernel_calls += 1
+    grid.stats.vector_nn_kernel_calls += 1
     out = [
         ([None] * NUM_SECTORS, [math.inf] * NUM_SECTORS, [None] * NUM_SECTORS,
          [math.inf] * NUM_SECTORS)
@@ -586,8 +585,10 @@ def _init_chunk(grid, requests, out) -> None:
                 searched.append((i, s))
     if covered:
         _certify_covered(covered, out, m, req, d2, xs, ys, oids)
+    stats = grid.stats
     if still_open:
         # Nothing eligible lies inside an open sector's disk: start past it.
+        stats.vector_nn_kernel_fallbacks += 1
         found = nn_k1_multi(
             grid,
             [(requests[i][0], s, requests[i][1], math.inf) for i, s in still_open],
@@ -603,10 +604,10 @@ def _init_chunk(grid, requests, out) -> None:
         for i, s in searched:
             c = out[i][0][s]
             certs.append((positions[c], None, requests[i][1] | {c}, out[i][1][s]))
+        stats.vector_nn_kernel_fallbacks += 1
         for (i, s), hit in zip(searched, nn_k1_multi(grid, certs)):
             if hit is not None and hit[0] < out[i][1][s]:
                 out[i][3][s], out[i][2][s] = hit
-        grid.stats.vector_nn_kernel_fallbacks += len(searched)
 
 
 def _certify_covered(covered, out, m, req, d2, xs, ys, oids) -> None:
