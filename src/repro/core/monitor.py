@@ -223,19 +223,19 @@ class CRNNMonitor:
                 return  # still a result through another sector record
             counts.pop(change.oid, None)
             result.discard(change.oid)
-        health = self.obs.health
-        if health is not None:
-            health.record_result_change(change.qid, change.gained)
         if self._log_events:
             self._emit(change)
 
     def _emit(self, change: ResultChange) -> None:
         """Append one result delta to the event log.
 
-        ``result_changes`` counts here, so the counter equals the number
-        of events :meth:`drain_events` hands out.
+        ``result_changes`` and the query's health gains / losses count
+        here, so both equal the events :meth:`drain_events` hands out.
         """
         self.stats.result_changes += 1
+        health = self.obs.health
+        if health is not None:
+            health.record_result_change(change.qid, change.gained)
         self._events.append(change)
 
     def rnn(self, qid: int) -> frozenset[int]:
@@ -359,7 +359,7 @@ class CRNNMonitor:
             return
         self._query_phase([(qid, checked, frozenset(), cause)])
 
-    def _query_phase(self, ops: list[_QueryOp], fresh: bool = False) -> None:
+    def _query_phase(self, ops: list[_QueryOp]) -> None:
         """Apply query operations in order, initialised from one batch.
 
         Each op is ``(qid, pos, exclude, cause)``: ``pos is None`` removes
@@ -372,10 +372,7 @@ class CRNNMonitor:
         :func:`init_crnn` call answers them all, since the grid is
         frozen during the query phase and queries do not depend on each
         other.  The ops then run in their original order, so events and
-        their order are those of one call per op.  With ``fresh`` a moved
-        query is first unregistered everywhere, so its pie cells and circ
-        records are rebuilt from scratch (the state repair of
-        :meth:`rebuild`).
+        their order are those of one call per op.
         """
         excludes: dict[int, Optional[frozenset[int]]] = {}
         requests: list[InitRequest] = []
@@ -394,7 +391,7 @@ class CRNNMonitor:
             if pos is None:
                 self._drop_query(qid)
             elif qid in self.qt:
-                self._move_query(self.qt.get(qid), pos, next(inits), cause, fresh)
+                self._move_query(self.qt.get(qid), pos, next(inits), cause)
             else:
                 st = self.qt.add(qid, pos, exclude)
                 self._results.setdefault(qid, set())
@@ -420,16 +417,19 @@ class CRNNMonitor:
                     init.d_cand[sector], init.nn[sector], init.d_nn[sector],
                 )
 
-    def _move_query(
-        self, st: QueryState, pos: Point, init: InitResult, cause: str, fresh: bool
-    ) -> None:
+    def _move_query(self, st: QueryState, pos: Point, init: InitResult, cause: str) -> None:
         """Patch a live query in place to ``init``, its answer at ``pos``.
 
         Resetting each sector's registered radius makes
         :func:`register_pie_cells` re-register at the new apex by
         difference: only cells the old pie covered and the new one does
-        not are dropped, only new ones added.  The transitions of the
-        patch are silent; the net result difference is emitted.
+        not are dropped, only new ones added.  Every recomputation that
+        is not a move (``"audit_repair"``, ``"rebuild"``) is a state
+        repair: it first unregisters the query everywhere, so its pie
+        cells and circ records are rebuilt from scratch — a difference
+        against the registrations it distrusts would keep a lost one
+        lost.  The transitions of the patch are silent; the net result
+        difference is emitted.
         """
         qid = st.qid
         self.stats.query_recomputations += 1
@@ -439,7 +439,7 @@ class CRNNMonitor:
         self._log_events = False
         try:
             st.pos = pos
-            if fresh:
+            if cause != "query_moved":
                 self._unregister(st)
             st.pie_reg_radius = [-1.0] * NUM_SECTORS
             self._install(st, init)
@@ -626,7 +626,7 @@ class CRNNMonitor:
                 (qid, self.qt.get(qid).pos, frozenset(), "rebuild")
                 for qid in sorted(self.qt.ids())
             ]
-            self._query_phase(ops, fresh=True)
+            self._query_phase(ops)
 
     # ------------------------------------------------------------------
     # Checkpoint / recovery

@@ -457,9 +457,13 @@ class ShardedCRNNMonitor:
                 for oid in sorted(after - before)
             )
             # The silent remove + add counted nothing on either shard:
-            # ``result_changes`` counts emitted events, and these are the
-            # migration's only ones.
+            # ``result_changes`` and the health gains / losses count
+            # emitted events, and these are the migration's only ones.
             self.stats.result_changes += len(tagged)
+            health = self.obs.health
+            if health is not None:
+                for _, change in tagged:
+                    health.record_result_change(change.qid, change.gained)
             self._merge(tagged)
 
     # ------------------------------------------------------------------

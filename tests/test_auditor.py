@@ -78,6 +78,22 @@ class TestScopedRepair:
         assert mon.stats.query_recomputations == before_recomputations + 1
         mon.validate()
 
+    def test_scoped_repair_restores_lost_pie_registration(self, variant):
+        # No deep validation, and one audit does not escalate: only the
+        # scoped repair can put a lost pie-cell registration back.
+        mon, auditor, qids = _audited_monitor(variant, sample_queries=10, deep_every=0)
+        qid = qids[0]
+        st = mon.qt.get(qid)
+        sector = next(s for s in range(6) if st.pie_cells[s])
+        cell = next(iter(st.pie_cells[sector]))
+        cell.remove_pie_query(qid, sector)
+        self._corrupt_result(mon, qid)
+        report = auditor.audit()
+        assert report.repaired == (qid,) and not report.escalated
+        assert mon.stats.audit_escalations == 0
+        assert cell.pie_queries.get(qid, 0) & (1 << sector)
+        mon.validate()
+
     def test_structural_error_escalates_to_rebuild(self, variant):
         mon, auditor, qids = _audited_monitor(variant)
         qid = qids[0]

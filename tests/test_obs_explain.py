@@ -161,3 +161,42 @@ class TestHealthAcrossVariants:
             h.certificate_recomputes for h in monitor.obs.health.all().values()
         )
         assert total == monitor.stats.circ_nn_searches_triggered
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_result_counts_are_the_emitted_events(self, shards):
+        # Query moves (stripe-crossing ones too, with two shards) change
+        # results through silent internal transitions; a query's health
+        # gains / losses must count only the events handed out.
+        from repro.shard import ShardedCRNNMonitor
+
+        cfg = MonitorConfig(variant=LU_PI, observability=ObsConfig())
+        monitor = (
+            CRNNMonitor(cfg) if shards is None
+            else ShardedCRNNMonitor(cfg, shards=shards, executor="serial")
+        )
+        rng = random.Random(3)
+        qids = (QID, QID + 1, QID + 2)
+        events = []
+        for oid in range(150):
+            monitor.add_object(oid, Point(rng.uniform(0, 10000), rng.uniform(0, 10000)))
+        for qid in qids:
+            monitor.add_query(qid, Point(rng.uniform(0, 10000), rng.uniform(0, 10000)))
+        events += monitor.drain_events()
+        for _ in range(8):
+            monitor.process(
+                [QueryUpdate(qid, Point(rng.uniform(0, 10000), rng.uniform(0, 10000)))
+                 for qid in qids]
+                + [ObjectUpdate(rng.randrange(150),
+                                Point(rng.uniform(0, 10000), rng.uniform(0, 10000)))
+                   for _ in range(10)]
+            )
+            monitor.update_query(
+                QID, Point(rng.uniform(0, 10000), rng.uniform(0, 10000))
+            )
+            events += monitor.drain_events()
+        for qid in qids:
+            health = monitor.obs.health.get(qid)
+            assert health.result_gains == sum(e.gained for e in events if e.qid == qid)
+            assert health.result_losses == sum(
+                not e.gained for e in events if e.qid == qid
+            )
