@@ -39,7 +39,6 @@ _BAND = 1.0 + 1e-9
 #: instead of risking a missed neighbor just past a rounded row interval.
 _ACCEPT = 1.0 - 1e-9
 
-_SECTOR_IDS = np.arange(NUM_SECTORS)
 #: Components of boundary rays 0..5 as columns, for (6, n) broadcasting.
 _RAY_X = np.array([d[0] for d in _BOUNDARY_DIRS[:NUM_SECTORS]])[:, None]
 _RAY_Y = np.array([d[1] for d in _BOUNDARY_DIRS[:NUM_SECTORS]])[:, None]
@@ -52,8 +51,11 @@ def sector_of_vector(q: Point, xs, ys):
     same first-match rule, same ``p == q -> 0`` convention), so every
     element agrees with the scalar function bit-for-bit.
     """
-    vx = xs - q[0]
-    vy = ys - q[1]
+    return _sector_of_offsets(xs - q[0], ys - q[1])
+
+
+def _sector_of_offsets(vx, vy):
+    """:func:`sector_of_vector` of the offsets ``p - q`` themselves."""
     # sides[i] = cross(ray i, p - q), all rays the chain tests at once.
     sides = _RAY_X * vy - _RAY_Y * vx
     hit = (sides[:-1] >= 0.0) & (sides[1:] < 0.0)
@@ -271,11 +273,15 @@ def _gather_boxes(grid, x0, x1, y0, y1):
     contiguous flat-index interval; no ``Cell`` is read.
     """
     bounds, n = grid.bounds, grid.n
-    # Truncate-then-clamp exactly like GridIndex.cell_coords.
-    cx0 = np.clip(((x0 - bounds.xmin) / grid._cell_w).astype(np.int64), 0, n - 1)
-    cx1 = np.clip(((x1 - bounds.xmin) / grid._cell_w).astype(np.int64), 0, n - 1)
-    cy0 = np.clip(((y0 - bounds.ymin) / grid._cell_h).astype(np.int64), 0, n - 1)
-    cy1 = np.clip(((y1 - bounds.ymin) / grid._cell_h).astype(np.int64), 0, n - 1)
+    # Truncate-then-clamp exactly like GridIndex.cell_coords (two ufuncs
+    # cost a fraction of np.clip's Python wrapper on these short arrays).
+    cx0, cx1, cy0, cy1 = (
+        np.minimum(np.maximum(((v - lo) / w).astype(np.int64), 0), n - 1)
+        for v, lo, w in (
+            (x0, bounds.xmin, grid._cell_w), (x1, bounds.xmin, grid._cell_w),
+            (y0, bounds.ymin, grid._cell_h), (y1, bounds.ymin, grid._cell_h),
+        )
+    )
     indptr = grid._csr_indptr
     nrows = cy1 - cy0 + 1
     row_end = np.cumsum(nrows)
@@ -409,7 +415,7 @@ def nn_k1_multi(grid, requests, start: float = 0.0) -> list[Optional[tuple[float
                 d2[np.isin(sel[req] * stride + slots, excl_keys, assume_unique=True)] = np.inf
             if any_sector:
                 want = shape[req]
-                d2[(want >= 0) & (sector_of_vector((eqx, eqy), xs, ys) != want)] = np.inf
+                d2[(want >= 0) & (_sector_of_offsets(dx, dy) != want)] = np.inf
             # reduceat needs non-empty segments; their starts are then
             # strictly increasing.
             filled = count > 0
@@ -453,7 +459,10 @@ def nn_k1_multi(grid, requests, start: float = 0.0) -> list[Optional[tuple[float
 #: NN kernels' 16.  The failures of a whole chunk share one batched
 #: search, so a smaller disk pays: on ``query-move`` 64 answers a tick's
 #: 20 moves in two thirds of the time 128 takes, with half the transient
-#: arrays.  A pure performance knob: the answers do not depend on it.
+#: arrays.  A chunk of ``m < 3`` requests has few failures to share one
+#: search, so its disk holds ``3 / m`` times as many (192 for a lone
+#: request: 0.17 fallback calls per request on ``query-move``, against
+#: 0.9 at 64).  A pure performance knob: the answers do not depend on it.
 _TARGET_INIT_RING = 64.0
 
 #: Requests per gather of :func:`init_crnn_multi`: a chunk bounds the
@@ -462,18 +471,19 @@ _TARGET_INIT_RING = 64.0
 _INIT_CHUNK = 32
 
 
-def _segment_argmin(d2, seg, nseg, xs, ys, cx, cy, oids):
+def _segment_argmin(d2, seg, m2, xs, ys, cx, cy, oids):
     """Exact ``(distance, oid, element)`` argmin of each segment of ``d2``.
 
     ``d2[e]`` is the squared distance from the centre ``(cx[k], cy[k])``
     of segment ``k = seg[e]`` to element ``e`` at ``(xs[e], ys[e])``
-    (``inf`` = not eligible).  Per segment a guard-banded shortlist
-    scored with ``math.hypot``: the :func:`_best_candidate` rule for
-    ``nseg`` centres in one pass.  Returns a dict segment -> argmin;
-    segments with no eligible element are absent.
+    (``inf`` = not eligible), and ``m2[k]`` the minimum of segment ``k``
+    (the caller reduces: ``np.minimum.at`` in general, one
+    ``reduceat`` when the segments are runs).  Per segment a
+    guard-banded shortlist scored with ``math.hypot``: the
+    :func:`_best_candidate` rule for many centres in one pass.  Returns
+    a dict segment -> argmin; segments with no eligible element are
+    absent.
     """
-    m2 = np.full(nseg, np.inf)
-    np.minimum.at(m2, seg, d2)
     # An all-inf segment must shortlist nothing (inf <= inf would take all).
     bound = np.where(np.isfinite(m2), m2 * _BAND, -1.0)
     short = np.nonzero(d2 <= bound[seg])[0]
@@ -531,7 +541,7 @@ def _init_chunk(grid, requests, out) -> None:
     bounds = grid.bounds
     qx_l = [q[0] for q, _ in requests]
     qy_l = [q[1] for q, _ in requests]
-    r0 = _first_radius(grid, _TARGET_INIT_RING)
+    r0 = _first_radius(grid, _TARGET_INIT_RING * max(1.0, 3.0 / m))
     # A disk that reaches every corner gathers everything: nothing lies
     # beyond it, so whatever it leaves open is empty.
     r_l = []
@@ -557,15 +567,16 @@ def _init_chunk(grid, requests, out) -> None:
         dx = xs - eqx
         dy = ys - eqy
         d2 = dx * dx + dy * dy
-        del dx, dy
         if excl_keys is not None:
             d2[np.isin(req * stride + slots, excl_keys, assume_unique=True)] = np.inf
         # Segment ``i * 6 + s``: sector ``s`` of request ``i``.
-        key = req * NUM_SECTORS + sector_of_vector((eqx, eqy), xs, ys)
-        del eqx, eqy
+        key = req * NUM_SECTORS + _sector_of_offsets(dx, dy)
+        del dx, dy, eqx, eqy
         cx = [qx_l[k // NUM_SECTORS] for k in range(m * NUM_SECTORS)]
         cy = [qy_l[k // NUM_SECTORS] for k in range(m * NUM_SECTORS)]
-        hits = _segment_argmin(d2, key, m * NUM_SECTORS, xs, ys, cx, cy, oids)
+        m2 = np.full(m * NUM_SECTORS, np.inf)
+        np.minimum.at(m2, key, d2)
+        hits = _segment_argmin(d2, key, m2, xs, ys, cx, cy, oids)
     covered: list[tuple[int, int, int]] = []  # (request, sector, element)
     searched: list[tuple[int, int]] = []  # (request, sector): certificate searched
     still_open: list[tuple[int, int]] = []
@@ -630,17 +641,22 @@ def _certify_covered(covered, out, m, req, d2, xs, ys, oids) -> None:
     creq = np.array([c[0] for c in covered])
     lens = count[creq]
     pair_end = np.cumsum(lens)
+    pair_start = pair_end - lens
     pair = np.repeat(np.arange(len(covered)), lens)
-    el = kept[np.arange(int(pair_end[-1])) + np.repeat(seg_start[creq] - (pair_end - lens), lens)]
+    el = kept[np.arange(int(pair_end[-1])) + np.repeat(seg_start[creq] - pair_start, lens)]
     cel = np.array([c[2] for c in covered])
     ccx = xs[cel]
     ccy = ys[cel]
-    ex = xs[el] - ccx[pair]
-    ey = ys[el] - ccy[pair]
+    exs = xs[el]
+    eys = ys[el]
+    ex = exs - ccx[pair]
+    ey = eys - ccy[pair]
     e2 = ex * ex + ey * ey
     e2[el == cel[pair]] = np.inf  # the candidate itself
+    # Each pair's run holds at least its candidate, so none is empty.
     nearest = _segment_argmin(
-        e2, pair, len(covered), xs[el], ys[el], ccx.tolist(), ccy.tolist(), oids[el]
+        e2, pair, np.minimum.reduceat(e2, pair_start), exs, eys,
+        ccx.tolist(), ccy.tolist(), oids[el],
     )
     for p, (d, oid, _) in nearest.items():
         i, s, _ = covered[p]
